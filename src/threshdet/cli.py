@@ -80,6 +80,7 @@ def _resolve(args) -> argparse.Namespace:
     for key, value in DEFAULTS.items():
         if getattr(args, key, None) is None:
             setattr(args, key, value)
+    noise.check_seed(args.seed)
     if args.trials < 1:
         raise ValueError("trials must be >= 1")
     if args.workers < 1:
@@ -361,7 +362,10 @@ def _cmd_oracle(args) -> None:
     _emit(report, args)
     if args.check and mc_stats is not None:
         for row in rows:
-            se = max(row["mc_stderr"], 1e-12)
+            # Standard error under the analytic p being tested, as in
+            # acceptance criterion 10: the Monte Carlo frequency can be 0.
+            p = row["analytic"]
+            se = max(float(np.sqrt(p * (1 - p) / args.mc_trials)), 1e-12)
             _require(abs(row["analytic"] - row["monte_carlo"]) <= 5 * se,
                      f"component {row['component']}: analytic vs Monte Carlo"
                      " disagreement beyond 5 standard errors")

@@ -63,8 +63,16 @@ class RngStream:
     stream: int = 0
 
 
+def check_seed(seed) -> int:
+    """Return ``seed`` as an int, rejecting values outside [0, 2^64)."""
+    seed = int(seed)
+    if not 0 <= seed < 2**64:
+        raise ValueError(f"seed {seed} is outside [0, 2^64)")
+    return seed
+
+
 def _chunk_rng(seed: int, stream: int, chunk_index: int) -> np.random.Generator:
-    ss = np.random.SeedSequence(entropy=int(seed) & (2**64 - 1),
+    ss = np.random.SeedSequence(entropy=check_seed(seed),
                                 spawn_key=(int(stream), int(chunk_index)))
     return np.random.Generator(np.random.Philox(ss))
 
@@ -92,10 +100,18 @@ def _clamp_magnitude(values: np.ndarray, target: float) -> np.ndarray:
     return values
 
 
-def _chunk_noise(model: NoiseModel, seed: int, stream: int,
-                 chunk_index: int) -> np.ndarray:
+def _chunk_noise(model: NoiseModel, seed: int, stream: int, chunk_index: int,
+                 rows: int) -> np.ndarray:
+    """Noise for the first ``rows`` trials of one chunk.
+
+    Every draw below fills its array in C order, so the first k rows of a
+    (CHUNK, ·) draw are exactly a (k, ·) draw from the same generator.  A
+    later row cannot be reached without drawing the rows before it: the
+    ziggurat normal sampler consumes a variable number of random words per
+    value.
+    """
     rng = _chunk_rng(seed, stream, chunk_index)
-    n, d = CHUNK, model.dim
+    n, d = rows, model.dim
     sigma = model.sigma
     if model.kind == GAUSSIAN:
         return sigma * _complex_gaussian(rng, n, d)
@@ -131,7 +147,7 @@ def draw_noise_block(model: NoiseModel, seed: int, start: int, count: int,
     while t < end:
         ci, offset = divmod(t, CHUNK)
         take = min(CHUNK - offset, end - t)
-        parts.append(_chunk_noise(model, seed, stream, ci)[offset:offset + take])
+        parts.append(_chunk_noise(model, seed, stream, ci, offset + take)[offset:])
         t += take
     if not parts:
         return np.empty((0, model.dim), dtype=complex)
@@ -144,10 +160,17 @@ def draw_noise(model: NoiseModel, stream: RngStream) -> np.ndarray:
                             stream.stream)[0]
 
 
+def _check_finite(v: np.ndarray, what: str) -> np.ndarray:
+    if not np.all(np.isfinite(v)):
+        raise ValueError(f"{what} has non-finite components")
+    return v
+
+
 def check_normalized(alpha, tol: float = 1e-10) -> np.ndarray:
     alpha = np.asarray(alpha, dtype=complex)
     if alpha.ndim != 1:
         raise UnnormalizedState("design state must be a vector")
+    _check_finite(alpha, "design state")
     norm = np.linalg.norm(alpha)
     if abs(norm - 1.0) > tol:
         raise UnnormalizedState(f"|alpha| = {norm:.12g}, expected 1")
@@ -177,6 +200,7 @@ def inject(alpha, s: float, w) -> np.ndarray:
     w = np.asarray(w, dtype=complex)
     if w.shape != alpha.shape:
         raise ValueError("noise vector shape does not match state")
+    _check_finite(w, "noise vector")
     return s * alpha + w
 
 
@@ -191,4 +215,4 @@ def load_vector(path) -> np.ndarray:
         comps.append(complex(float(re_s), float(im_s)))
     if not comps:
         raise ValueError(f"no components found in {path}")
-    return np.array(comps, dtype=complex)
+    return _check_finite(np.array(comps, dtype=complex), str(path))

@@ -9,11 +9,11 @@ tail of a noncentral chi-squared distribution with two degrees of freedom).
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import special, stats
 
 from . import detection, noise
 from .noise import CHUNK, NoiseModel
@@ -106,17 +106,34 @@ def _tally_chunk(args) -> np.ndarray:
     return tally
 
 
-def map_chunks(fn, jobs, workers: int = 1) -> list:
-    """Apply a chunk worker to all jobs, optionally over a process pool.
+# One thread pool per worker count, created on first use and kept for the
+# life of the process, so repeated estimates do not start threads again.
+_POOLS: dict[int, ThreadPoolExecutor] = {}
+_POOLS_LOCK = threading.Lock()
 
-    Reductions downstream are integer tallies keyed by chunk index, so the
-    result is identical for any worker count.
+
+def _pool(workers: int) -> ThreadPoolExecutor:
+    with _POOLS_LOCK:
+        pool = _POOLS.get(workers)
+        if pool is None:
+            pool = _POOLS[workers] = ThreadPoolExecutor(
+                max_workers=workers, thread_name_prefix="threshdet-chunk")
+        return pool
+
+
+def map_chunks(fn, jobs, workers: int = 1) -> list:
+    """Apply a chunk worker to all jobs, optionally on a shared thread pool.
+
+    The chunk kernels spend their time in numpy's Philox fills, ufuncs and
+    BLAS calls, which release the GIL, so chunks run concurrently on threads.
+    Results come back in job order and reductions downstream are integer
+    tallies keyed by chunk index, so the result is identical for any worker
+    count.
     """
     jobs = list(jobs)
     if workers <= 1 or len(jobs) <= 1:
         return [fn(job) for job in jobs]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, jobs, chunksize=max(1, len(jobs) // (4 * workers))))
+    return list(_pool(workers).map(fn, jobs))
 
 
 def estimate(alpha, s: float, model: NoiseModel, gamma: float, trials: int,
@@ -146,6 +163,8 @@ def estimate(alpha, s: float, model: NoiseModel, gamma: float, trials: int,
 def marcum_q1(a: float, b: float) -> float:
     """Marcum Q-function Q1(a, b), the tail of a noncentral chi-squared
     distribution with 2 degrees of freedom and noncentrality a² at b²."""
+    from scipy import stats  # deferred: costs most of the package import
+
     if a < 0 or b < 0:
         raise ValueError("arguments must be non-negative")
     if b == 0.0:
@@ -191,6 +210,8 @@ def no_detection_prob(alpha, s: float, sigma: float, gamma: float) -> float:
 
 def q1_bounds(a: float, b: float) -> tuple[float, float]:
     """Closed-form lower/upper envelopes of Q1(a, b), valid for b > a."""
+    from scipy import special
+
     if a <= 0:
         raise ValueError("a must be positive")
     if b <= a:

@@ -168,3 +168,45 @@ def test_parser_lists_all_subcommands():
                  "chsh-joint", "chsh-local", "bell-state", "two-dim",
                  "oracle"):
         assert name in text
+
+
+def test_oracle_check_passes_when_monte_carlo_sees_no_detections(capsys):
+    # The analytic P = 1.1e-7 is consistent with 0 of 1000 trials; the
+    # standard error must come from the analytic p, not the zero frequency.
+    assert run(["oracle", "--alpha", "1,0", "--s", "0", "--gamma", "4",
+                "--mc-trials", "1000", "--check"]) == 0
+
+
+@pytest.mark.parametrize("seed", ["-1", str(2**64)])
+def test_seed_outside_range_exits_1(seed, capsys, monkeypatch):
+    assert run(["detect-probs", "--trials", "10", "--seed", seed]) == 1
+    assert "outside [0, 2^64)" in capsys.readouterr().err
+    monkeypatch.setenv("SEED", seed)
+    assert run(["detect-probs", "--trials", "10"]) == 1
+
+
+def test_seed_range_edges_are_distinct(tmp_path, capsys):
+    paths = {}
+    for seed in ("0", str(2**64 - 1)):
+        paths[seed] = tmp_path / f"{seed}.csv"
+        assert run(["detect-probs", "--trials", "1000", "--seed", seed,
+                    "--output", str(paths[seed])]) == 0
+    # Output differs by more than the seed written in the metadata line.
+    bodies = {p.read_text().split("\n", 1)[1] for p in paths.values()}
+    assert len(bodies) == 2
+
+
+@pytest.mark.parametrize("command", ["detect-probs", "magic-square",
+                                     "chsh-local"])
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+def test_non_finite_inject_exits_1(command, bad, tmp_path, capsys):
+    dim = 2 if command == "detect-probs" else 4
+    vec = tmp_path / "a.txt"
+    vec.write_text(f"{bad},0\n" + "0,0\n" * (dim - 1))
+    assert run([command, "--inject", str(vec)]) == 1
+    assert "non-finite" in capsys.readouterr().err
+
+
+def test_non_finite_alpha_exits_1(capsys):
+    assert run(["detect-probs", "--alpha", "nan,0", "--trials", "10"]) == 1
+    assert "non-finite" in capsys.readouterr().err

@@ -1,12 +1,17 @@
 """Noise family distributions, reproducibility, and realization replay."""
 
+import functools
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 
 from threshdet import linalg, noise
-from threshdet.noise import (ANTICORRELATED_PHASE, BLOCH_UNIFORM, GAUSSIAN,
-                             SINGLE_PHASE, SPHERE, InvalidModel, NoiseModel,
+from threshdet.noise import (ANTICORRELATED_PHASE, BLOCH_UNIFORM, CHUNK,
+                             GAUSSIAN, SINGLE_PHASE, SPHERE, InvalidModel,
+                             NoiseModel,
                              RngStream, UnnormalizedState, draw_noise,
                              draw_noise_block, inject, realize, realize_block)
 
@@ -145,3 +150,74 @@ def test_realize_block_matches_single_draws():
     for k in range(3):
         single = realize(alpha, 0.5, model, RngStream(seed=9, trial=5 + k))
         assert np.array_equal(single, block[k])
+
+
+# Every noise family, with an odd and an even dimension where both exist.
+PREFIX_MODELS = (
+    NoiseModel(GAUSSIAN, 1.3, 3),
+    NoiseModel(SPHERE, 1.0, 2),
+    NoiseModel(SPHERE, 0.7, 4),
+    NoiseModel(SINGLE_PHASE, 1.0, 2),
+    NoiseModel(ANTICORRELATED_PHASE, 2.0, 2),
+    NoiseModel(BLOCH_UNIFORM, 1.0, 2),
+)
+
+
+@functools.lru_cache(maxsize=8)
+def _full_chunk(model, seed, stream, chunk_index):
+    return noise._chunk_noise(model, seed, stream, chunk_index, CHUNK)
+
+
+@settings(max_examples=60, deadline=None)
+@given(model=st.sampled_from(PREFIX_MODELS),
+       start=st.integers(min_value=0, max_value=2 * CHUNK),
+       count=st.integers(min_value=0, max_value=CHUNK + 2),
+       seed=st.sampled_from([0, 20140731, 2**64 - 1]))
+@example(model=PREFIX_MODELS[2], start=CHUNK - 1, count=CHUNK + 2, seed=0)
+@example(model=PREFIX_MODELS[0], start=CHUNK, count=0, seed=0)
+@example(model=PREFIX_MODELS[5], start=0, count=1, seed=20140731)
+def test_block_equals_slice_of_full_chunk_draws(model, start, count, seed):
+    # Drawing only a chunk's leading rows must give bit-for-bit the values a
+    # full-chunk draw gives those rows, for every family and alignment.
+    stream = 3
+    end = start + count
+    chunks = range(start // CHUNK, -(-end // CHUNK))
+    reference = np.concatenate(
+        [np.empty((0, model.dim), dtype=complex)]
+        + [_full_chunk(model, seed, stream, ci) for ci in chunks])
+    first = chunks.start * CHUNK
+    block = draw_noise_block(model, seed, start, count, stream)
+    assert block.shape == (count, model.dim)
+    assert np.array_equal(block, reference[start - first:end - first])
+
+
+@pytest.mark.parametrize("seed", [0, 2**64 - 1])
+def test_seed_range_edges_accepted(seed):
+    model = NoiseModel(GAUSSIAN, 1.0, 2)
+    assert draw_noise_block(model, seed, 0, 4).shape == (4, 2)
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_seed_outside_range_rejected(seed):
+    # Seeds are never reduced mod 2^64: -1 must not alias 2^64 - 1.
+    with pytest.raises(ValueError, match="outside"):
+        noise._chunk_rng(seed, 0, 0)
+    with pytest.raises(ValueError, match="outside"):
+        draw_noise_block(NoiseModel(GAUSSIAN, 1.0, 2), seed, 0, 4)
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_load_vector_rejects_non_finite(tmp_path, bad):
+    for line in (f"{bad},0", f"0,{bad}"):
+        path = tmp_path / "vec.txt"
+        path.write_text(f"{line}\n0,0\n")
+        with pytest.raises(ValueError, match="non-finite"):
+            noise.load_vector(path)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, np.nan)])
+def test_inject_rejects_non_finite(bad):
+    with pytest.raises(ValueError, match="non-finite"):
+        inject(np.array([1.0, 0.0]), 0.5, np.array([bad, 0.0]))
+    with pytest.raises(ValueError, match="non-finite"):
+        inject(np.array([bad, 0.0]), 0.5, np.array([0.0, 0.0]))

@@ -1,11 +1,19 @@
 """Estimator accounting identities and the analytic Gaussian oracle."""
 
+import subprocess
+import sys
+import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy import integrate, special
 
+import threshdet
 from threshdet import probability
-from threshdet.noise import GAUSSIAN, SPHERE, NoiseModel
+from threshdet.noise import CHUNK, GAUSSIAN, SPHERE, NoiseModel
 from threshdet.probability import (DetectionStats, DomainTooSmall, estimate,
                                    marcum_q1, no_detection_prob, q1_bounds,
                                    single_detection_probs)
@@ -165,3 +173,65 @@ def test_oracle_input_validation():
     with pytest.raises(ValueError):
         estimate(np.array([1.0, 0.0]), 1.0, NoiseModel(GAUSSIAN, 1.0, 2),
                  1.0, trials=0, seed=0)
+
+
+def _slow_square(x):
+    # Later jobs finish first, so job order has to be restored on return.
+    time.sleep(0.002 * (8 - x))
+    return x * x
+
+
+def test_map_chunks_reuses_one_thread_pool():
+    jobs = list(range(8))
+    expected = [x * x for x in jobs]
+    assert probability.map_chunks(_slow_square, jobs, 3) == expected
+    threads = threading.active_count()
+    for _ in range(5):
+        assert probability.map_chunks(_slow_square, jobs, 3) == expected
+        assert threading.active_count() == threads
+
+
+def test_map_chunks_serial_path_starts_no_threads():
+    threads = threading.active_count()
+    assert probability.map_chunks(_slow_square, [1, 2], 1) == [1, 4]
+    assert probability.map_chunks(_slow_square, [3], 4) == [9]
+    assert threading.active_count() == threads
+
+
+def test_map_chunks_raises_a_job_error():
+    with pytest.raises(ZeroDivisionError):
+        probability.map_chunks(lambda x: 1 // x, [1, 0, 2], 2)
+
+
+def test_concurrent_callers_share_one_pool_and_agree():
+    # Six callers race to create and use the 5-worker pool with frequent
+    # thread switches; each must get the serial tallies, and a second pool
+    # created in the race would leave more than 5 extra threads behind.
+    model = NoiseModel(SPHERE, 1.0, 2)
+    alpha = np.array([1.0, 0.0])
+    args = (alpha, SQRT2 - 1.0, model, 1.0, 2 * CHUNK + 5, 21)
+    expected = estimate(*args, workers=1).counts
+    threads = threading.active_count()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(6) as callers:
+            futures = [callers.submit(estimate, *args, workers=5)
+                       for _ in range(6)]
+            results = [f.result(timeout=120) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert all(np.array_equal(r.counts, expected) for r in results)
+    assert threading.active_count() <= threads + 5
+
+
+def test_cli_import_defers_scipy_stats():
+    # scipy.stats costs most of the package's import time and only the
+    # analytic oracle needs it.
+    src = Path(threshdet.__file__).resolve().parents[1]
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import threshdet.cli; "
+            "print('scipy.stats' in sys.modules)")
+    done = subprocess.run([sys.executable, "-c", code, str(src)],
+                          capture_output=True, text=True, check=True,
+                          timeout=120)
+    assert done.stdout.strip() == "False"
