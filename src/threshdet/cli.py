@@ -9,7 +9,8 @@ from pathlib import Path
 
 import numpy as np
 
-from . import experiments, linalg, noise, output, probability, tomography
+from . import (detection, experiments, linalg, noise, output, probability,
+               tomography)
 from .noise import NoiseModel
 
 DEFAULT_SEED = 12345
@@ -71,6 +72,9 @@ _CONFIG_TYPES = {
 def _resolve(args) -> argparse.Namespace:
     """Apply precedence: flags > config file > SEED env > built-in defaults."""
     cfg = _load_config(args.config) if getattr(args, "config", None) else {}
+    unknown = sorted(set(cfg) - set(_CONFIG_TYPES))
+    if unknown:
+        raise ValueError(f"unknown config key(s): {', '.join(unknown)}")
     for key, caster in _CONFIG_TYPES.items():
         if getattr(args, key, None) is None and key in cfg:
             setattr(args, key, caster(cfg[key]))
@@ -85,6 +89,8 @@ def _resolve(args) -> argparse.Namespace:
         raise ValueError("trials must be >= 1")
     if args.workers < 1:
         raise ValueError("workers must be >= 1")
+    if args.states < 1:
+        raise ValueError("states must be >= 1")
     return args
 
 
@@ -139,7 +145,6 @@ def _cmd_detect_probs(args) -> None:
 
 
 def detectionoutcome_row(a, gamma) -> dict:
-    from . import detection
     res = detection.measure_standard(a, gamma)
     return {"tag": res.tag.value,
             "index": -1 if res.index is None else res.index + 1}
@@ -435,8 +440,7 @@ def main(argv=None) -> int:
     except CheckFailure as exc:
         sys.stderr.write(f"threshdet: check failed: {exc}\n")
         return 2
-    except (ValueError, OSError, noise.InvalidModel,
-            noise.UnnormalizedState) as exc:
+    except (ValueError, OSError, tomography.InsufficientDetections) as exc:
         sys.stderr.write(f"threshdet: error: {exc}\n")
         return 1
     return 0

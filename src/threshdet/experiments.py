@@ -16,7 +16,7 @@ from .detection import SubspacePartition
 from .linalg import (H, I2, U_C1, U_C2, U_C3, U_R1, U_R2, U_R3, V, W_MINUS,
                      W_PLUS, X, Y, Z, ObservableSpec, tensor,
                      verify_diagonalization)
-from .noise import CHUNK, NoiseModel
+from .noise import NoiseModel
 
 SQRT2 = np.sqrt(2.0)
 BELL_STATE = np.array([0, 1, 1, 0], dtype=complex) / SQRT2
@@ -94,10 +94,6 @@ class ChshJointResult:
     s_d_err: float
     s_quantum: float = TSIRELSON_BOUND
 
-    @property
-    def means(self) -> list[float]:
-        return [r.mean for r in self.rows]
-
 
 @dataclass
 class PairRow:
@@ -159,6 +155,12 @@ class TwoDimRow:
     p_inf: float
 
 
+def _chsh_value(rows) -> tuple[float, float]:
+    """S_D = |E(AB) + E(AB')| + |E(A'B) - E(A'B')| and its summed stderr."""
+    e = [r.mean for r in rows]
+    return abs(e[0] + e[1]) + abs(e[2] - e[3]), sum(r.stderr for r in rows)
+
+
 def run_two_dim_examples(trials: int, seed: int, *, sigma: float = 1.0,
                          workers: int = 1) -> list[TwoDimRow]:
     """Estimate (P0, P1, P2, Pinf) for the four scripted 2-dim noise setups."""
@@ -206,32 +208,9 @@ def run_chsh_joint(noise_kind: str, trials: int, seed: int, *,
                                   n=stats.n_detected, mean=stats.mean,
                                   stderr=stats.mean_stderr,
                                   detection_fraction=stats.detection_fraction))
-    e = [r.mean for r in rows]
-    s_d = abs(e[0] + e[1]) + abs(e[2] - e[3])
-    s_d_err = sum(r.stderr for r in rows)
+    s_d, s_d_err = _chsh_value(rows)
     return ChshJointResult(noise_kind=noise_kind, trials=trials, rows=rows,
                            s_d=s_d, s_d_err=s_d_err)
-
-
-def _local_chunk(args) -> np.ndarray:
-    seed, pair_index, start, count, kind, s, sigma, gamma = args
-    alice_name, bob_name = LOCAL_PAIRS[pair_index]
-    ua, parta = ALICE_SETTINGS[alice_name]
-    ub, partb = BOB_SETTINGS[bob_name]
-    model = NoiseModel(kind, sigma, 4)
-    a = noise.realize_block(BELL_STATE, s, model, seed, start, count,
-                            _STREAM_LOCAL_BASE + pair_index)
-    ca = detection.detect_projective_block(a, ua, parta, gamma)
-    cb = detection.detect_projective_block(a, ub, partb, gamma)
-    da, db = ca >= 0, cb >= 0
-    coinc = da & db
-    # joint outcome cell: 2*alice_group + bob_group over coincidences
-    cell = 2 * ca[coinc] + cb[coinc]
-    out = np.zeros(6, dtype=np.int64)
-    out[:4] = np.bincount(cell, minlength=4)
-    out[4] = int((da | db).sum())
-    out[5] = int(coinc.sum())
-    return out
 
 
 def run_chsh_local(trials: int, seed: int, *, noise_kind: str = noise.SPHERE,
@@ -240,15 +219,22 @@ def run_chsh_local(trials: int, seed: int, *, noise_kind: str = noise.SPHERE,
     separately through subspace partitions; only coincidences are scored."""
     sigma, gamma = 1.0, 1.0
     s = (SQRT2 - 1.0) * sigma
-    jobs = []
-    for pair_index in range(len(LOCAL_PAIRS)):
-        for start, count in probability._chunk_ranges(trials):
-            jobs.append((seed, pair_index, start, count, noise_kind, s, sigma,
-                         gamma))
-    results = probability.map_chunks(_local_chunk, jobs, workers)
-    per_pair = np.zeros((len(LOCAL_PAIRS), 6), dtype=np.int64)
-    for job, res in zip(jobs, results):
-        per_pair[job[1]] += res
+    model = NoiseModel(noise_kind, sigma, 4)
+    ensembles = [(BELL_STATE, s, model, seed, _STREAM_LOCAL_BASE + i, trials)
+                 for i in range(len(LOCAL_PAIRS))]
+
+    def kernel(i, a):
+        alice, bob = LOCAL_PAIRS[i]
+        ca = detection.detect_projective_block(a, *ALICE_SETTINGS[alice], gamma)
+        cb = detection.detect_projective_block(a, *BOB_SETTINGS[bob], gamma)
+        da, db = ca >= 0, cb >= 0
+        coinc = da & db
+        # joint outcome cell: 2*alice_group + bob_group over coincidences
+        cells = np.bincount(2 * ca[coinc] + cb[coinc], minlength=4)
+        return np.append(cells, [np.count_nonzero(da | db),
+                                 np.count_nonzero(coinc)])
+
+    per_pair = probability.tally_chunks(ensembles, kernel, workers)
     rows = []
     for (alice, bob), tall in zip(LOCAL_PAIRS, per_pair):
         counts = tall[:4]
@@ -258,9 +244,7 @@ def run_chsh_local(trials: int, seed: int, *, noise_kind: str = noise.SPHERE,
         stderr = 1.0 / np.sqrt(total) if total else np.inf
         rows.append(PairRow(alice=alice, bob=bob, counts=counts.copy(),
                             total=total, mean=float(mean), stderr=stderr))
-    e = [r.mean for r in rows]
-    s_d = abs(e[0] + e[1]) + abs(e[2] - e[3])
-    s_d_err = sum(r.stderr for r in rows)
+    s_d, s_d_err = _chsh_value(rows)
     singles = int(per_pair[:, 4].sum())
     coincidences = int(per_pair[:, 5].sum())
     n_total = trials * len(LOCAL_PAIRS)
@@ -279,40 +263,36 @@ def random_state(seed: int, state_index: int, dim: int = 4) -> np.ndarray:
     return z / np.linalg.norm(z)
 
 
-def _magic_chunk(args) -> np.ndarray:
-    seed, state_index, start, count, s, sigma, gamma = args
-    alpha = random_state(seed, state_index)
-    model = NoiseModel(noise.SPHERE, sigma, 4)
-    a = noise.realize_block(alpha, s, model, seed, start, count,
-                            _STREAM_MAGIC_NOISE_BASE + state_index)
-    det_counts = np.zeros(len(MAGIC_CONTEXTS), dtype=np.int64)
-    violations = np.zeros(len(MAGIC_CONTEXTS), dtype=np.int64)
-    detected_all = np.ones(count, dtype=bool)
-    for i, (u, diags, expected) in enumerate(MAGIC_CONTEXTS.values()):
-        codes = detection.detect_observable_block(a, u, gamma)
-        det = codes >= 0
-        det_counts[i] = int(det.sum())
-        product = (diags[0] * diags[1] * diags[2])[codes[det]]
-        violations[i] = int((product != expected).sum())
-        detected_all &= det
-    return np.concatenate([det_counts, violations,
-                           [int(detected_all.sum())]])
-
-
 def run_magic_square(num_states: int, trials_per_state: int, seed: int, *,
                      workers: int = 1) -> MagicSquareResult:
     """Measure all six magic-square contexts on shared realizations of
     random four-dimensional states; tally product violations (always zero)
     and the six-way detection overlap (always empty)."""
+    if num_states < 1:
+        raise ValueError("num_states must be at least 1")
     sigma = 1.0
     s = (SQRT2 - 1.0) * sigma
-    jobs = []
-    for state_index in range(num_states):
-        for start, count in probability._chunk_ranges(trials_per_state):
-            jobs.append((seed, state_index, start, count, s, sigma, sigma))
-    results = probability.map_chunks(_magic_chunk, jobs, workers)
-    total = np.sum(results, axis=0)
+    model = NoiseModel(noise.SPHERE, sigma, 4)
+    ensembles = [(random_state(seed, i), s, model, seed,
+                  _STREAM_MAGIC_NOISE_BASE + i, trials_per_state)
+                 for i in range(num_states)]
     k = len(MAGIC_CONTEXTS)
+
+    def kernel(_, a):
+        # k context detection counts, k violation counts, six-way overlap
+        tally = np.zeros(2 * k + 1, dtype=np.int64)
+        detected_all = np.ones(len(a), dtype=bool)
+        for i, (u, diags, expected) in enumerate(MAGIC_CONTEXTS.values()):
+            codes = detection.detect_observable_block(a, u, sigma)
+            det = codes >= 0
+            product = (diags[0] * diags[1] * diags[2])[codes[det]]
+            tally[i] = np.count_nonzero(det)
+            tally[k + i] = np.count_nonzero(product != expected)
+            detected_all &= det
+        tally[2 * k] = np.count_nonzero(detected_all)
+        return tally
+
+    total = probability.tally_chunks(ensembles, kernel, workers).sum(axis=0)
     return MagicSquareResult(
         num_states=num_states, trials_per_state=trials_per_state,
         context_detections={name: int(total[i])

@@ -19,10 +19,6 @@ from . import detection, noise
 from .noise import CHUNK, NoiseModel
 
 
-class NoDetectionsAtAll(RuntimeWarning):
-    """Flag type: conditional estimates are undefined without detections."""
-
-
 class DomainTooSmall(ValueError):
     """Closed-form Marcum Q bounds require b > a."""
 
@@ -92,22 +88,8 @@ def _chunk_ranges(trials: int):
         yield start, min(CHUNK, trials - start)
 
 
-def _tally_chunk(args) -> np.ndarray:
-    alpha, s, model, gamma, seed, stream, start, count, unitary = args
-    a = noise.realize_block(alpha, s, model, seed, start, count, stream)
-    if unitary is None:
-        codes = detection.detect_standard_block(a, gamma)
-    else:
-        codes = detection.detect_observable_block(a, unitary, gamma)
-    tally = np.zeros(model.dim + 2, dtype=np.int64)
-    tally[:model.dim] = np.bincount(codes[codes >= 0], minlength=model.dim)
-    tally[model.dim] = int((codes == detection.NO_DETECTION).sum())
-    tally[model.dim + 1] = int((codes == detection.MULTIPLE_DETECTIONS).sum())
-    return tally
-
-
 # One thread pool per worker count, created on first use and kept for the
-# life of the process, so repeated estimates do not start threads again.
+# life of the process, so repeated runs do not start threads again.
 _POOLS: dict[int, ThreadPoolExecutor] = {}
 _POOLS_LOCK = threading.Lock()
 
@@ -126,14 +108,40 @@ def map_chunks(fn, jobs, workers: int = 1) -> list:
 
     The chunk kernels spend their time in numpy's Philox fills, ufuncs and
     BLAS calls, which release the GIL, so chunks run concurrently on threads.
-    Results come back in job order and reductions downstream are integer
-    tallies keyed by chunk index, so the result is identical for any worker
-    count.
+    Results come back in job order and ``tally_chunks`` sums them as
+    integers, so the result is identical for any worker count.
     """
     jobs = list(jobs)
     if workers <= 1 or len(jobs) <= 1:
         return [fn(job) for job in jobs]
     return list(_pool(workers).map(fn, jobs))
+
+
+def tally_chunks(ensembles, kernel, workers: int = 1) -> np.ndarray:
+    """Integer tallies of ``kernel`` summed over the chunks of each ensemble.
+
+    An ensemble is ``(alpha, s, model, seed, stream, trials)``.  Every chunk
+    of its trials is realized once and passed to ``kernel(i, a)``, where i is
+    the ensemble's index; the kernel returns a fixed-length integer tally.
+    Row i of the result is the sum of ensemble i's chunk tallies.
+    """
+    ensembles = list(ensembles)
+    if not ensembles or min(trials for *_, trials in ensembles) < 1:
+        raise ValueError("every ensemble needs at least 1 trial")
+    jobs = [(i, start, count) for i, (*_, trials) in enumerate(ensembles)
+            for start, count in _chunk_ranges(trials)]
+
+    def run(job):
+        i, start, count = job
+        alpha, s, model, seed, stream, _ = ensembles[i]
+        return kernel(i, noise.realize_block(alpha, s, model, seed, start,
+                                             count, stream))
+
+    tallies = map_chunks(run, jobs, workers)
+    total = np.zeros((len(ensembles), len(tallies[0])), dtype=np.int64)
+    for (i, _, _), tally in zip(jobs, tallies):
+        total[i] += tally
+    return total
 
 
 def estimate(alpha, s: float, model: NoiseModel, gamma: float, trials: int,
@@ -144,17 +152,23 @@ def estimate(alpha, s: float, model: NoiseModel, gamma: float, trials: int,
     With ``unitary`` given, each realization is rotated by U† before
     threshold detection (measurement of the associated observable).
     """
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
-    alpha = noise.check_normalized(alpha)
-    jobs = [(alpha, s, model, gamma, seed, stream, start, count, unitary)
-            for start, count in _chunk_ranges(trials)]
-    tallies = map_chunks(_tally_chunk, jobs, workers)
-    total = np.sum(tallies, axis=0)
+    if gamma < 0:
+        raise ValueError("gamma must be non-negative")
+
+    def kernel(_, a):
+        if unitary is None:
+            codes = detection.detect_standard_block(a, gamma)
+        else:
+            codes = detection.detect_observable_block(a, unitary, gamma)
+        # Shifted codes: 0 multiple, 1 none, 2 + n a detection at n.
+        return np.bincount(codes + 2, minlength=model.dim + 2)
+
+    (total,) = tally_chunks([(alpha, s, model, seed, stream, trials)], kernel,
+                            workers)
     return DetectionStats(
-        counts=total[:model.dim],
-        no_detection=int(total[model.dim]),
-        multiple_detections=int(total[model.dim + 1]),
+        counts=total[2:],
+        no_detection=int(total[1]),
+        multiple_detections=int(total[0]),
         trials=trials,
         eigenvalues=None if eigenvalues is None else np.asarray(eigenvalues, float),
     )
@@ -174,6 +188,19 @@ def marcum_q1(a: float, b: float) -> float:
     return float(stats.ncx2.sf(b * b, 2, a * a))
 
 
+def _below_threshold_probs(alpha, s: float, sigma: float,
+                           gamma: float) -> np.ndarray:
+    """F_i = P(|a_i| <= gamma) for each component under Gaussian noise."""
+    alpha = noise.check_normalized(alpha)
+    if sigma <= 0:
+        raise ValueError("sigma must be positive")
+    if gamma < 0:
+        raise ValueError("gamma must be non-negative")
+    lam = 2.0 * np.abs(s * alpha / sigma) ** 2
+    b = np.sqrt(2.0) * gamma / sigma
+    return np.array([1.0 - marcum_q1(np.sqrt(l), b) for l in lam])
+
+
 def single_detection_probs(alpha, s: float, sigma: float,
                            gamma: float) -> np.ndarray:
     """Analytic single-detection probabilities P_n for independent Gaussian noise.
@@ -185,16 +212,9 @@ def single_detection_probs(alpha, s: float, sigma: float,
     F_i = 1 - Q1(sqrt(2)·|s·alpha_i|/sigma, sqrt(2)·gamma/sigma); the sqrt(2)
     rescaling makes the formula agree with the Monte Carlo estimator.
     """
-    alpha = noise.check_normalized(alpha)
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
-    if gamma < 0:
-        raise ValueError("gamma must be non-negative")
-    lam = 2.0 * np.abs(s * alpha / sigma) ** 2
-    b = np.sqrt(2.0) * gamma / sigma
-    f = np.array([1.0 - marcum_q1(np.sqrt(l), b) for l in lam])
-    probs = np.empty(alpha.shape[0])
-    for n in range(alpha.shape[0]):
+    f = _below_threshold_probs(alpha, s, sigma, gamma)
+    probs = np.empty(f.shape[0])
+    for n in range(f.shape[0]):
         others = np.prod(np.delete(f, n))
         probs[n] = (1.0 - f[n]) * others
     return probs
@@ -202,10 +222,7 @@ def single_detection_probs(alpha, s: float, sigma: float,
 
 def no_detection_prob(alpha, s: float, sigma: float, gamma: float) -> float:
     """Analytic P_0 for independent Gaussian noise."""
-    alpha = noise.check_normalized(alpha)
-    lam = 2.0 * np.abs(s * alpha / sigma) ** 2
-    b = np.sqrt(2.0) * gamma / sigma
-    return float(np.prod([1.0 - marcum_q1(np.sqrt(l), b) for l in lam]))
+    return float(np.prod(_below_threshold_probs(alpha, s, sigma, gamma)))
 
 
 def q1_bounds(a: float, b: float) -> tuple[float, float]:

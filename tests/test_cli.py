@@ -210,3 +210,26 @@ def test_non_finite_inject_exits_1(command, bad, tmp_path, capsys):
 def test_non_finite_alpha_exits_1(capsys):
     assert run(["detect-probs", "--alpha", "nan,0", "--trials", "10"]) == 1
     assert "non-finite" in capsys.readouterr().err
+
+
+def test_zero_states_exits_1(capsys):
+    assert run(["magic-square", "--states", "0", "--trials", "10"]) == 1
+    assert "states must be >= 1" in capsys.readouterr().err
+
+
+def test_tomography_without_enough_detections_exits_1(capsys):
+    assert run(["tomography", "--trials", "10"]) == 1
+    err = capsys.readouterr().err
+    assert "threshdet: error:" in err and "detections" in err
+
+
+def test_negative_gamma_exits_1(capsys):
+    assert run(["detect-probs", "--gamma", "-1", "--trials", "10"]) == 1
+    assert "gamma must be non-negative" in capsys.readouterr().err
+
+
+def test_unknown_config_key_exits_1(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("trails = 5\n")
+    assert run(["born", "--config", str(cfg)]) == 1
+    assert "trails" in capsys.readouterr().err

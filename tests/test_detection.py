@@ -2,8 +2,9 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from threshdet import detection, linalg, noise
 from threshdet.detection import (MULTIPLE_DETECTIONS, NO_DETECTION,
@@ -158,6 +159,44 @@ def test_detection_is_counterfactually_definite(seed):
     assert measure_standard(a, 0.8) == first
     spec = ObservableSpec(H, [1.0, -1.0])
     assert measure_observable(a, spec, 0.8) == measure_observable(a, spec, 0.8)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(min_value=1, max_value=6).flatmap(lambda n: st.tuples(
+           arrays(float, (8, n), elements=st.floats(0.0, 3.0)),
+           st.permutations(range(n)))),
+       st.floats(0.0, 3.0))
+def test_crossing_codes_permutation_equivariance(mags_perm, gamma):
+    mags, perm = mags_perm
+    perm = np.array(perm)
+    codes = detection.crossing_codes(mags, gamma)
+    # Column j of the permuted input is column perm[j] of the original.
+    permuted = detection.crossing_codes(mags[:, perm], gamma)
+    expected = np.where(codes >= 0, np.argsort(perm)[codes], codes)
+    assert np.array_equal(permuted, expected)
+
+
+_complex = st.complex_numbers(max_magnitude=3.0, allow_nan=False,
+                              allow_infinity=False)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from([ObservableSpec(H, [1.0, -1.0]),
+                        ObservableSpec(linalg.tensor(H, V),
+                                       [1.0, -1.0, -1.0, 1.0])]).flatmap(
+           lambda spec: st.tuples(
+               st.just(spec),
+               st.lists(_complex, min_size=spec.dim, max_size=spec.dim))),
+       st.floats(0.0, 2.0 * np.pi), st.floats(0.0, 3.0))
+def test_measurement_is_global_phase_invariant(spec_comps, phi, gamma):
+    spec, comps = spec_comps
+    a = np.array(comps)
+    for mags in (np.abs(a), np.abs(a @ np.conj(spec.unitary))):
+        assume(np.all(np.abs(mags - gamma) > 1e-9))
+    b = np.exp(1j * phi) * a
+    assert measure_standard(b, gamma) == measure_standard(a, gamma)
+    assert measure_observable(b, spec, gamma) == \
+        measure_observable(a, spec, gamma)
 
 
 def test_codes_cover_all_outcomes():

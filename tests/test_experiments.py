@@ -97,6 +97,11 @@ def test_magic_square_no_violations_and_empty_overlap():
     assert all(v > 0 for v in res.context_detections.values())
 
 
+def test_magic_square_rejects_zero_states():
+    with pytest.raises(ValueError):
+        run_magic_square(num_states=0, trials_per_state=10, seed=61)
+
+
 def test_random_state_is_normalized_and_deterministic():
     s1 = random_state(7, 3)
     s2 = random_state(7, 3)

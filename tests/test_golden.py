@@ -3,8 +3,9 @@
 The digests pin the exact bytes the simulator writes at a fixed seed, so any
 change to the noise stream, the detection rule, the reductions or the
 rendering shows up here.  Trial counts are small; 70000 = 2^16 + 4464 spans
-one full and one partial chunk, and magic-square's 5000 trials per state
-use only a prefix of each state's first chunk.  Every case runs at several
+one full and one partial chunk.  magic-square runs twice: 5000 trials per
+state use only a prefix of each state's first chunk, and 70000 trials per
+state give every state several chunks.  Every case runs at several
 worker counts against the same digest.
 """
 
@@ -31,6 +32,9 @@ GOLDEN = {
     "magic-square": (
         ["magic-square", "--states", "3", "--trials", "5000"],
         "d0f3bdec6607a8fba94be7a01710a0d11af5420bfc74ffc8f5cf0198d8e6f934"),
+    "magic-square-multichunk": (
+        ["magic-square", "--states", "2", "--trials", TRIALS],
+        "546994ff125a89fe12e3abdef83a6dc32d34950718b39fc54155b47b02331821"),
     "chsh-joint-sphere": (
         ["chsh-joint", "--noise", "sphere", "--trials", TRIALS],
         "7f705c7ef1d2ddfe7847d15e08fa3ac1fc2a037262b2b75a5f6aa7544fd1472a"),
@@ -40,6 +44,9 @@ GOLDEN = {
     "chsh-local": (
         ["chsh-local", "--trials", TRIALS],
         "1e2aa8a3892d8e2df82585583902c1664e67a37ecec552a9e0ded176d170a6c2"),
+    "chsh-local-gaussian": (
+        ["chsh-local", "--noise", "gaussian", "--trials", TRIALS],
+        "f4243c01feea99c16d80505e8f0d384a9765c6bf864b400e43978718f1f38e86"),
     "bell-state": (
         ["bell-state", "--trials", TRIALS],
         "3d7d2082473db9436cfe429f687936935b0ca1657ff57ebb0e3ba3edc5698893"),

@@ -12,7 +12,7 @@ import pytest
 from scipy import integrate, special
 
 import threshdet
-from threshdet import probability
+from threshdet import noise, probability
 from threshdet.noise import CHUNK, GAUSSIAN, SPHERE, NoiseModel
 from threshdet.probability import (DetectionStats, DomainTooSmall, estimate,
                                    marcum_q1, no_detection_prob, q1_bounds,
@@ -95,16 +95,19 @@ def test_estimate_worker_invariance():
 
 
 def test_oracle_matches_monte_carlo():
-    alpha = np.array([0.8, 0.6])
-    model = NoiseModel(GAUSSIAN, 1.0, 2)
-    trials = 2_000_000
-    stats = estimate(alpha, 1.0, model, 3.0, trials=trials, seed=13)
-    pred = single_detection_probs(alpha, 1.0, 1.0, 3.0)
-    se = np.sqrt(pred * (1 - pred) / trials)
-    assert np.all(np.abs(stats.P_hat - pred) < 5 * se)
-    pred0 = no_detection_prob(alpha, 1.0, 1.0, 3.0)
-    se0 = np.sqrt(pred0 * (1 - pred0) / trials)
-    assert abs(stats.P0_hat - pred0) < 5 * se0
+    for alpha, s, gamma, trials in [
+            ([0.8, 0.6], 1.0, 3.0, 2_000_000),
+            ([0.6, 0.64, 0.48], 2.0, 2.0, 1_000_000),
+            ([0.1, 0.3, 0.5, np.sqrt(0.65)], 2.0, 2.0, 1_000_000)]:
+        alpha = np.array(alpha)
+        model = NoiseModel(GAUSSIAN, 1.0, alpha.shape[0])
+        stats = estimate(alpha, s, model, gamma, trials=trials, seed=13)
+        pred = single_detection_probs(alpha, s, 1.0, gamma)
+        se = np.sqrt(pred * (1 - pred) / trials)
+        assert np.all(np.abs(stats.P_hat - pred) < 5 * se)
+        pred0 = no_detection_prob(alpha, s, 1.0, gamma)
+        se0 = np.sqrt(pred0 * (1 - pred0) / trials)
+        assert abs(stats.P0_hat - pred0) < 5 * se0
 
 
 def test_oracle_zero_signal_closed_form():
@@ -166,13 +169,50 @@ def test_q1_bounds_domain():
 
 
 def test_oracle_input_validation():
-    with pytest.raises(ValueError):
-        single_detection_probs(np.array([1.0, 0.0]), 1.0, 0.0, 1.0)
-    with pytest.raises(ValueError):
-        single_detection_probs(np.array([1.0, 0.0]), 1.0, 1.0, -1.0)
+    for oracle in (single_detection_probs, no_detection_prob):
+        for sigma, gamma in [(0.0, 1.0), (-1.0, 1.0), (1.0, -1.0)]:
+            with pytest.raises(ValueError):
+                oracle(np.array([1.0, 0.0]), 1.0, sigma, gamma)
+
+
+@pytest.mark.parametrize("trials, gamma", [(0, 1.0), (10, -1.0)])
+def test_estimate_input_validation(trials, gamma):
     with pytest.raises(ValueError):
         estimate(np.array([1.0, 0.0]), 1.0, NoiseModel(GAUSSIAN, 1.0, 2),
-                 1.0, trials=0, seed=0)
+                 gamma, trials=trials, seed=0)
+
+
+def test_tally_chunks_sums_chunks_per_ensemble():
+    # Uneven ensembles crossing chunk boundaries, one smaller than a chunk.
+    model = NoiseModel(SPHERE, 1.0, 2)
+    alpha = np.array([0.6, 0.8])
+    ensembles = [(alpha, 0.4, model, 3, 7, CHUNK + 5),
+                 (alpha, 0.4, model, 3, 8, 17),
+                 (alpha, 0.4, model, 4, 7, 2 * CHUNK + 1)]
+
+    def kernel(i, a):
+        crossed = np.abs(a) > 0.9
+        return np.array([i, len(a), *crossed.sum(axis=0)])
+
+    expected = np.zeros((len(ensembles), 4), dtype=np.int64)
+    for i, (alpha, s, model, seed, stream, trials) in enumerate(ensembles):
+        for start in range(0, trials, CHUNK):
+            a = noise.realize_block(alpha, s, model, seed, start,
+                                    min(CHUNK, trials - start), stream)
+            expected[i] += kernel(i, a)
+    assert expected[:, 1].tolist() == [CHUNK + 5, 17, 2 * CHUNK + 1]
+    for workers in (1, 3):
+        assert np.array_equal(
+            probability.tally_chunks(ensembles, kernel, workers), expected)
+
+
+def test_tally_chunks_rejects_empty_ensembles():
+    model = NoiseModel(SPHERE, 1.0, 2)
+    alpha = np.array([1.0, 0.0])
+    for ensembles in ([], [(alpha, 0.4, model, 3, 7, 10),
+                           (alpha, 0.4, model, 3, 8, 0)]):
+        with pytest.raises(ValueError):
+            probability.tally_chunks(ensembles, lambda i, a: [len(a)])
 
 
 def _slow_square(x):
