@@ -14,16 +14,31 @@ from . import (detection, experiments, linalg, noise, output, probability,
 from .noise import NoiseModel
 
 DEFAULT_SEED = 12345
-DEFAULTS = {
-    "trials": 1 << 20,
-    "workers": 1,
-    "sigma": 1.0,
-    "gamma": 1.0,
-    "s": float(np.sqrt(2.0) - 1.0),
-    "noise": noise.SPHERE,
-    "format": "csv",
-    "states": 256,
+
+# argparse keywords of every flag.  A subcommand takes the flags listed next
+# to its handler in _COMMANDS plus _COMMON_FLAGS; its --config file is parsed
+# as those same flags (see _config_argv).
+_FLAGS = {
+    "trials": {"type": int, "default": 1 << 20},
+    "seed": {"type": int},  # unset: SEED environment variable, DEFAULT_SEED
+    "workers": {"type": int, "default": 1},
+    "sigma": {"type": float, "default": 1.0},
+    "gamma": {"type": float, "default": 1.0},
+    "s": {"type": float, "default": float(np.sqrt(2.0) - 1.0)},
+    "noise": {"choices": noise.KINDS, "default": noise.SPHERE},
+    "alpha": {"help": "state components, comma separated (complex ok)"},
+    "normalize": {"action": "store_true",
+                  "help": "normalize --alpha instead of requiring unit norm"},
+    "inject": {"help": "text file with one 're,im' component per line"},
+    "states": {"type": int, "default": 256},
+    "mc_trials": {"type": int},
+    "output": {},
+    "format": {"choices": ("csv", "json"), "default": "csv"},
+    "config": {"help": "flat 'key = value' configuration file"},
+    "check": {"action": "store_true",
+              "help": "assert the documented sanity conditions"},
 }
+_COMMON_FLAGS = ("seed", "workers", "output", "format", "config", "check")
 
 
 class CheckFailure(AssertionError):
@@ -49,61 +64,45 @@ def parse_alpha(text: str, normalize: bool = False) -> np.ndarray:
     return alpha
 
 
-def _load_config(path: str) -> dict:
-    cfg = {}
+def _config_argv(path: str) -> list[str]:
+    """The ``key = value`` lines of a config file as ``--key=value`` tokens."""
+    tokens = []
     for line in Path(path).read_text().splitlines():
         line = line.strip()
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
             raise ValueError(f"bad config line: {line!r}")
-        key, value = line.split("=", 1)
-        cfg[key.strip()] = value.strip()
-    return cfg
-
-
-_CONFIG_TYPES = {
-    "trials": int, "seed": int, "workers": int, "states": int,
-    "sigma": float, "gamma": float, "s": float, "mc_trials": int,
-    "noise": str, "format": str, "output": str, "alpha": str,
-}
+        key, value = (part.strip() for part in line.split("=", 1))
+        # Keys are flag names spelled with underscores; a config file names
+        # neither another config file nor an --inject realization.
+        if "-" in key or key in ("config", "inject"):
+            raise ValueError(f"unknown config key: {key}")
+        tokens.append(f"--{key.replace('_', '-')}={value}")
+    return tokens
 
 
 def _resolve(args) -> argparse.Namespace:
-    """Apply precedence: flags > config file > SEED env > built-in defaults."""
-    cfg = _load_config(args.config) if getattr(args, "config", None) else {}
-    unknown = sorted(set(cfg) - set(_CONFIG_TYPES))
-    if unknown:
-        raise ValueError(f"unknown config key(s): {', '.join(unknown)}")
-    for key, caster in _CONFIG_TYPES.items():
-        if getattr(args, key, None) is None and key in cfg:
-            setattr(args, key, caster(cfg[key]))
-    if getattr(args, "seed", None) is None:
+    """Fall back to the SEED environment variable and check value ranges."""
+    if args.seed is None:
         env = os.environ.get("SEED")
         args.seed = int(env) if env else DEFAULT_SEED
-    for key, value in DEFAULTS.items():
-        if getattr(args, key, None) is None:
-            setattr(args, key, value)
     noise.check_seed(args.seed)
-    if args.trials < 1:
-        raise ValueError("trials must be >= 1")
-    if args.workers < 1:
-        raise ValueError("workers must be >= 1")
-    if args.states < 1:
-        raise ValueError("states must be >= 1")
+    for key in ("trials", "workers", "states", "mc_trials"):
+        value = getattr(args, key, None)
+        if value is not None and value < 1:
+            raise ValueError(f"{key} must be >= 1")
     return args
 
 
-def _emit(report: dict, args) -> None:
+def _emit(args, tables: dict, **meta) -> None:
+    """Print the report and write it to --output: one table per entry."""
+    report = {"meta": {"experiment": args.command, "seed": args.seed, **meta},
+              "tables": [output.make_table(name, rows)
+                         for name, rows in tables.items()]}
     sys.stdout.write(output.render_text(report))
-    if getattr(args, "output", None):
+    if args.output:
         Path(args.output).write_text(output.render(report, args.format))
-
-
-def _meta(args, experiment: str, **extra) -> dict:
-    meta = {"experiment": experiment, "seed": args.seed}
-    meta.update(extra)
-    return meta
 
 
 def _require(condition: bool, message: str) -> None:
@@ -120,9 +119,7 @@ def _cmd_detect_probs(args) -> None:
         w = noise.load_vector(args.inject)
         a = noise.inject(alpha, args.s, w)
         res = detectionoutcome_row(a, args.gamma)
-        report = {"meta": _meta(args, "detect-probs", mode="inject"),
-                  "tables": [output.make_table("injected_outcome", [res])]}
-        _emit(report, args)
+        _emit(args, {"injected_outcome": [res]}, mode="inject")
         return
     stats = probability.estimate(alpha, args.s, model, args.gamma,
                                  args.trials, args.seed, workers=args.workers)
@@ -134,11 +131,8 @@ def _cmd_detect_probs(args) -> None:
                  "conditional": float("nan"), "stderr": float("nan")})
     rows.append({"outcome": "Pinf", "frequency": stats.Pinf_hat,
                  "conditional": float("nan"), "stderr": float("nan")})
-    report = {"meta": _meta(args, "detect-probs", trials=args.trials,
-                            noise=args.noise, s=args.s, sigma=args.sigma,
-                            gamma=args.gamma),
-              "tables": [output.make_table("detection_probabilities", rows)]}
-    _emit(report, args)
+    _emit(args, {"detection_probabilities": rows}, trials=args.trials,
+          noise=args.noise, s=args.s, sigma=args.sigma, gamma=args.gamma)
     if args.check:
         total = stats.P0_hat + stats.P_hat.sum() + stats.Pinf_hat
         _require(abs(total - 1.0) < 1e-12, "counting identity violated")
@@ -161,12 +155,9 @@ def _cmd_born(args) -> None:
              "born": float(born[n]),
              "error": float(abs(stats.p_hat[n] - born[n]))}
             for n in range(model.dim)]
-    report = {"meta": _meta(args, "born", trials=args.trials,
-                            noise=args.noise, s=args.s, sigma=args.sigma,
-                            gamma=args.gamma,
-                            n_detected=stats.n_detected),
-              "tables": [output.make_table("born_rule", rows)]}
-    _emit(report, args)
+    _emit(args, {"born_rule": rows}, trials=args.trials, noise=args.noise,
+          s=args.s, sigma=args.sigma, gamma=args.gamma,
+          n_detected=stats.n_detected)
     if args.check:
         for row in rows:
             if row["born"] == 0.0:
@@ -192,12 +183,9 @@ def _cmd_tomography(args) -> None:
     rho_rows = [{"row": i + 1, "col": j + 1,
                  "re": float(rho[i, j].real), "im": float(rho[i, j].imag)}
                 for i in range(2) for j in range(2)]
-    report = {"meta": _meta(args, "tomography", trials=args.trials,
-                            noise=args.noise, s=args.s, sigma=args.sigma,
-                            gamma=args.gamma),
-              "tables": [output.make_table("pauli_expectations", exp_rows),
-                         output.make_table("rho_tilde", rho_rows)]}
-    _emit(report, args)
+    _emit(args, {"pauli_expectations": exp_rows, "rho_tilde": rho_rows},
+          trials=args.trials, noise=args.noise, s=args.s, sigma=args.sigma,
+          gamma=args.gamma)
     if args.check:
         _require(abs(np.trace(rho) - 1.0) < 1e-10, "trace(rho) != 1")
         _require(np.abs(rho - rho.conj().T).max() < 1e-10, "rho not Hermitian")
@@ -223,9 +211,7 @@ def _cmd_magic_square(args) -> None:
                              "g1": int(triple[0]), "g2": int(triple[1]),
                              "g3": int(triple[2]),
                              "product": int(triple[0] * triple[1] * triple[2])})
-        report = {"meta": _meta(args, "magic-square", mode="inject"),
-                  "tables": [output.make_table("context_outcomes", rows)]}
-        _emit(report, args)
+        _emit(args, {"context_outcomes": rows}, mode="inject")
         return
     result = experiments.run_magic_square(args.states, args.trials, args.seed,
                                           workers=args.workers)
@@ -235,17 +221,14 @@ def _cmd_magic_square(args) -> None:
                 "trials_per_state": result.trials_per_state,
                 "violation_count": result.violation_count,
                 "six_way_overlap": result.six_way_overlap}]
-    report = {"meta": _meta(args, "magic-square"),
-              "tables": [output.make_table("context_detections", rows),
-                         output.make_table("summary", summary)]}
-    _emit(report, args)
+    _emit(args, {"context_detections": rows, "summary": summary})
     if args.check:
         _require(result.violation_count == 0, "product relation violated")
         _require(result.six_way_intersection_empty,
                  "six-way index intersection is not empty")
 
 
-def _chsh_tables(result, meta):
+def _chsh_tables(result) -> dict:
     if isinstance(result, experiments.ChshJointResult):
         rows = [{"observable": r.name,
                  "n_1": int(r.counts[0]), "n_2": int(r.counts[1]),
@@ -265,17 +248,13 @@ def _chsh_tables(result, meta):
                     "singles_fraction": result.singles_fraction,
                     "coincidence_fraction": result.coincidence_fraction,
                     "efficiency": result.efficiency}]
-    return {"meta": meta,
-            "tables": [output.make_table("correlations", rows),
-                       output.make_table("summary", summary)]}
+    return {"correlations": rows, "summary": summary}
 
 
 def _cmd_chsh_joint(args) -> None:
     result = experiments.run_chsh_joint(args.noise, args.trials, args.seed,
                                         workers=args.workers)
-    report = _chsh_tables(result, _meta(args, "chsh-joint", trials=args.trials,
-                                        noise=args.noise))
-    _emit(report, args)
+    _emit(args, _chsh_tables(result), trials=args.trials, noise=args.noise)
     if args.check:
         _require(result.s_d > 2.0, f"S_D = {result.s_d:.4f} <= 2")
         if args.noise == noise.SPHERE:
@@ -288,16 +267,12 @@ def _cmd_chsh_local(args) -> None:
         a = noise.load_vector(args.inject)
         outcomes = experiments.replay_local(a, gamma=args.gamma)
         rows = [{"setting": k, "outcome": v} for k, v in outcomes.items()]
-        report = {"meta": _meta(args, "chsh-local", mode="inject"),
-                  "tables": [output.make_table("local_outcomes", rows)]}
-        _emit(report, args)
+        _emit(args, {"local_outcomes": rows}, mode="inject")
         return
     result = experiments.run_chsh_local(args.trials, args.seed,
                                         noise_kind=args.noise,
                                         workers=args.workers)
-    report = _chsh_tables(result, _meta(args, "chsh-local", trials=args.trials,
-                                        noise=args.noise))
-    _emit(report, args)
+    _emit(args, _chsh_tables(result), trials=args.trials, noise=args.noise)
     if args.check:
         if args.noise == noise.SPHERE:
             _require(result.s_d > 2.0, f"S_D = {result.s_d:.4f} <= 2")
@@ -318,10 +293,8 @@ def _cmd_bell_state(args) -> None:
                   "stderr": float(result.tilted_stderr[n]),
                   "quantum": float(result.quantum_tilted[n])}
                  for n in range(4)]
-    report = {"meta": _meta(args, "bell-state", trials=args.trials),
-              "tables": [output.make_table("standard_basis", std_rows),
-                         output.make_table("tilted_observable", tilt_rows)]}
-    _emit(report, args)
+    _emit(args, {"standard_basis": std_rows, "tilted_observable": tilt_rows},
+          trials=args.trials)
     if args.check:
         _require(result.standard_counts[0] == 0
                  and result.standard_counts[3] == 0,
@@ -333,9 +306,7 @@ def _cmd_two_dim(args) -> None:
              "P0": r.p0, "P1": r.p1, "P2": r.p2, "Pinf": r.p_inf}
             for r in experiments.run_two_dim_examples(args.trials, args.seed,
                                                       workers=args.workers)]
-    report = {"meta": _meta(args, "two-dim", trials=args.trials),
-              "tables": [output.make_table("two_dim_examples", rows)]}
-    _emit(report, args)
+    _emit(args, {"two_dim_examples": rows}, trials=args.trials)
     if args.check:
         by_name = {r["name"]: r for r in rows}
         _require(by_name["single-phase basis state"]["P1"] == 1.0,
@@ -346,12 +317,13 @@ def _cmd_two_dim(args) -> None:
 
 
 def _cmd_oracle(args) -> None:
+    if args.check and args.mc_trials is None:
+        raise ValueError("--check needs --mc-trials to compare against")
     alpha = parse_alpha(args.alpha or "1,0", args.normalize)
     analytic = probability.single_detection_probs(alpha, args.s, args.sigma,
                                                   args.gamma)
     rows = [{"component": n + 1, "analytic": float(analytic[n])}
             for n in range(alpha.shape[0])]
-    mc_stats = None
     if args.mc_trials:
         model = NoiseModel(noise.GAUSSIAN, args.sigma, alpha.shape[0])
         mc_stats = probability.estimate(alpha, args.s, model, args.gamma,
@@ -361,11 +333,9 @@ def _cmd_oracle(args) -> None:
             p = float(mc_stats.P_hat[n])
             row["monte_carlo"] = p
             row["mc_stderr"] = float(np.sqrt(p * (1 - p) / args.mc_trials))
-    report = {"meta": _meta(args, "oracle", s=args.s, sigma=args.sigma,
-                            gamma=args.gamma),
-              "tables": [output.make_table("single_detection_probs", rows)]}
-    _emit(report, args)
-    if args.check and mc_stats is not None:
+    _emit(args, {"single_detection_probs": rows}, s=args.s, sigma=args.sigma,
+          gamma=args.gamma)
+    if args.check:
         for row in rows:
             # Standard error under the analytic p being tested, as in
             # acceptance criterion 10: the Monte Carlo frequency can be 0.
@@ -376,16 +346,19 @@ def _cmd_oracle(args) -> None:
                      " disagreement beyond 5 standard errors")
 
 
+# Each handler with the flags it reads, on top of _COMMON_FLAGS.
 _COMMANDS = {
-    "detect-probs": _cmd_detect_probs,
-    "born": _cmd_born,
-    "tomography": _cmd_tomography,
-    "magic-square": _cmd_magic_square,
-    "chsh-joint": _cmd_chsh_joint,
-    "chsh-local": _cmd_chsh_local,
-    "bell-state": _cmd_bell_state,
-    "two-dim": _cmd_two_dim,
-    "oracle": _cmd_oracle,
+    "detect-probs": (_cmd_detect_probs,
+                     "trials sigma gamma s noise alpha normalize inject"),
+    "born": (_cmd_born, "trials sigma gamma s noise alpha"),
+    "tomography": (_cmd_tomography,
+                   "trials sigma gamma s noise alpha normalize"),
+    "magic-square": (_cmd_magic_square, "trials gamma inject states"),
+    "chsh-joint": (_cmd_chsh_joint, "trials noise"),
+    "chsh-local": (_cmd_chsh_local, "trials gamma noise inject"),
+    "bell-state": (_cmd_bell_state, "trials"),
+    "two-dim": (_cmd_two_dim, "trials"),
+    "oracle": (_cmd_oracle, "sigma gamma s alpha normalize mc_trials"),
 }
 
 
@@ -395,48 +368,32 @@ def build_parser() -> _Parser:
                                  "measurement simulator")
     sub = parser.add_subparsers(dest="command", required=True,
                                 parser_class=_Parser)
-    for name in _COMMANDS:
-        p = sub.add_parser(name)
-        p.add_argument("--trials", type=int, default=None)
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--workers", type=int, default=None)
-        p.add_argument("--sigma", type=float, default=None)
-        p.add_argument("--gamma", type=float, default=None)
-        p.add_argument("--s", type=float, default=None)
-        p.add_argument("--noise", choices=noise.KINDS, default=None)
-        p.add_argument("--alpha", type=str, default=None,
-                       help="state components, comma separated (complex ok)")
-        p.add_argument("--normalize", action="store_true",
-                       help="normalize --alpha instead of requiring unit norm")
-        p.add_argument("--inject", type=str, default=None,
-                       help="text file with one 're,im' component per line")
-        p.add_argument("--output", type=str, default=None)
-        p.add_argument("--format", choices=("csv", "json"), default=None)
-        p.add_argument("--config", type=str, default=None,
-                       help="flat 'key = value' configuration file")
-        p.add_argument("--check", action="store_true",
-                       help="assert the documented sanity conditions")
-        if name == "magic-square":
-            p.add_argument("--states", type=int, default=None)
-        if name == "oracle":
-            p.add_argument("--mc-trials", dest="mc_trials", type=int,
-                           default=None)
+    for name, (_, flags) in _COMMANDS.items():
+        # No abbreviations: two-dim would read --s as --seed.
+        p = sub.add_parser(name, allow_abbrev=False)
+        for key in (*flags.split(), *_COMMON_FLAGS):
+            p.add_argument("--" + key.replace("_", "-"), **_FLAGS[key])
     return parser
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.config:
+            # Config values go before the user's flags, so the flags win.
+            at = argv.index(args.command) + 1
+            args = parser.parse_args([*argv[:at], *_config_argv(args.config),
+                                      *argv[at:]])
+        args = _resolve(args)
     except SystemExit as exc:
         return int(exc.code or 0)
-    try:
-        args = _resolve(args)
     except (ValueError, OSError) as exc:
         sys.stderr.write(f"threshdet: config error: {exc}\n")
         return 1
     try:
-        _COMMANDS[args.command](args)
+        _COMMANDS[args.command][0](args)
     except CheckFailure as exc:
         sys.stderr.write(f"threshdet: check failed: {exc}\n")
         return 2

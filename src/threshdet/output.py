@@ -46,11 +46,9 @@ def render_csv(report: dict) -> str:
     for table in report["tables"]:
         buf.write(f"# table: {table['name']}\n")
         rows = [_expand_row(r) for r in table["rows"]]
-        columns = []
-        for row in rows:
-            for k in row:
-                if k not in columns:
-                    columns.append(k)
+        # make_table's order, each float column followed by its _raw twin.
+        columns = [k for c in table["columns"] for k in (c, f"{c}_raw")
+                   if any(k in row for row in rows)]
         buf.write(",".join(columns) + "\n")
         for row in rows:
             buf.write(",".join(str(row.get(c, "")) for c in columns) + "\n")

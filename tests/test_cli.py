@@ -1,6 +1,8 @@
 """Command-line interface: exit codes, precedence, output formats."""
 
 import json
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -233,3 +235,70 @@ def test_unknown_config_key_exits_1(tmp_path, capsys):
     cfg.write_text("trails = 5\n")
     assert run(["born", "--config", str(cfg)]) == 1
     assert "trails" in capsys.readouterr().err
+
+
+# Flags each subcommand used to accept without reading them.
+IGNORED_FLAGS = {
+    "born": "--normalize --inject",
+    "tomography": "--inject",
+    "magic-square": "--sigma --s --noise --alpha --normalize",
+    "chsh-joint": "--sigma --gamma --s --alpha --normalize --inject",
+    "chsh-local": "--sigma --s --alpha --normalize",
+    "bell-state": "--sigma --gamma --s --noise --alpha --normalize --inject",
+    "two-dim": "--sigma --gamma --s --noise --alpha --normalize --inject",
+    "oracle": "--trials --noise --inject",
+}
+FLAG_VALUES = {"--sigma": ["2"], "--gamma": ["3"], "--s": ["0.5"],
+               "--noise": ["gaussian"], "--alpha": ["1,0"], "--normalize": [],
+               "--inject": ["a.txt"], "--trials": ["5"]}
+
+
+@pytest.mark.parametrize("command,flag", [
+    (command, flag) for command, flags in IGNORED_FLAGS.items()
+    for flag in flags.split()])
+def test_flag_the_subcommand_does_not_read_exits_1(command, flag, capsys):
+    assert run([command, flag, *FLAG_VALUES[flag]]) == 1
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("line", ["sigma = 2", "mc-trials = 5", "inject = a"])
+def test_config_key_the_subcommand_does_not_take_exits_1(line, tmp_path,
+                                                         capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"trials = 10\n{line}\n")
+    assert run(["two-dim", "--config", str(cfg)]) == 1
+    assert line.split()[0] in capsys.readouterr().err
+
+
+def test_config_spells_mc_trials_with_an_underscore(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("mc_trials = 1000\n")
+    argv = ["oracle", "--alpha", "0.8,0.6", "--check"]
+    assert run([*argv, "--config", str(cfg)]) == 0
+    from_config = capsys.readouterr().out
+    assert run([*argv, "--mc-trials", "1000"]) == 0
+    assert capsys.readouterr().out == from_config
+
+
+@pytest.mark.parametrize("mc_trials", ["0", "-5"])
+def test_oracle_mc_trials_below_1_exits_1(mc_trials, capsys):
+    assert run(["oracle", "--mc-trials", mc_trials]) == 1
+    assert "mc_trials must be >= 1" in capsys.readouterr().err
+
+
+def test_oracle_check_without_monte_carlo_exits_1(capsys):
+    assert run(["oracle", "--alpha", "0.8,0.6", "--check"]) == 1
+    captured = capsys.readouterr()
+    assert "--check needs --mc-trials" in captured.err
+    assert captured.out == ""
+
+
+def test_readme_cli_lines_parse():
+    readme = Path(__file__).parents[1] / "README.md"
+    block = readme.read_text().split("## CLI", 1)[1].split("```sh", 1)[1]
+    lines = [line.split("#", 1)[0] for line in block.split("```", 1)[0]
+             .splitlines() if line.startswith("threshdet ")]
+    assert len(lines) == 9
+    parser = build_parser()
+    for line in lines:
+        parser.parse_args(shlex.split(line)[1:])

@@ -1,12 +1,14 @@
-"""Golden outputs: SHA-256 of the --output CSV of every subcommand.
+"""Golden outputs: SHA-256 of every form a subcommand writes.
 
-The digests pin the exact bytes the simulator writes at a fixed seed, so any
+The digests pin the exact bytes the simulator writes at a fixed seed: the
+--output file as CSV and as JSON, and the text printed to stdout.  Any
 change to the noise stream, the detection rule, the reductions or the
 rendering shows up here.  Trial counts are small; 70000 = 2^16 + 4464 spans
 one full and one partial chunk.  magic-square runs twice: 5000 trials per
 state use only a prefix of each state's first chunk, and 70000 trials per
 state give every state several chunks.  Every case runs at several
-worker counts against the same digest.
+worker counts against the same digest.  The three --inject modes replay one
+fixed realization each.
 """
 
 import hashlib
@@ -60,11 +62,87 @@ GOLDEN = {
 }
 
 
+# (--format json file, stdout) of each GOLDEN case.
+JSON_AND_STDOUT = {
+    "bell-state": (
+        "88e4e2cd9e49e1e7478d4bee4ea1b82ac236848817ec77efa06f9b7e1c1038a8",
+        "ee378144c0f8feb1a17b47f0040303d521c323e1c14c0c91615b3c64e2b4d59e"),
+    "born": (
+        "f82a67c97c8d706e20e4b8f9a8e73f01a69843ac0f4b22aa1cf369b6482fb2a8",
+        "8d57774dcd1a940bcdb9521375958874fbe7d4f2df893cb3a232f001e6722778"),
+    "chsh-joint-gaussian": (
+        "5588eae183fa62ae312316e445c29940ce412bde989f64f97432c02007d38588",
+        "43ce297bd900dfd387d5cd40f760eb131789622ea217f2ac55b0bc2115977f93"),
+    "chsh-joint-sphere": (
+        "b064af7e166dbf00fe29e20178191e9bbed2a428aabb643784fe8396fc82fa92",
+        "37acafbe4136368c38512d13d07e2f0f6f90c42ba32b644c51b8e55a8aa4ae8e"),
+    "chsh-local": (
+        "ab906da76e6f5033802d63b76df86833c500d0054b69f9fe98b5b3a2a0434fab",
+        "38f38f5f56018207dfc7d53c9a51ee7e2ddcfb6d726d62171bf22fa1be28afa2"),
+    "chsh-local-gaussian": (
+        "f414715c01b5661bdc0cf53f07ff5177f278df148e88e55446f1810ba000cc72",
+        "007ce430e49c737f91f69eb43c6a7868cf090f60d8ab1f7c3f804cffc92e2e3a"),
+    "detect-probs": (
+        "cf8812810b3faa5821a147debd1c058ed9f9202b58aa6da88acc83838c019af4",
+        "9d9c0fe1ff24a55d1a518b295c21ef1a14c961857f6f65f9674604cd7f6b587e"),
+    "magic-square": (
+        "12005ad31edb5697d80061da6fbd57fbe1bbd89f6330406f4410241654fef69d",
+        "3aa13080828c964a2520b57f8f9261cb0147022def7c031d5f1da45372ec9fdf"),
+    "magic-square-multichunk": (
+        "7a001fbf6d7ed97de3b6b6e26180e1070d2b9ad19a37a4677505a284ba64aa63",
+        "3d0c2f83e2879a91ea85d3de6314675c041f2dd7b0c42dfce0a6ac6628f89e0c"),
+    "oracle": (
+        "9a4d3cc84925a93db30471a2316f508efafbdc991dc28de6d5bafe3793fd7fb0",
+        "64d8859da4956c89bb4034e72499cf9c5604bf739127bd6b3b4241579e6b2a76"),
+    "tomography": (
+        "40cb483fcb68d3c4afb9feffa89f40afcaa3894757228ef26b0b928a47381ce1",
+        "a0f5b53c87db203a9d3d9f11a3e48761c01f8dcc9c0fbb3cfd53d0e04aad4344"),
+    "two-dim": (
+        "ed8506a9bafa20422e3cd278c45b763dc5e9d19cbe14e432c8fe4a2535ae295c",
+        "d9ffd4242c7d44e5a5cef65e922f888cb48da0d786504db953cf4addbdc554f7"),
+}
+
+# --inject replays: argv, the injected vector, (CSV, JSON, stdout) digests.
+# The 2-component vector is the paper's first printed realization; at
+# gamma 0.9 only component 1 crosses.  The 4-component vectors are those of
+# the magic-square and local CHSH replays in test_cli.py.
+INJECT = {
+    "detect-probs": (
+        ["detect-probs", "--alpha", "1,0", "--gamma", "0.9"],
+        "0.2197,-0.7169\n-0.5290,0.3974\n",
+        ("a1a77148fedfcd9c30c41452c56af0115cb5fe6764a220c46e5cfa4804fe77eb",
+         "0cba65cc330cbe27e6724f91909b23e649d8f131b2ec6500cd17fbe63cf2ec36",
+         "3fb7de1ee06318ded39df79769135ff95bcbce007c279efc2aaa0c95adae0b56")),
+    "magic-square": (
+        ["magic-square"],
+        "-0.3151,0.5498\n-0.9092,0.1208\n-0.0581,-0.5120\n0.4560,-0.3460\n",
+        ("d717166409d740204aae4ef15ff509bb131521cdb47420b0bb0cf901488f26da",
+         "216f44f6fc16d605118e8cbd1376f139b7c5d4c039321badfea65aced39a2f00",
+         "0663dfb4f6025670d46a18b8bf25fecec579a54e5f3bb6d866fde1eb37b61092")),
+    "chsh-local": (
+        ["chsh-local"],
+        "-0.165,0.2046\n0.8316,0.6696\n0.5690,-0.2230\n0.2321,-0.1111\n",
+        ("a991c7ba78232463a7336269d04088662d8a69ce1ac9b5770634df96c35a89b5",
+         "c12fce5e9c6976b7b7827c3bda34eda48c702576852a9b33edc62ac5779f49d6",
+         "f4810d7a954c60bd2490f1e64241d7ede43981e15e2b1c24263b3ed26fa0ba26")),
+}
+
+
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
 def output_digest(argv, workers, path) -> str:
     code = main([*argv, "--seed", SEED, "--workers", str(workers),
                  "--output", str(path)])
     assert code == 0
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+    return sha256(path.read_bytes())
+
+
+def file_and_stdout_digests(argv, workers, fmt, path, capsys):
+    capsys.readouterr()
+    digest = output_digest([*argv, "--format", fmt], workers, path)
+    return digest, sha256(capsys.readouterr().out.encode())
 
 
 @pytest.mark.parametrize("workers", [1, 2, 4])
@@ -72,3 +150,23 @@ def output_digest(argv, workers, path) -> str:
 def test_golden_output(case, workers, tmp_path, capsys):
     argv, expected = GOLDEN[case]
     assert output_digest(argv, workers, tmp_path / "out.csv") == expected
+
+
+@pytest.mark.parametrize("workers", [1, 2, 4])
+@pytest.mark.parametrize("case", sorted(GOLDEN))
+def test_golden_json_and_stdout(case, workers, tmp_path, capsys):
+    argv, _ = GOLDEN[case]
+    assert file_and_stdout_digests(argv, workers, "json", tmp_path / "out",
+                                   capsys) == JSON_AND_STDOUT[case]
+
+
+@pytest.mark.parametrize("workers", [1, 2, 4])
+@pytest.mark.parametrize("mode", sorted(INJECT))
+def test_golden_inject(mode, workers, tmp_path, capsys):
+    argv, vector, (csv, json, stdout) = INJECT[mode]
+    path = tmp_path / "vec.txt"
+    path.write_text(vector)
+    argv = [*argv, "--inject", str(path)]
+    for fmt, expected in (("csv", csv), ("json", json)):
+        assert file_and_stdout_digests(argv, workers, fmt, tmp_path / "out",
+                                       capsys) == (expected, stdout)
