@@ -17,8 +17,11 @@ DEFAULT_SEED = 12345
 
 # argparse keywords of every flag.  A subcommand takes the flags listed next
 # to its handler in _COMMANDS plus _COMMON_FLAGS; its --config file is parsed
-# as those same flags (see _config_argv).
+# as those same flags (see _config_argv).  The upper-case key is a positional
+# argument, not a flag.
 _FLAGS = {
+    "FILE": {"metavar": "FILE",
+             "help": "noise realization w, one 're,im' component per line"},
     "trials": {"type": int, "default": 1 << 20},
     "seed": {"type": int},  # unset: SEED environment variable, DEFAULT_SEED
     "workers": {"type": int, "default": 1},
@@ -26,10 +29,10 @@ _FLAGS = {
     "gamma": {"type": float, "default": 1.0},
     "s": {"type": float, "default": float(np.sqrt(2.0) - 1.0)},
     "noise": {"choices": noise.KINDS, "default": noise.SPHERE},
-    "alpha": {"help": "state components, comma separated (complex ok)"},
+    "alpha": {"default": "1,0",
+              "help": "state components, comma separated (complex ok)"},
     "normalize": {"action": "store_true",
                   "help": "normalize --alpha instead of requiring unit norm"},
-    "inject": {"help": "text file with one 're,im' component per line"},
     "states": {"type": int, "default": 256},
     "mc_trials": {"type": int},
     "output": {},
@@ -38,7 +41,9 @@ _FLAGS = {
     "check": {"action": "store_true",
               "help": "assert the documented sanity conditions"},
 }
-_COMMON_FLAGS = ("seed", "workers", "output", "format", "config", "check")
+_COMMON_FLAGS = ("output", "format", "config")
+# Flags of every subcommand that runs a Monte Carlo simulation.
+_RUN_FLAGS = "seed workers check"
 
 
 class CheckFailure(AssertionError):
@@ -74,9 +79,9 @@ def _config_argv(path: str) -> list[str]:
         if "=" not in line:
             raise ValueError(f"bad config line: {line!r}")
         key, value = (part.strip() for part in line.split("=", 1))
-        # Keys are flag names spelled with underscores; a config file names
-        # neither another config file nor an --inject realization.
-        if "-" in key or key in ("config", "inject"):
+        # Keys are flag names spelled with underscores; a config file does
+        # not name another config file.
+        if "-" in key or key == "config":
             raise ValueError(f"unknown config key: {key}")
         tokens.append(f"--{key.replace('_', '-')}={value}")
     return tokens
@@ -84,10 +89,11 @@ def _config_argv(path: str) -> list[str]:
 
 def _resolve(args) -> argparse.Namespace:
     """Fall back to the SEED environment variable and check value ranges."""
-    if args.seed is None:
-        env = os.environ.get("SEED")
-        args.seed = int(env) if env else DEFAULT_SEED
-    noise.check_seed(args.seed)
+    if "seed" in args:
+        if args.seed is None:
+            env = os.environ.get("SEED")
+            args.seed = int(env) if env else DEFAULT_SEED
+        noise.check_seed(args.seed)
     for key in ("trials", "workers", "states", "mc_trials"):
         value = getattr(args, key, None)
         if value is not None and value < 1:
@@ -97,7 +103,8 @@ def _resolve(args) -> argparse.Namespace:
 
 def _emit(args, tables: dict, **meta) -> None:
     """Print the report and write it to --output: one table per entry."""
-    report = {"meta": {"experiment": args.command, "seed": args.seed, **meta},
+    seed = {"seed": args.seed} if "seed" in args else {}  # replay draws none
+    report = {"meta": {"experiment": args.command, **seed, **meta},
               "tables": [output.make_table(name, rows)
                          for name, rows in tables.items()]}
     sys.stdout.write(output.render_text(report))
@@ -113,14 +120,8 @@ def _require(condition: bool, message: str) -> None:
 # --- subcommand handlers ------------------------------------------------
 
 def _cmd_detect_probs(args) -> None:
-    alpha = parse_alpha(args.alpha or "1,0", args.normalize)
+    alpha = parse_alpha(args.alpha, args.normalize)
     model = NoiseModel(args.noise, args.sigma, alpha.shape[0])
-    if args.inject:
-        w = noise.load_vector(args.inject)
-        a = noise.inject(alpha, args.s, w)
-        res = detectionoutcome_row(a, args.gamma)
-        _emit(args, {"injected_outcome": [res]}, mode="inject")
-        return
     stats = probability.estimate(alpha, args.s, model, args.gamma,
                                  args.trials, args.seed, workers=args.workers)
     rows = [{"outcome": f"P{n + 1}", "frequency": float(stats.P_hat[n]),
@@ -138,14 +139,8 @@ def _cmd_detect_probs(args) -> None:
         _require(abs(total - 1.0) < 1e-12, "counting identity violated")
 
 
-def detectionoutcome_row(a, gamma) -> dict:
-    res = detection.measure_standard(a, gamma)
-    return {"tag": res.tag.value,
-            "index": -1 if res.index is None else res.index + 1}
-
-
 def _cmd_born(args) -> None:
-    alpha = parse_alpha(args.alpha or "0,1,1,0", True)
+    alpha = parse_alpha(args.alpha, True)
     model = NoiseModel(args.noise, args.sigma, alpha.shape[0])
     stats = probability.estimate(alpha, args.s, model, args.gamma,
                                  args.trials, args.seed, workers=args.workers)
@@ -170,7 +165,7 @@ def _cmd_born(args) -> None:
 
 
 def _cmd_tomography(args) -> None:
-    alpha = parse_alpha(args.alpha or "1,0", args.normalize)
+    alpha = parse_alpha(args.alpha, args.normalize)
     model = NoiseModel(args.noise, args.sigma, 2)
     inferred = tomography.infer_state(alpha, args.s, model, args.gamma,
                                       args.trials, args.seed,
@@ -198,21 +193,6 @@ def _cmd_tomography(args) -> None:
 
 
 def _cmd_magic_square(args) -> None:
-    if args.inject:
-        a = noise.load_vector(args.inject)
-        outcomes = experiments.replay_magic_square(a, gamma=args.gamma)
-        rows = []
-        for name, triple in outcomes.items():
-            if triple is None:
-                rows.append({"context": name, "g1": "NaN", "g2": "NaN",
-                             "g3": "NaN", "product": "NaN"})
-            else:
-                rows.append({"context": name,
-                             "g1": int(triple[0]), "g2": int(triple[1]),
-                             "g3": int(triple[2]),
-                             "product": int(triple[0] * triple[1] * triple[2])})
-        _emit(args, {"context_outcomes": rows}, mode="inject")
-        return
     result = experiments.run_magic_square(args.states, args.trials, args.seed,
                                           workers=args.workers)
     rows = [{"context": name, "detections": n}
@@ -263,12 +243,6 @@ def _cmd_chsh_joint(args) -> None:
 
 
 def _cmd_chsh_local(args) -> None:
-    if args.inject:
-        a = noise.load_vector(args.inject)
-        outcomes = experiments.replay_local(a, gamma=args.gamma)
-        rows = [{"setting": k, "outcome": v} for k, v in outcomes.items()]
-        _emit(args, {"local_outcomes": rows}, mode="inject")
-        return
     result = experiments.run_chsh_local(args.trials, args.seed,
                                         noise_kind=args.noise,
                                         workers=args.workers)
@@ -319,7 +293,7 @@ def _cmd_two_dim(args) -> None:
 def _cmd_oracle(args) -> None:
     if args.check and args.mc_trials is None:
         raise ValueError("--check needs --mc-trials to compare against")
-    alpha = parse_alpha(args.alpha or "1,0", args.normalize)
+    alpha = parse_alpha(args.alpha, args.normalize)
     analytic = probability.single_detection_probs(alpha, args.s, args.sigma,
                                                   args.gamma)
     rows = [{"component": n + 1, "analytic": float(analytic[n])}
@@ -346,20 +320,52 @@ def _cmd_oracle(args) -> None:
                      " disagreement beyond 5 standard errors")
 
 
+def _cmd_replay(args) -> None:
+    w = noise.load_vector(args.file)
+    if args.alpha is None:  # the first basis state of the file's dimension
+        args.alpha = ",".join(["1"] + ["0"] * (len(w) - 1))
+    a = noise.inject(parse_alpha(args.alpha, args.normalize), args.s, w)
+    res = detection.measure_standard(a, args.gamma)
+    tables = {"injected_outcome": [
+        {"tag": res.tag.value,
+         "index": -1 if res.index is None else res.index + 1}]}
+    if len(a) == 4:
+        rows = []
+        for name, triple in experiments.replay_magic_square(
+                a, gamma=args.gamma).items():
+            if triple is None:
+                rows.append({"context": name, "g1": "NaN", "g2": "NaN",
+                             "g3": "NaN", "product": "NaN"})
+            else:
+                rows.append({"context": name,
+                             "g1": int(triple[0]), "g2": int(triple[1]),
+                             "g3": int(triple[2]),
+                             "product": int(triple[0] * triple[1] * triple[2])})
+        tables["context_outcomes"] = rows
+        tables["local_outcomes"] = [
+            {"setting": k, "outcome": v}
+            for k, v in experiments.replay_local(a, gamma=args.gamma).items()]
+    _emit(args, tables, s=args.s, gamma=args.gamma)
+
+
 # Each handler with the flags it reads, on top of _COMMON_FLAGS.
 _COMMANDS = {
     "detect-probs": (_cmd_detect_probs,
-                     "trials sigma gamma s noise alpha normalize inject"),
-    "born": (_cmd_born, "trials sigma gamma s noise alpha"),
+                     f"trials sigma gamma s noise alpha normalize {_RUN_FLAGS}"),
+    "born": (_cmd_born, f"trials sigma gamma s noise alpha {_RUN_FLAGS}"),
     "tomography": (_cmd_tomography,
-                   "trials sigma gamma s noise alpha normalize"),
-    "magic-square": (_cmd_magic_square, "trials gamma inject states"),
-    "chsh-joint": (_cmd_chsh_joint, "trials noise"),
-    "chsh-local": (_cmd_chsh_local, "trials gamma noise inject"),
-    "bell-state": (_cmd_bell_state, "trials"),
-    "two-dim": (_cmd_two_dim, "trials"),
-    "oracle": (_cmd_oracle, "sigma gamma s alpha normalize mc_trials"),
+                   f"trials sigma gamma s noise alpha normalize {_RUN_FLAGS}"),
+    "magic-square": (_cmd_magic_square, f"trials states {_RUN_FLAGS}"),
+    "chsh-joint": (_cmd_chsh_joint, f"trials noise {_RUN_FLAGS}"),
+    "chsh-local": (_cmd_chsh_local, f"trials noise {_RUN_FLAGS}"),
+    "bell-state": (_cmd_bell_state, f"trials {_RUN_FLAGS}"),
+    "two-dim": (_cmd_two_dim, f"trials {_RUN_FLAGS}"),
+    "oracle": (_cmd_oracle,
+               f"sigma gamma s alpha normalize mc_trials {_RUN_FLAGS}"),
+    "replay": (_cmd_replay, "FILE alpha normalize s gamma"),
 }
+# Defaults that differ from _FLAGS.  replay's --alpha depends on its FILE.
+_OWN_DEFAULTS = {"born": {"alpha": "0,1,1,0"}, "replay": {"alpha": None}}
 
 
 def build_parser() -> _Parser:
@@ -372,7 +378,9 @@ def build_parser() -> _Parser:
         # No abbreviations: two-dim would read --s as --seed.
         p = sub.add_parser(name, allow_abbrev=False)
         for key in (*flags.split(), *_COMMON_FLAGS):
-            p.add_argument("--" + key.replace("_", "-"), **_FLAGS[key])
+            p.add_argument(key.lower() if key.isupper()
+                           else "--" + key.replace("_", "-"), **_FLAGS[key])
+        p.set_defaults(**_OWN_DEFAULTS.get(name, {}))
     return parser
 
 

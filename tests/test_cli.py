@@ -11,6 +11,17 @@ from threshdet.cli import DEFAULT_SEED, build_parser, main, parse_alpha
 
 TRIALS = str(1 << 16)
 
+# Realizations printed in the paper, keyed by the experiment they belong to.
+# The 2-component one is a noise vector w for alpha = (1, 0); the
+# 4-component ones already include the signal, so they replay with --s 0.
+PRINTED = {
+    "detect-probs": "0.2197,-0.7169\n-0.5290,0.3974\n",
+    "magic-square": "-0.3151,0.5498\n-0.9092,0.1208\n"
+                    "-0.0581,-0.5120\n0.4560,-0.3460\n",
+    "chsh-local": "-0.165,0.2046\n0.8316,0.6696\n"
+                  "0.5690,-0.2230\n0.2321,-0.1111\n",
+}
+
 
 def run(argv):
     return main(argv)
@@ -73,23 +84,60 @@ def test_magic_square_check(capsys):
     assert "violation_count" in out
 
 
+def replay_tables(tmp_path, vector, *flags) -> dict:
+    """The rows of each table ``replay`` writes for one realization."""
+    vec, out = tmp_path / "a.txt", tmp_path / "out.json"
+    vec.write_text(vector)
+    assert run(["replay", str(vec), *flags, "--format", "json",
+                "--output", str(out)]) == 0
+    return {t["name"]: [tuple(row.values()) for row in t["rows"]]
+            for t in json.loads(out.read_text())["tables"]}
+
+
+def test_replay_of_the_printed_qubit_realization(tmp_path, capsys):
+    # At gamma 0.9 only component 1 of s*(1, 0) + w crosses.
+    assert replay_tables(tmp_path, PRINTED["detect-probs"], "--gamma",
+                         "0.9") == {"injected_outcome": [("detected", 1)]}
+
+
 def test_magic_square_inject(tmp_path, capsys):
-    vec = tmp_path / "a.txt"
-    vec.write_text("-0.3151,0.5498\n-0.9092,0.1208\n"
-                   "-0.0581,-0.5120\n0.4560,-0.3460\n")
-    assert run(["magic-square", "--inject", str(vec)]) == 0
-    out = capsys.readouterr().out
-    assert "context_outcomes" in out
-    assert "NaN" in out  # the C3 context yields no detection here
+    assert replay_tables(tmp_path, PRINTED["magic-square"], "--s", "0") == {
+        "injected_outcome": [("no_detection", -1)],
+        "context_outcomes": [("R1", -1, 1, -1, 1), ("R2", 1, 1, 1, 1),
+                             ("R3", -1, 1, -1, 1), ("C1", -1, 1, -1, 1),
+                             ("C2", 1, 1, 1, 1),
+                             ("C3", "NaN", "NaN", "NaN", "NaN")],
+        "local_outcomes": [("A", "+1"), ("A'", "-1"), ("B", "-1"),
+                           ("B'", "+1")]}
 
 
 def test_chsh_local_inject(tmp_path, capsys):
+    assert replay_tables(tmp_path, PRINTED["chsh-local"], "--s", "0") == {
+        "injected_outcome": [("detected", 2)],
+        "context_outcomes": [("R1", "NaN", "NaN", "NaN", "NaN"),
+                             ("R2", "NaN", "NaN", "NaN", "NaN"),
+                             ("R3", 1, -1, -1, 1),
+                             ("C1", "NaN", "NaN", "NaN", "NaN"),
+                             ("C2", "NaN", "NaN", "NaN", "NaN"),
+                             ("C3", 1, 1, -1, -1)],
+        "local_outcomes": [("A", "+1"), ("A'", "NaN"), ("B", "NaN"),
+                           ("B'", "+1")]}
+
+
+def test_replay_alpha_defaults_to_the_first_basis_state(tmp_path, capsys):
+    vector = PRINTED["magic-square"]
+    assert replay_tables(tmp_path, vector) == replay_tables(
+        tmp_path, vector, "--alpha", "1,0,0,0")
+    # --s 0 drops the signal, so any alpha of the right dimension will do.
+    assert replay_tables(tmp_path, vector, "--s", "0") == replay_tables(
+        tmp_path, vector, "--s", "0", "--alpha", "1,1,1,1", "--normalize")
+
+
+def test_replay_alpha_of_another_dimension_exits_1(tmp_path, capsys):
     vec = tmp_path / "a.txt"
-    vec.write_text("-0.165,0.2046\n0.8316,0.6696\n"
-                   "0.5690,-0.2230\n0.2321,-0.1111\n")
-    assert run(["chsh-local", "--inject", str(vec)]) == 0
-    out = capsys.readouterr().out
-    assert "local_outcomes" in out
+    vec.write_text(PRINTED["magic-square"])
+    assert run(["replay", str(vec), "--alpha", "1,0"]) == 1
+    assert "does not match" in capsys.readouterr().err
 
 
 def test_oracle_check(capsys):
@@ -168,7 +216,7 @@ def test_parser_lists_all_subcommands():
     text = parser.format_help()
     for name in ("detect-probs", "born", "tomography", "magic-square",
                  "chsh-joint", "chsh-local", "bell-state", "two-dim",
-                 "oracle"):
+                 "oracle", "replay"):
         assert name in text
 
 
@@ -198,14 +246,13 @@ def test_seed_range_edges_are_distinct(tmp_path, capsys):
     assert len(bodies) == 2
 
 
-@pytest.mark.parametrize("command", ["detect-probs", "magic-square",
-                                     "chsh-local"])
+@pytest.mark.parametrize("command", sorted(PRINTED))
 @pytest.mark.parametrize("bad", ["nan", "inf"])
 def test_non_finite_inject_exits_1(command, bad, tmp_path, capsys):
-    dim = 2 if command == "detect-probs" else 4
+    # The printed realization of that experiment with one component spoiled.
     vec = tmp_path / "a.txt"
-    vec.write_text(f"{bad},0\n" + "0,0\n" * (dim - 1))
-    assert run([command, "--inject", str(vec)]) == 1
+    vec.write_text(f"{bad},0\n" + PRINTED[command].split("\n", 1)[1])
+    assert run(["replay", str(vec), "--s", "0"]) == 1
     assert "non-finite" in capsys.readouterr().err
 
 
@@ -237,28 +284,48 @@ def test_unknown_config_key_exits_1(tmp_path, capsys):
     assert "trails" in capsys.readouterr().err
 
 
-# Flags each subcommand used to accept without reading them.
+# Flags each subcommand used to accept without reading them in some run.
 IGNORED_FLAGS = {
+    "detect-probs": "--inject",
     "born": "--normalize --inject",
     "tomography": "--inject",
-    "magic-square": "--sigma --s --noise --alpha --normalize",
+    "magic-square": "--sigma --s --noise --alpha --normalize --gamma --inject",
     "chsh-joint": "--sigma --gamma --s --alpha --normalize --inject",
-    "chsh-local": "--sigma --s --alpha --normalize",
+    "chsh-local": "--sigma --s --alpha --normalize --gamma --inject",
     "bell-state": "--sigma --gamma --s --noise --alpha --normalize --inject",
     "two-dim": "--sigma --gamma --s --noise --alpha --normalize --inject",
     "oracle": "--trials --noise --inject",
+    "replay a.txt": "--seed --workers --trials --check",
 }
 FLAG_VALUES = {"--sigma": ["2"], "--gamma": ["3"], "--s": ["0.5"],
                "--noise": ["gaussian"], "--alpha": ["1,0"], "--normalize": [],
-               "--inject": ["a.txt"], "--trials": ["5"]}
+               "--inject": ["a.txt"], "--trials": ["5"], "--seed": ["1"],
+               "--workers": ["2"], "--check": []}
 
 
 @pytest.mark.parametrize("command,flag", [
     (command, flag) for command, flags in IGNORED_FLAGS.items()
     for flag in flags.split()])
 def test_flag_the_subcommand_does_not_read_exits_1(command, flag, capsys):
-    assert run([command, flag, *FLAG_VALUES[flag]]) == 1
+    assert run([*command.split(), flag, *FLAG_VALUES[flag]]) == 1
     assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+
+# An empty --alpha is a malformed state, not a request for the default one.
+EMPTY_ALPHA = {"detect-probs": ["--trials", "100"],
+               "born": ["--trials", "100"],
+               "tomography": ["--trials", "4096"],
+               "oracle": [],
+               "replay": []}
+
+
+@pytest.mark.parametrize("command", sorted(EMPTY_ALPHA))
+def test_empty_alpha_exits_1(command, tmp_path, capsys):
+    vec = tmp_path / "a.txt"
+    vec.write_text(PRINTED["detect-probs"])
+    file = [str(vec)] if command == "replay" else []
+    assert run([command, *file, *EMPTY_ALPHA[command], "--alpha", ""]) == 1
+    assert "threshdet: error:" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("line", ["sigma = 2", "mc-trials = 5", "inject = a"])
@@ -298,7 +365,7 @@ def test_readme_cli_lines_parse():
     block = readme.read_text().split("## CLI", 1)[1].split("```sh", 1)[1]
     lines = [line.split("#", 1)[0] for line in block.split("```", 1)[0]
              .splitlines() if line.startswith("threshdet ")]
-    assert len(lines) == 9
+    assert len(lines) == 10
     parser = build_parser()
     for line in lines:
         parser.parse_args(shlex.split(line)[1:])

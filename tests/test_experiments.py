@@ -2,13 +2,18 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from threshdet import noise
-from threshdet.experiments import (BELL_STATE, JOINT_OBSERVABLES, LOCAL_PAIRS,
+from threshdet import detection, noise
+from threshdet.experiments import (ALICE_SETTINGS, BELL_STATE, BOB_SETTINGS,
+                                   JOINT_OBSERVABLES, LOCAL_PAIRS,
                                    MAGIC_CONTEXTS, TSIRELSON_BOUND,
-                                   random_state, run_bell_state_checks,
+                                   random_state, replay_local,
+                                   replay_magic_square, run_bell_state_checks,
                                    run_chsh_joint, run_chsh_local,
                                    run_magic_square, run_two_dim_examples)
+from threshdet.noise import CHUNK, NoiseModel
 
 TRIALS = 1 << 17  # enough statistics for coarse checks, fast in CI
 
@@ -146,3 +151,43 @@ def test_worker_invariance_of_experiment_runs():
     assert l1.s_d == l4.s_d
     assert all(np.array_equal(a.counts, b.counts)
                for a, b in zip(l1.rows, l4.rows))
+
+
+REPLAY_MODELS = (NoiseModel(noise.SPHERE, 1.0, 4),
+                 NoiseModel(noise.GAUSSIAN, 1.0, 4))
+
+
+@settings(max_examples=40, deadline=None)
+@given(model=st.sampled_from(REPLAY_MODELS),
+       seed=st.sampled_from([0, 20140731, 2**64 - 1]),
+       start=st.one_of(st.integers(0, 64),
+                       st.integers(CHUNK - 3, CHUNK + 1)),
+       gamma=st.floats(0.0, 1.5),
+       bell=st.booleans())
+def test_replay_of_a_drawn_trial_matches_the_simulation(model, seed, start,
+                                                        gamma, bell):
+    # Replaying trial t through inject and the single-vector measurements
+    # gives, for every observable, the outcome the block kernels of a Monte
+    # Carlo run give row t, within a chunk and across its boundary.
+    alpha = BELL_STATE if bell else random_state(seed, 0)
+    s, count, stream = np.sqrt(2.0) - 1.0, 3, 7
+    block = noise.realize_block(alpha, s, model, seed, start, count, stream)
+    standard = detection.detect_standard_block(block, gamma)
+    contexts = {name: detection.detect_observable_block(block, u, gamma)
+                for name, (u, _, _) in MAGIC_CONTEXTS.items()}
+    parties = {**ALICE_SETTINGS, **BOB_SETTINGS}
+    local = {name: detection.detect_projective_block(block, u, part, gamma)
+             for name, (u, part) in parties.items()}
+    for row in range(count):
+        w = noise.draw_noise_block(model, seed, start + row, 1, stream)[0]
+        a = noise.inject(alpha, s, w)
+        assert detection.measure_standard(a, gamma) == \
+            detection._outcome_from_code(int(standard[row]))
+        for name, triple in replay_magic_square(a, gamma=gamma).items():
+            c = contexts[name][row]
+            diags = MAGIC_CONTEXTS[name][1]
+            assert triple == (None if c < 0 else tuple(d[c] for d in diags))
+        for name, outcome in replay_local(a, gamma=gamma).items():
+            c = local[name][row]
+            values = parties[name][1].values
+            assert outcome == ("NaN" if c < 0 else f"{values[c]:+.0f}")

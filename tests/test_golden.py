@@ -7,8 +7,8 @@ rendering shows up here.  Trial counts are small; 70000 = 2^16 + 4464 spans
 one full and one partial chunk.  magic-square runs twice: 5000 trials per
 state use only a prefix of each state's first chunk, and 70000 trials per
 state give every state several chunks.  Every case runs at several
-worker counts against the same digest.  The three --inject modes replay one
-fixed realization each.
+worker counts against the same digest.  ``replay`` draws nothing and
+rejects ``--workers``; it runs on each of three printed realizations.
 """
 
 import hashlib
@@ -102,29 +102,28 @@ JSON_AND_STDOUT = {
         "d9ffd4242c7d44e5a5cef65e922f888cb48da0d786504db953cf4addbdc554f7"),
 }
 
-# --inject replays: argv, the injected vector, (CSV, JSON, stdout) digests.
-# The 2-component vector is the paper's first printed realization; at
-# gamma 0.9 only component 1 crosses.  The 4-component vectors are those of
-# the magic-square and local CHSH replays in test_cli.py.
-INJECT = {
+# replay: flags, the realization, (CSV, JSON, stdout) digests.  The
+# realizations are those of the replay tests in test_cli.py, which pin the
+# table rows themselves.
+REPLAY = {
     "detect-probs": (
-        ["detect-probs", "--alpha", "1,0", "--gamma", "0.9"],
+        ["--gamma", "0.9"],
         "0.2197,-0.7169\n-0.5290,0.3974\n",
-        ("a1a77148fedfcd9c30c41452c56af0115cb5fe6764a220c46e5cfa4804fe77eb",
-         "0cba65cc330cbe27e6724f91909b23e649d8f131b2ec6500cd17fbe63cf2ec36",
-         "3fb7de1ee06318ded39df79769135ff95bcbce007c279efc2aaa0c95adae0b56")),
+        ("04bd32f4b3e6b769b96346824a81c7d5a515764825a78b9a63a0e833b3d1c8b5",
+         "9ea72902cb9ec957915efb1e9297eb554146f50f87d04114f2ce91fcd13011fb",
+         "7c9a43b10527b1a8a5dfebf316f75b617234e5e0f2e0d9eba74963855ff8020b")),
     "magic-square": (
-        ["magic-square"],
+        ["--s", "0"],
         "-0.3151,0.5498\n-0.9092,0.1208\n-0.0581,-0.5120\n0.4560,-0.3460\n",
-        ("d717166409d740204aae4ef15ff509bb131521cdb47420b0bb0cf901488f26da",
-         "216f44f6fc16d605118e8cbd1376f139b7c5d4c039321badfea65aced39a2f00",
-         "0663dfb4f6025670d46a18b8bf25fecec579a54e5f3bb6d866fde1eb37b61092")),
+        ("9bb18c25426180fe275d068f8d46f502cef60827e4460c04ee1fa1e40e4cb847",
+         "2357b995fe8421cf1b0619ec5d1a7677679bb07165d653bbedc48c79f06d97ff",
+         "ceb5c8f37d2881623b82267a0597366f6cb4c8f2c517535c5dc43fb541427777")),
     "chsh-local": (
-        ["chsh-local"],
+        ["--s", "0"],
         "-0.165,0.2046\n0.8316,0.6696\n0.5690,-0.2230\n0.2321,-0.1111\n",
-        ("a991c7ba78232463a7336269d04088662d8a69ce1ac9b5770634df96c35a89b5",
-         "c12fce5e9c6976b7b7827c3bda34eda48c702576852a9b33edc62ac5779f49d6",
-         "f4810d7a954c60bd2490f1e64241d7ede43981e15e2b1c24263b3ed26fa0ba26")),
+        ("291403af39497ef1104e831df882e3aeee0c25de6b75bfabb6edb73caf90b6a2",
+         "ff75e698de6547c3a1e234fd467421a50469a6d5c8fc95b980cb5d9416a6c882",
+         "a5f73c6fe6f6f74889fae3f03acd819cdf5cf7f2ea44d4b100984f759a9552df")),
 }
 
 
@@ -161,12 +160,19 @@ def test_golden_json_and_stdout(case, workers, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("workers", [1, 2, 4])
-@pytest.mark.parametrize("mode", sorted(INJECT))
-def test_golden_inject(mode, workers, tmp_path, capsys):
-    argv, vector, (csv, json, stdout) = INJECT[mode]
-    path = tmp_path / "vec.txt"
-    path.write_text(vector)
-    argv = [*argv, "--inject", str(path)]
+@pytest.mark.parametrize("case", sorted(REPLAY))
+def test_golden_inject(case, workers, tmp_path, capsys):
+    """Replaying an injected realization gives the pinned bytes, and no
+    worker count can change them: ``replay`` rejects ``--workers``."""
+    flags, vector, (csv, json, stdout) = REPLAY[case]
+    vec, out = tmp_path / "vec.txt", tmp_path / "out"
+    vec.write_text(vector)
+    argv = ["replay", str(vec), *flags]
+    assert main([*argv, "--workers", str(workers),
+                 "--output", str(out)]) == 1
+    assert not out.exists()
     for fmt, expected in (("csv", csv), ("json", json)):
-        assert file_and_stdout_digests(argv, workers, fmt, tmp_path / "out",
-                                       capsys) == (expected, stdout)
+        capsys.readouterr()
+        assert main([*argv, "--format", fmt, "--output", str(out)]) == 0
+        assert (sha256(out.read_bytes()),
+                sha256(capsys.readouterr().out.encode())) == (expected, stdout)
