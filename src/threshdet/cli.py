@@ -89,6 +89,11 @@ def _config_argv(path: str) -> list[str]:
 
 def _resolve(args) -> argparse.Namespace:
     """Fall back to the SEED environment variable and check value ranges."""
+    # Without --mc-trials, oracle draws no noise for these flags to act on.
+    if args.command == "oracle" and args.mc_trials is None:
+        for key in ("seed", "workers", "check"):
+            if getattr(args, key) not in (None, False):
+                raise ValueError(f"--{key} needs --mc-trials")
     if "seed" in args:
         if args.seed is None:
             env = os.environ.get("SEED")
@@ -291,8 +296,6 @@ def _cmd_two_dim(args) -> None:
 
 
 def _cmd_oracle(args) -> None:
-    if args.check and args.mc_trials is None:
-        raise ValueError("--check needs --mc-trials to compare against")
     alpha = parse_alpha(args.alpha, args.normalize)
     analytic = probability.single_detection_probs(alpha, args.s, args.sigma,
                                                   args.gamma)
@@ -302,7 +305,7 @@ def _cmd_oracle(args) -> None:
         model = NoiseModel(noise.GAUSSIAN, args.sigma, alpha.shape[0])
         mc_stats = probability.estimate(alpha, args.s, model, args.gamma,
                                         args.mc_trials, args.seed,
-                                        workers=args.workers)
+                                        workers=args.workers or 1)
         for n, row in enumerate(rows):
             p = float(mc_stats.P_hat[n])
             row["monte_carlo"] = p
@@ -364,8 +367,10 @@ _COMMANDS = {
                f"sigma gamma s alpha normalize mc_trials {_RUN_FLAGS}"),
     "replay": (_cmd_replay, "FILE alpha normalize s gamma"),
 }
-# Defaults that differ from _FLAGS.  replay's --alpha depends on its FILE.
-_OWN_DEFAULTS = {"born": {"alpha": "0,1,1,0"}, "replay": {"alpha": None}}
+# Defaults that differ from _FLAGS.  replay's --alpha depends on its FILE;
+# oracle's --workers is unset so that _resolve sees whether it was given.
+_OWN_DEFAULTS = {"born": {"alpha": "0,1,1,0"}, "replay": {"alpha": None},
+                 "oracle": {"workers": None}}
 
 
 def build_parser() -> _Parser:

@@ -197,6 +197,8 @@ def realize(alpha, s: float, model: NoiseModel, stream: RngStream) -> np.ndarray
 def inject(alpha, s: float, w) -> np.ndarray:
     """Amplitude vector for an externally supplied noise realization."""
     alpha = check_normalized(alpha)
+    if s < 0:
+        raise ValueError("signal strength must be non-negative")
     w = np.asarray(w, dtype=complex)
     if w.shape != alpha.shape:
         raise ValueError("noise vector shape does not match state")

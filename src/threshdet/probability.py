@@ -103,14 +103,62 @@ def _pool(workers: int) -> ThreadPoolExecutor:
         return pool
 
 
+# Thread-count setters of OpenBLAS builds, tried in this order.
+_OPENBLAS_SETTERS = ("scipy_openblas_set_num_threads64_",
+                     "scipy_openblas_set_num_threads",
+                     "openblas_set_num_threads64_", "openblas_set_num_threads")
+_BLAS_LOCK = threading.Lock()
+_blas_single_threaded = False
+
+
+def _loaded_openblas() -> list[str]:
+    """Paths of the OpenBLAS shared objects mapped into this process."""
+    try:
+        with open("/proc/self/maps") as maps:
+            paths = {line.split(maxsplit=5)[-1].strip() for line in maps}
+    except OSError:  # no /proc: not Linux
+        return []
+    return sorted(p for p in paths if "openblas" in p.rsplit("/", 1)[-1])
+
+
+def _single_thread_blas() -> None:
+    """Run every loaded OpenBLAS on one thread, once per process.
+
+    The chunk pool is threshdet's only parallelism.  Every BLAS call it makes
+    has at most 4 columns, too little work for BLAS threads to pay for
+    themselves, yet OpenBLAS starts them and they compete with the chunk
+    threads for the cores.  Found through the memory maps, so it works however
+    early numpy was imported; without OpenBLAS, or off Linux, it does nothing.
+    """
+    global _blas_single_threaded
+    with _BLAS_LOCK:
+        if _blas_single_threaded:
+            return
+        _blas_single_threaded = True
+        import ctypes  # deferred: only Monte Carlo runs need it
+
+        for path in _loaded_openblas():
+            try:
+                lib = ctypes.CDLL(path)
+            except OSError:  # a mapping whose file is gone
+                continue
+            name = next((n for n in _OPENBLAS_SETTERS if hasattr(lib, n)), "")
+            if name:
+                setter = getattr(lib, name)
+                setter.argtypes, setter.restype = [ctypes.c_int], None
+                setter(1)
+
+
 def map_chunks(fn, jobs, workers: int = 1) -> list:
     """Apply a chunk worker to all jobs, optionally on a shared thread pool.
 
     The chunk kernels spend their time in numpy's Philox fills, ufuncs and
-    BLAS calls, which release the GIL, so chunks run concurrently on threads.
+    BLAS calls, which release the GIL, so chunks run concurrently on threads;
+    BLAS itself runs single-threaded (see ``_single_thread_blas``).
     Results come back in job order and ``tally_chunks`` sums them as
     integers, so the result is identical for any worker count.
     """
+    _single_thread_blas()
     jobs = list(jobs)
     if workers <= 1 or len(jobs) <= 1:
         return [fn(job) for job in jobs]
@@ -192,6 +240,8 @@ def _below_threshold_probs(alpha, s: float, sigma: float,
                            gamma: float) -> np.ndarray:
     """F_i = P(|a_i| <= gamma) for each component under Gaussian noise."""
     alpha = noise.check_normalized(alpha)
+    if s < 0:
+        raise ValueError("signal strength must be non-negative")
     if sigma <= 0:
         raise ValueError("sigma must be positive")
     if gamma < 0:

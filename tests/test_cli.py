@@ -360,6 +360,30 @@ def test_oracle_check_without_monte_carlo_exits_1(capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("flags", ["--seed 5", "--seed 6 --workers 3",
+                                   "--workers 1"])
+def test_oracle_seed_or_workers_without_monte_carlo_exits_1(flags, capsys):
+    assert run(["oracle", *flags.split()]) == 1
+    captured = capsys.readouterr()
+    assert "needs --mc-trials" in captured.err
+    assert captured.out == ""
+
+
+def test_oracle_without_monte_carlo_ignores_seed_env(capsys, monkeypatch):
+    monkeypatch.setenv("SEED", "5")
+    assert run(["oracle"]) == 0
+    assert "seed=5" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", ["oracle", "replay"])
+def test_negative_signal_strength_exits_1(command, tmp_path, capsys):
+    vec = tmp_path / "w.txt"
+    vec.write_text(PRINTED["detect-probs"])
+    file = [str(vec)] if command == "replay" else []
+    assert run([command, *file, "--s", "-1"]) == 1
+    assert "signal strength must be non-negative" in capsys.readouterr().err
+
+
 def test_readme_cli_lines_parse():
     readme = Path(__file__).parents[1] / "README.md"
     block = readme.read_text().split("## CLI", 1)[1].split("```sh", 1)[1]

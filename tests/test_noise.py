@@ -137,6 +137,15 @@ def test_inject_reproduces_bell_state_realization():
     assert np.allclose(inject(alpha, SQRT2 - 1.0, w), w_plus_signal)
 
 
+def test_negative_signal_strength_rejected():
+    model = NoiseModel(GAUSSIAN, 1.0, 2)
+    alpha = np.array([1.0, 0.0])
+    with pytest.raises(ValueError, match="signal strength"):
+        inject(alpha, -1.0, np.array([0.2, 0.1]))
+    with pytest.raises(ValueError, match="signal strength"):
+        realize_block(alpha, -1.0, model, seed=0, start=0, count=1)
+
+
 def test_load_vector(tmp_path):
     path = tmp_path / "vec.txt"
     path.write_text("# comment\n0.5,-0.25\n1.0,0.0\n")

@@ -1,5 +1,6 @@
 """Estimator accounting identities and the analytic Gaussian oracle."""
 
+import ctypes
 import subprocess
 import sys
 import threading
@@ -175,6 +176,13 @@ def test_oracle_input_validation():
                 oracle(np.array([1.0, 0.0]), 1.0, sigma, gamma)
 
 
+def test_oracle_rejects_negative_signal_strength():
+    # |s·alpha| alone would read s = -1 as s = 1.
+    for oracle in (single_detection_probs, no_detection_prob):
+        with pytest.raises(ValueError, match="signal strength"):
+            oracle(np.array([1.0, 0.0]), -1.0, 1.0, 1.0)
+
+
 @pytest.mark.parametrize("trials, gamma", [(0, 1.0), (10, -1.0)])
 def test_estimate_input_validation(trials, gamma):
     with pytest.raises(ValueError):
@@ -243,14 +251,16 @@ def test_map_chunks_raises_a_job_error():
         probability.map_chunks(lambda x: 1 // x, [1, 0, 2], 2)
 
 
-def test_concurrent_callers_share_one_pool_and_agree():
+def test_concurrent_callers_share_one_pool_and_agree(monkeypatch):
     # Six callers race to create and use the 5-worker pool with frequent
     # thread switches; each must get the serial tallies, and a second pool
     # created in the race would leave more than 5 extra threads behind.
+    # They are also the first callers to set BLAS to one thread.
     model = NoiseModel(SPHERE, 1.0, 2)
     alpha = np.array([1.0, 0.0])
     args = (alpha, SQRT2 - 1.0, model, 1.0, 2 * CHUNK + 5, 21)
     expected = estimate(*args, workers=1).counts
+    monkeypatch.setattr(probability, "_blas_single_threaded", False)
     threads = threading.active_count()
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -263,6 +273,57 @@ def test_concurrent_callers_share_one_pool_and_agree():
         sys.setswitchinterval(interval)
     assert all(np.array_equal(r.counts, expected) for r in results)
     assert threading.active_count() <= threads + 5
+    assert probability._blas_single_threaded
+
+
+def _openblas_thread_controls():
+    """(setter, getter) of the thread count of each loaded OpenBLAS."""
+    pairs = []
+    for path in probability._loaded_openblas():
+        lib = ctypes.CDLL(path)
+        name = next(n for n in probability._OPENBLAS_SETTERS
+                    if hasattr(lib, n))
+        setter = getattr(lib, name)
+        getter = getattr(lib, name.replace("_set_", "_get_"))
+        setter.argtypes, setter.restype = [ctypes.c_int], None
+        getter.argtypes, getter.restype = [], ctypes.c_int
+        pairs.append((setter, getter))
+    return pairs
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_tally_chunks_runs_openblas_on_one_thread(workers, monkeypatch):
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+    if "openblas" not in blas:
+        pytest.skip(f"numpy is built on {blas}")
+    libs = _openblas_thread_controls()
+    assert libs, "numpy's OpenBLAS not found in /proc/self/maps"
+    for setter, _ in libs:
+        setter(2)
+    monkeypatch.setattr(probability, "_blas_single_threaded", False)
+    model = NoiseModel(SPHERE, 1.0, 4)
+    alpha = np.array([0.5, 0.5, 0.5, 0.5])
+    u = np.linalg.qr(np.arange(16.0).reshape(4, 4) + np.eye(4))[0]
+    total = probability.tally_chunks(
+        [(alpha, 0.5, model, 3, 0, 2 * CHUNK)],
+        lambda _, a: np.array([len(a @ u)]), workers)
+    assert total.tolist() == [[2 * CHUNK]]
+    assert [getter() for _, getter in libs] == [1] * len(libs)
+
+
+def test_single_thread_blas_without_openblas(monkeypatch):
+    # Another BLAS: nothing to set.  No /proc: not Linux.
+    monkeypatch.setattr(probability, "_loaded_openblas", lambda: [])
+    monkeypatch.setattr(probability, "_blas_single_threaded", False)
+    assert probability._single_thread_blas() is None
+    assert probability._blas_single_threaded
+
+    def no_proc(*_):
+        raise FileNotFoundError("/proc/self/maps")
+
+    monkeypatch.undo()
+    monkeypatch.setattr(probability, "open", no_proc, raising=False)
+    assert probability._loaded_openblas() == []
 
 
 def test_cli_import_defers_scipy_stats():
