@@ -92,7 +92,7 @@ def _resolve(args) -> argparse.Namespace:
     # Without --mc-trials, oracle draws no noise for these flags to act on.
     if args.command == "oracle" and args.mc_trials is None:
         for key in ("seed", "workers", "check"):
-            if getattr(args, key) not in (None, False):
+            if vars(args)[key] not in (None, False):
                 raise ValueError(f"--{key} needs --mc-trials")
     if "seed" in args:
         if args.seed is None:
@@ -100,7 +100,7 @@ def _resolve(args) -> argparse.Namespace:
             args.seed = int(env) if env else DEFAULT_SEED
         noise.check_seed(args.seed)
     for key in ("trials", "workers", "states", "mc_trials"):
-        value = getattr(args, key, None)
+        value = vars(args).get(key)
         if value is not None and value < 1:
             raise ValueError(f"{key} must be >= 1")
     return args
@@ -120,6 +120,12 @@ def _emit(args, tables: dict, **meta) -> None:
 def _require(condition: bool, message: str) -> None:
     if not condition:
         raise CheckFailure(message)
+
+
+def _require_detections(*n_detected: int) -> None:
+    """Refuse a check with nothing to test: an input error, not a failure."""
+    if min(n_detected) == 0:
+        raise ValueError("no detections to check")
 
 
 # --- subcommand handlers ------------------------------------------------
@@ -150,7 +156,6 @@ def _cmd_born(args) -> None:
     stats = probability.estimate(alpha, args.s, model, args.gamma,
                                  args.trials, args.seed, workers=args.workers)
     born = np.abs(alpha) ** 2
-    tol = 4.0 / np.sqrt(stats.n_detected) if stats.n_detected else np.inf
     rows = [{"component": n + 1, "p_hat": float(stats.p_hat[n]),
              "born": float(born[n]),
              "error": float(abs(stats.p_hat[n] - born[n]))}
@@ -159,6 +164,8 @@ def _cmd_born(args) -> None:
           s=args.s, sigma=args.sigma, gamma=args.gamma,
           n_detected=stats.n_detected)
     if args.check:
+        _require_detections(stats.n_detected)
+        tol = 4.0 / np.sqrt(stats.n_detected)
         for row in rows:
             if row["born"] == 0.0:
                 _require(row["p_hat"] == 0.0,
@@ -175,9 +182,9 @@ def _cmd_tomography(args) -> None:
     inferred = tomography.infer_state(alpha, args.s, model, args.gamma,
                                       args.trials, args.seed,
                                       workers=args.workers)
-    exp_rows = [{"pauli": p, "estimate": inferred.expectations[p],
-                 "stderr": getattr(inferred, f"stderr_{p.lower()}"),
-                 "detections": inferred.detections[p]}
+    exp_rows = [{"pauli": p, "estimate": inferred.stats[p].mean,
+                 "stderr": inferred.stats[p].mean_stderr,
+                 "detections": inferred.stats[p].n_detected}
                 for p in ("X", "Y", "Z")]
     rho = inferred.rho_tilde
     rho_rows = [{"row": i + 1, "col": j + 1,
@@ -191,8 +198,8 @@ def _cmd_tomography(args) -> None:
         _require(np.abs(rho - rho.conj().T).max() < 1e-10, "rho not Hermitian")
         for p, op in (("X", linalg.X), ("Y", linalg.Y), ("Z", linalg.Z)):
             target = float(np.real(alpha.conj() @ op @ alpha))
-            est = inferred.expectations[p]
-            err = getattr(inferred, f"stderr_{p.lower()}")
+            est = inferred.stats[p].mean
+            err = inferred.stats[p].mean_stderr
             _require(abs(est - target) <= 5 * err,
                      f"E[{p}] = {est:.4f} vs quantum {target:.4f}")
 
@@ -215,12 +222,13 @@ def _cmd_magic_square(args) -> None:
 
 def _chsh_tables(result) -> dict:
     if isinstance(result, experiments.ChshJointResult):
-        rows = [{"observable": r.name,
-                 "n_1": int(r.counts[0]), "n_2": int(r.counts[1]),
-                 "n_3": int(r.counts[2]), "n_4": int(r.counts[3]),
-                 "n": r.n, "mean": r.mean, "stderr": r.stderr,
-                 "detection_fraction": r.detection_fraction}
-                for r in result.rows]
+        rows = [{"observable": name,
+                 "n_1": int(st.counts[0]), "n_2": int(st.counts[1]),
+                 "n_3": int(st.counts[2]), "n_4": int(st.counts[3]),
+                 "n": st.n_detected, "mean": st.mean,
+                 "stderr": st.mean_stderr,
+                 "detection_fraction": st.detection_fraction}
+                for name, st in result.stats.items()]
         summary = [{"S_D": result.s_d, "S_D_err": result.s_d_err,
                     "S_quantum": result.s_quantum}]
     else:
@@ -241,6 +249,7 @@ def _cmd_chsh_joint(args) -> None:
                                         workers=args.workers)
     _emit(args, _chsh_tables(result), trials=args.trials, noise=args.noise)
     if args.check:
+        _require_detections(*(st.n_detected for st in result.stats.values()))
         _require(result.s_d > 2.0, f"S_D = {result.s_d:.4f} <= 2")
         if args.noise == noise.SPHERE:
             _require(result.s_d > experiments.TSIRELSON_BOUND,
@@ -253,6 +262,7 @@ def _cmd_chsh_local(args) -> None:
                                         workers=args.workers)
     _emit(args, _chsh_tables(result), trials=args.trials, noise=args.noise)
     if args.check:
+        _require_detections(*(r.total for r in result.rows))
         if args.noise == noise.SPHERE:
             _require(result.s_d > 2.0, f"S_D = {result.s_d:.4f} <= 2")
         else:
@@ -264,25 +274,27 @@ def _cmd_chsh_local(args) -> None:
 def _cmd_bell_state(args) -> None:
     result = experiments.run_bell_state_checks(args.trials, args.seed,
                                                workers=args.workers)
-    std_rows = [{"component": n + 1, "count": int(result.standard_counts[n]),
-                 "p_hat": float(result.standard_p_hat[n])}
+    std, tilted = result.standard, result.tilted
+    std_rows = [{"component": n + 1, "count": int(std.counts[n]),
+                 "p_hat": float(std.p_hat[n])}
                 for n in range(4)]
-    tilt_rows = [{"component": n + 1, "count": int(result.tilted_counts[n]),
-                  "p_hat": float(result.tilted_p_hat[n]),
-                  "stderr": float(result.tilted_stderr[n]),
+    tilt_rows = [{"component": n + 1, "count": int(tilted.counts[n]),
+                  "p_hat": float(tilted.p_hat[n]),
+                  "stderr": float(tilted.stderr[n]),
                   "quantum": float(result.quantum_tilted[n])}
                  for n in range(4)]
     _emit(args, {"standard_basis": std_rows, "tilted_observable": tilt_rows},
           trials=args.trials)
     if args.check:
-        _require(result.standard_counts[0] == 0
-                 and result.standard_counts[3] == 0,
+        _require_detections(std.n_detected, tilted.n_detected)
+        _require(std.counts[0] == 0 and std.counts[3] == 0,
                  "components 1/4 of the Bell state should never detect")
 
 
 def _cmd_two_dim(args) -> None:
     rows = [{"name": r.name, "noise": r.kind, "s": r.s, "gamma": r.gamma,
-             "P0": r.p0, "P1": r.p1, "P2": r.p2, "Pinf": r.p_inf}
+             "P0": r.stats.P0_hat, "P1": float(r.stats.P_hat[0]),
+             "P2": float(r.stats.P_hat[1]), "Pinf": r.stats.Pinf_hat}
             for r in experiments.run_two_dim_examples(args.trials, args.seed,
                                                       workers=args.workers)]
     _emit(args, {"two_dim_examples": rows}, trials=args.trials)

@@ -114,7 +114,7 @@ def _outcome_from_code(code: int, values=None) -> DetectionOutcome:
 
 def measure_standard(a, gamma: float) -> DetectionOutcome:
     """Standard-basis measurement of a single amplitude vector."""
-    if gamma < 0:
+    if not 0 <= gamma < np.inf:
         raise ValueError("gamma must be non-negative")
     code = int(detect_standard_block(_scalar(a), gamma)[0])
     return _outcome_from_code(code)

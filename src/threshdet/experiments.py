@@ -13,10 +13,11 @@ import numpy as np
 
 from . import detection, linalg, noise, probability
 from .detection import SubspacePartition
-from .linalg import (H, I2, U_C1, U_C2, U_C3, U_R1, U_R2, U_R3, V, W_MINUS,
+from .linalg import (H, I2, U_C1, U_C2, U_C3, U_R1, U_R2, U_R3, W_MINUS,
                      W_PLUS, X, Y, Z, ObservableSpec, tensor,
                      verify_diagonalization)
 from .noise import NoiseModel
+from .probability import DetectionStats
 
 SQRT2 = np.sqrt(2.0)
 BELL_STATE = np.array([0, 1, 1, 0], dtype=complex) / SQRT2
@@ -76,20 +77,10 @@ LOCAL_PAIRS = (("A", "B"), ("A", "B'"), ("A'", "B"), ("A'", "B'"))
 
 
 @dataclass
-class ObservableRow:
-    name: str
-    counts: np.ndarray
-    n: int
-    mean: float
-    stderr: float
-    detection_fraction: float
-
-
-@dataclass
 class ChshJointResult:
     noise_kind: str
     trials: int
-    rows: list[ObservableRow]
+    stats: dict[str, DetectionStats]    # by JOINT_OBSERVABLES name
     s_d: float
     s_d_err: float
     s_quantum: float = TSIRELSON_BOUND
@@ -132,12 +123,8 @@ class MagicSquareResult:
 
 @dataclass
 class BellStateResult:
-    trials: int
-    standard_counts: np.ndarray
-    standard_p_hat: np.ndarray
-    tilted_counts: np.ndarray
-    tilted_p_hat: np.ndarray
-    tilted_stderr: np.ndarray
+    standard: DetectionStats
+    tilted: DetectionStats
     quantum_tilted: np.ndarray = field(
         default_factory=lambda: np.abs(
             BELL_STATE @ np.conj(tensor(I2, W_PLUS))) ** 2)
@@ -149,21 +136,19 @@ class TwoDimRow:
     kind: str
     s: float
     gamma: float
-    p0: float
-    p1: float
-    p2: float
-    p_inf: float
+    stats: DetectionStats
 
 
-def _chsh_value(rows) -> tuple[float, float]:
-    """S_D = |E(AB) + E(AB')| + |E(A'B) - E(A'B')| and its summed stderr."""
-    e = [r.mean for r in rows]
-    return abs(e[0] + e[1]) + abs(e[2] - e[3]), sum(r.stderr for r in rows)
+def _chsh_value(means, stderrs) -> tuple[float, float]:
+    """S_D = |E(AB) + E(AB')| + |E(A'B) - E(A'B')| and its summed stderr,
+    from means and stderrs in the order AB, AB', A'B, A'B'."""
+    return abs(means[0] + means[1]) + abs(means[2] - means[3]), sum(stderrs)
 
 
-def run_two_dim_examples(trials: int, seed: int, *, sigma: float = 1.0,
+def run_two_dim_examples(trials: int, seed: int, *,
                          workers: int = 1) -> list[TwoDimRow]:
-    """Estimate (P0, P1, P2, Pinf) for the four scripted 2-dim noise setups."""
+    """Detection statistics for the four scripted 2-dim noise setups."""
+    sigma = 1.0
     basis = np.array([1.0, 0.0], dtype=complex)
     plus = np.array([1.0, 1.0], dtype=complex) / SQRT2
     s_theorem1 = (SQRT2 - 1.0) * sigma
@@ -181,9 +166,7 @@ def run_two_dim_examples(trials: int, seed: int, *, sigma: float = 1.0,
                                      stream=_STREAM_TWODIM_BASE + i,
                                      workers=workers)
         rows.append(TwoDimRow(name=name, kind=kind, s=s, gamma=sigma,
-                              p0=stats.P0_hat, p1=float(stats.P_hat[0]),
-                              p2=float(stats.P_hat[1]),
-                              p_inf=stats.Pinf_hat))
+                              stats=stats))
     return rows
 
 
@@ -197,19 +180,15 @@ def run_chsh_joint(noise_kind: str, trials: int, seed: int, *,
     else:
         raise ValueError(f"unsupported noise kind for this run: {noise_kind}")
     model = NoiseModel(noise_kind, sigma, 4)
-    rows = []
-    for i, (name, obs) in enumerate(JOINT_OBSERVABLES.items()):
-        stats = probability.estimate(BELL_STATE, s, model, gamma, trials, seed,
-                                     unitary=obs.unitary,
-                                     eigenvalues=obs.eigenvalues,
-                                     stream=_STREAM_JOINT_BASE + i,
-                                     workers=workers)
-        rows.append(ObservableRow(name=name, counts=stats.counts.copy(),
-                                  n=stats.n_detected, mean=stats.mean,
-                                  stderr=stats.mean_stderr,
-                                  detection_fraction=stats.detection_fraction))
-    s_d, s_d_err = _chsh_value(rows)
-    return ChshJointResult(noise_kind=noise_kind, trials=trials, rows=rows,
+    stats = {name: probability.estimate(BELL_STATE, s, model, gamma, trials,
+                                        seed, unitary=obs.unitary,
+                                        eigenvalues=obs.eigenvalues,
+                                        stream=_STREAM_JOINT_BASE + i,
+                                        workers=workers)
+             for i, (name, obs) in enumerate(JOINT_OBSERVABLES.items())}
+    s_d, s_d_err = _chsh_value([st.mean for st in stats.values()],
+                               [st.mean_stderr for st in stats.values()])
+    return ChshJointResult(noise_kind=noise_kind, trials=trials, stats=stats,
                            s_d=s_d, s_d_err=s_d_err)
 
 
@@ -244,7 +223,8 @@ def run_chsh_local(trials: int, seed: int, *, noise_kind: str = noise.SPHERE,
         stderr = 1.0 / np.sqrt(total) if total else np.inf
         rows.append(PairRow(alice=alice, bob=bob, counts=counts.copy(),
                             total=total, mean=float(mean), stderr=stderr))
-    s_d, s_d_err = _chsh_value(rows)
+    s_d, s_d_err = _chsh_value([r.mean for r in rows],
+                               [r.stderr for r in rows])
     singles = int(per_pair[:, 4].sum())
     coincidences = int(per_pair[:, 5].sum())
     n_total = trials * len(LOCAL_PAIRS)
@@ -255,11 +235,11 @@ def run_chsh_local(trials: int, seed: int, *, noise_kind: str = noise.SPHERE,
         efficiency=coincidences / singles if singles else np.nan)
 
 
-def random_state(seed: int, state_index: int, dim: int = 4) -> np.ndarray:
+def random_state(seed: int, state_index: int) -> np.ndarray:
     """Deterministic random design state z/||z|| for one magic-square run."""
     rng = noise._chunk_rng(seed, _STREAM_MAGIC_STATES, state_index)
-    x = rng.standard_normal(2 * dim)
-    z = x[:dim] + 1j * x[dim:]
+    x = rng.standard_normal(8)
+    z = x[:4] + 1j * x[4:]
     return z / np.linalg.norm(z)
 
 
@@ -313,28 +293,17 @@ def run_bell_state_checks(trials: int, seed: int, *,
     tilted = probability.estimate(BELL_STATE, s, model, sigma, trials, seed,
                                   unitary=tensor(I2, W_PLUS),
                                   stream=_STREAM_BELL_TILTED, workers=workers)
-    return BellStateResult(trials=trials,
-                           standard_counts=std.counts.copy(),
-                           standard_p_hat=std.p_hat.copy(),
-                           tilted_counts=tilted.counts.copy(),
-                           tilted_p_hat=tilted.p_hat.copy(),
-                           tilted_stderr=tilted.stderr.copy())
+    return BellStateResult(standard=std, tilted=tilted)
 
 
 # --- exact replay of injected realizations ------------------------------
-
-PAULI_SPECS = {
-    "Z": ObservableSpec(I2, [1.0, -1.0]),
-    "X": ObservableSpec(H, [1.0, -1.0]),
-    "Y": ObservableSpec(V, [1.0, -1.0]),
-}
 
 
 def replay_pauli(w, *, s: float = SQRT2 - 1.0, gamma: float = 1.0) -> dict:
     """Measure Z, X, Y on the single realization a = s·[1,0] + w."""
     a = noise.inject(np.array([1.0, 0.0]), s, w)
     return {name: detection.measure_observable(a, spec, gamma)
-            for name, spec in PAULI_SPECS.items()}
+            for name, spec in linalg.PAULI_SPECS.items()}
 
 
 def replay_magic_square(a, *, gamma: float = 1.0) -> dict:

@@ -38,17 +38,17 @@ def tensor(a, b) -> np.ndarray:
     return np.kron(_as_matrix(a), _as_matrix(b))
 
 
-def is_unitary(u, tol: float = UNITARY_TOL) -> bool:
+def is_unitary(u) -> bool:
     u = _as_matrix(u)
-    return bool(np.abs(u.conj().T @ u - np.eye(u.shape[0])).max() <= tol)
+    err = np.abs(u.conj().T @ u - np.eye(u.shape[0])).max()
+    return bool(err <= UNITARY_TOL)
 
 
-def verify_diagonalization(u, a, *, diag_tol: float = DIAG_TOL,
-                           unitary_tol: float = UNITARY_TOL) -> np.ndarray:
+def verify_diagonalization(u, a) -> np.ndarray:
     """Return the real diagonal of U†AU, in column order.
 
     Raises NotUnitary if U fails the unitarity check and NotDiagonalized if
-    U†AU has off-diagonal magnitudes above ``diag_tol``.  No sorting is
+    U†AU has off-diagonal magnitudes above ``DIAG_TOL``.  No sorting is
     applied: downstream sign patterns depend on the column order of U.
     """
     u = _as_matrix(u)
@@ -56,13 +56,13 @@ def verify_diagonalization(u, a, *, diag_tol: float = DIAG_TOL,
     if u.shape != a.shape:
         raise ValueError(f"dimension mismatch: {u.shape} vs {a.shape}")
     err = np.abs(u.conj().T @ u - np.eye(u.shape[0])).max()
-    if err > unitary_tol:
-        raise NotUnitary(f"max |U†U - I| = {err:.3e} > {unitary_tol:g}")
+    if err > UNITARY_TOL:
+        raise NotUnitary(f"max |U†U - I| = {err:.3e} > {UNITARY_TOL:g}")
     m = u.conj().T @ a @ u
     off = m - np.diag(np.diag(m))
-    if np.abs(off).max() > diag_tol:
+    if np.abs(off).max() > DIAG_TOL:
         raise NotDiagonalized(
-            f"max off-diagonal |U†AU| = {np.abs(off).max():.3e} > {diag_tol:g}")
+            f"max off-diagonal |U†AU| = {np.abs(off).max():.3e} > {DIAG_TOL:g}")
     return np.real(np.diag(m))
 
 
@@ -141,3 +141,11 @@ class ObservableSpec:
     @property
     def dim(self) -> int:
         return self.unitary.shape[0]
+
+
+# Pauli measurement bases: Z, X and Y through I, H and V, eigenvalues +1, -1.
+PAULI_SPECS = {
+    "Z": ObservableSpec(I2, [1.0, -1.0]),
+    "X": ObservableSpec(H, [1.0, -1.0]),
+    "Y": ObservableSpec(V, [1.0, -1.0]),
+}

@@ -25,6 +25,7 @@ KINDS = (GAUSSIAN, SPHERE, SINGLE_PHASE, ANTICORRELATED_PHASE, BLOCH_UNIFORM)
 _TWO_DIM_ONLY = (SINGLE_PHASE, ANTICORRELATED_PHASE, BLOCH_UNIFORM)
 
 _SQRT_HALF = np.sqrt(0.5)
+_NORM_TOL = 1e-10
 
 
 class InvalidModel(ValueError):
@@ -46,7 +47,7 @@ class NoiseModel:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise InvalidModel(f"unknown noise kind {self.kind!r}")
-        if self.sigma < 0:
+        if not 0 <= self.sigma < np.inf:
             raise InvalidModel("sigma must be non-negative")
         if self.dim < 1:
             raise InvalidModel("dim must be positive")
@@ -166,13 +167,13 @@ def _check_finite(v: np.ndarray, what: str) -> np.ndarray:
     return v
 
 
-def check_normalized(alpha, tol: float = 1e-10) -> np.ndarray:
+def check_normalized(alpha) -> np.ndarray:
     alpha = np.asarray(alpha, dtype=complex)
     if alpha.ndim != 1:
         raise UnnormalizedState("design state must be a vector")
     _check_finite(alpha, "design state")
     norm = np.linalg.norm(alpha)
-    if abs(norm - 1.0) > tol:
+    if abs(norm - 1.0) > _NORM_TOL:
         raise UnnormalizedState(f"|alpha| = {norm:.12g}, expected 1")
     return alpha
 
@@ -181,7 +182,7 @@ def realize_block(alpha, s: float, model: NoiseModel, seed: int, start: int,
                   count: int, stream: int = 0) -> np.ndarray:
     """Amplitude vectors s·alpha + w for a block of trials."""
     alpha = check_normalized(alpha)
-    if s < 0:
+    if not 0 <= s < np.inf:
         raise ValueError("signal strength must be non-negative")
     if alpha.shape[0] != model.dim:
         raise InvalidModel("state dimension does not match noise model")
@@ -197,7 +198,7 @@ def realize(alpha, s: float, model: NoiseModel, stream: RngStream) -> np.ndarray
 def inject(alpha, s: float, w) -> np.ndarray:
     """Amplitude vector for an externally supplied noise realization."""
     alpha = check_normalized(alpha)
-    if s < 0:
+    if not 0 <= s < np.inf:
         raise ValueError("signal strength must be non-negative")
     w = np.asarray(w, dtype=complex)
     if w.shape != alpha.shape:

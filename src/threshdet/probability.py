@@ -200,7 +200,7 @@ def estimate(alpha, s: float, model: NoiseModel, gamma: float, trials: int,
     With ``unitary`` given, each realization is rotated by U† before
     threshold detection (measurement of the associated observable).
     """
-    if gamma < 0:
+    if not 0 <= gamma < np.inf:
         raise ValueError("gamma must be non-negative")
 
     def kernel(_, a):
@@ -240,11 +240,11 @@ def _below_threshold_probs(alpha, s: float, sigma: float,
                            gamma: float) -> np.ndarray:
     """F_i = P(|a_i| <= gamma) for each component under Gaussian noise."""
     alpha = noise.check_normalized(alpha)
-    if s < 0:
+    if not 0 <= s < np.inf:
         raise ValueError("signal strength must be non-negative")
-    if sigma <= 0:
+    if not 0 < sigma < np.inf:
         raise ValueError("sigma must be positive")
-    if gamma < 0:
+    if not 0 <= gamma < np.inf:
         raise ValueError("gamma must be non-negative")
     lam = 2.0 * np.abs(s * alpha / sigma) ** 2
     b = np.sqrt(2.0) * gamma / sigma

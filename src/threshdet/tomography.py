@@ -8,10 +8,14 @@ import numpy as np
 
 from . import linalg, noise, probability
 from .noise import NoiseModel
+from .probability import DetectionStats
 
 # Basis streams keep the three measurement ensembles independent.
-_STREAM_Z, _STREAM_X, _STREAM_Y = 10, 11, 12
+_STREAMS = {"Z": 10, "X": 11, "Y": 12}
 _STREAM_BPLUS = 13
+
+# Fewest detections in a basis for its mean to count as an estimate.
+MIN_DETECTIONS = 100
 
 QUANTUM_BPLUS_EXPECTATION = -1.0 / np.sqrt(2.0)
 
@@ -22,86 +26,51 @@ class InsufficientDetections(RuntimeError):
 
 @dataclass
 class InferredState:
-    """Estimated Pauli expectations and the reconstructed density operator."""
+    """Per-basis detection statistics and the inferred density operator."""
 
-    exp_x: float
-    exp_y: float
-    exp_z: float
-    stderr_x: float
-    stderr_y: float
-    stderr_z: float
-    detections: dict[str, int]
+    stats: dict[str, DetectionStats]    # by linalg.PAULI_SPECS name
     rho_tilde: np.ndarray
 
     @property
     def expectations(self) -> dict[str, float]:
-        return {"X": self.exp_x, "Y": self.exp_y, "Z": self.exp_z}
-
-
-def _basis_mean(alpha, s, model, gamma, trials, seed, unitary, stream,
-                workers, min_detections):
-    stats = probability.estimate(alpha, s, model, gamma, trials, seed,
-                                 unitary=unitary, eigenvalues=[1.0, -1.0],
-                                 stream=stream, workers=workers)
-    if stats.n_detected < min_detections:
-        raise InsufficientDetections(
-            f"only {stats.n_detected} detections (need {min_detections})")
-    return stats.mean, stats.mean_stderr, stats.n_detected
+        return {p: self.stats[p].mean for p in ("X", "Y", "Z")}
 
 
 def infer_state(alpha, s: float, model: NoiseModel, gamma: float, trials: int,
-                seed: int, *, workers: int = 1,
-                min_detections: int = 100) -> InferredState:
+                seed: int, *, workers: int = 1) -> InferredState:
     """Estimate E[X], E[Y], E[Z] from three independent ensembles and
     assemble the inferred density operator (I + ExX + EyY + EzZ)/2."""
     alpha = noise.check_normalized(alpha)
     if alpha.shape[0] != 2 or model.dim != 2:
         raise ValueError("state inference is defined for dimension 2 only")
-    bases = {
-        "Z": (linalg.I2, _STREAM_Z),
-        "X": (linalg.H, _STREAM_X),
-        "Y": (linalg.V, _STREAM_Y),
-    }
-    means, errs, dets = {}, {}, {}
-    for name, (u, stream) in bases.items():
-        means[name], errs[name], dets[name] = _basis_mean(
-            alpha, s, model, gamma, trials, seed, u, stream, workers,
-            min_detections)
-    rho = 0.5 * (linalg.I2 + means["X"] * linalg.X + means["Y"] * linalg.Y
-                 + means["Z"] * linalg.Z)
-    return InferredState(exp_x=means["X"], exp_y=means["Y"], exp_z=means["Z"],
-                         stderr_x=errs["X"], stderr_y=errs["Y"],
-                         stderr_z=errs["Z"], detections=dets, rho_tilde=rho)
-
-
-@dataclass
-class CounterexampleResult:
-    """Detection statistics for the tilted observable where inference breaks."""
-
-    p1: float
-    p2: float
-    expectation: float
-    stderr: float
-    n_detected: int
-    quantum_expectation: float = QUANTUM_BPLUS_EXPECTATION
+    stats = {}
+    for name, spec in linalg.PAULI_SPECS.items():
+        stats[name] = probability.estimate(
+            alpha, s, model, gamma, trials, seed, unitary=spec.unitary,
+            eigenvalues=spec.eigenvalues, stream=_STREAMS[name],
+            workers=workers)
+        if stats[name].n_detected < MIN_DETECTIONS:
+            raise InsufficientDetections(
+                f"only {stats[name].n_detected} detections "
+                f"(need {MIN_DETECTIONS})")
+    e = {name: st.mean for name, st in stats.items()}
+    rho = 0.5 * (linalg.I2 + e["X"] * linalg.X + e["Y"] * linalg.Y
+                 + e["Z"] * linalg.Z)
+    return InferredState(stats=stats, rho_tilde=rho)
 
 
 def bplus_counterexample(trials: int, seed: int, *,
-                         workers: int = 1) -> CounterexampleResult:
+                         workers: int = 1) -> DetectionStats:
     """Measure B+ = -(X+Z)/sqrt(2) on the basis state [1, 0].
 
     The inferred density operator for this state is correct, yet the
-    conditional statistics of this observable do not match Tr(rho B+); the
-    quantum reference value is reported alongside for comparison.
+    conditional statistics of this observable do not match Tr(rho B+),
+    whose value is ``QUANTUM_BPLUS_EXPECTATION``.
     """
     sigma = 1.0
     s = np.sqrt(2.0) - 1.0
     model = NoiseModel(noise.SPHERE, sigma, 2)
-    stats = probability.estimate(np.array([1.0, 0.0]), s, model, sigma, trials,
-                                 seed, unitary=linalg.W_PLUS,
-                                 eigenvalues=[-1.0, 1.0],
-                                 stream=_STREAM_BPLUS, workers=workers)
-    return CounterexampleResult(
-        p1=float(stats.p_hat[0]), p2=float(stats.p_hat[1]),
-        expectation=stats.mean, stderr=stats.mean_stderr,
-        n_detected=stats.n_detected)
+    return probability.estimate(np.array([1.0, 0.0]), s, model, sigma, trials,
+                                seed, unitary=linalg.W_PLUS,
+                                eigenvalues=[-1.0, 1.0],
+                                stream=_STREAM_BPLUS, workers=workers)

@@ -59,24 +59,24 @@ def test_criterion_02_born_rule_exact_regime():
 
 def test_criterion_03_inference_counterexample():
     res = tomography.bplus_counterexample(TRIALS, SEED)
-    gap = abs(res.expectation - res.quantum_expectation)
-    ok = (abs(res.p1 - 0.7048) < 0.01
-          and abs(res.expectation - (-0.4096)) < 0.01
-          and gap > 10 * res.stderr)
+    gap = abs(res.mean - tomography.QUANTUM_BPLUS_EXPECTATION)
+    ok = (abs(res.p_hat[0] - 0.7048) < 0.01
+          and abs(res.mean - (-0.4096)) < 0.01
+          and gap > 10 * res.mean_stderr)
     _criterion(3, "tilted-observable statistics depart from the inferred "
                   "state's prediction", ok,
-               f"p1 = {res.p1:.4f}, E = {res.expectation:.4f}, "
-               f"gap = {gap:.4f} > 10*{res.stderr:.4f}")
+               f"p1 = {res.p_hat[0]:.4f}, E = {res.mean:.4f}, "
+               f"gap = {gap:.4f} > 10*{res.mean_stderr:.4f}")
 
 
 def test_criterion_04_tilted_bell_distribution():
     res = run_bell_state_checks(TRIALS, SEED, workers=WORKERS)
     target = np.array([0.0364, 0.4608, 0.4641, 0.0388])
-    errs = np.abs(res.tilted_p_hat - target)
+    errs = np.abs(res.tilted.p_hat - target)
     ok = bool(np.all(errs < 0.01))
     _criterion(4, "four-outcome tilted-basis distribution matches the "
                   "reference values within 0.01", ok,
-               f"p_hat = {np.round(res.tilted_p_hat, 4).tolist()}")
+               f"p_hat = {np.round(res.tilted.p_hat, 4).tolist()}")
 
 
 def test_criterion_05_magic_square():
@@ -90,7 +90,7 @@ def test_criterion_05_magic_square():
 
 def test_criterion_06_chsh_joint_sphere():
     res = run_chsh_joint(SPHERE, TRIALS, SEED, workers=WORKERS)
-    fracs = [r.detection_fraction for r in res.rows]
+    fracs = [st.detection_fraction for st in res.stats.values()]
     ok = (abs(res.s_d - 3.39) < 0.05
           and res.s_d > 2.0 * SQRT2
           and all(abs(f - 0.05) < 0.01 for f in fracs))
@@ -102,7 +102,7 @@ def test_criterion_06_chsh_joint_sphere():
 
 def test_criterion_07_chsh_joint_gaussian():
     res = run_chsh_joint(GAUSSIAN, TRIALS, SEED, workers=WORKERS)
-    fracs = [r.detection_fraction for r in res.rows]
+    fracs = [st.detection_fraction for st in res.stats.values()]
     ok = (abs(res.s_d - 2.63) < 0.15
           and all(abs(f - 0.0025) < 0.001 for f in fracs))
     _criterion(7, "joint correlations with unbounded noise still violate "

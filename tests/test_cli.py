@@ -384,6 +384,47 @@ def test_negative_signal_strength_exits_1(command, tmp_path, capsys):
     assert "signal strength must be non-negative" in capsys.readouterr().err
 
 
+# The signal, noise and threshold flags of each subcommand, and the start of
+# the error a value outside their range gives.
+RANGE_FLAGS = {"detect-probs": "--s --sigma --gamma",
+               "oracle": "--s --sigma --gamma", "replay": "--s --gamma"}
+RANGE_ERRORS = {"--s": "signal strength must be", "--sigma": "sigma must be",
+                "--gamma": "gamma must be"}
+
+
+@pytest.mark.parametrize("command,flag", [
+    (command, flag) for command, flags in RANGE_FLAGS.items()
+    for flag in flags.split()])
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+def test_non_finite_signal_noise_or_threshold_exits_1(command, flag, bad,
+                                                      tmp_path, capsys):
+    vec = tmp_path / "w.txt"
+    vec.write_text(PRINTED["detect-probs"])
+    extra = {"detect-probs": ["--trials", "1000"], "oracle": [],
+             "replay": [str(vec)]}[command]
+    assert run([command, *extra, flag, bad]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert RANGE_ERRORS[flag] in captured.err
+
+
+@pytest.mark.parametrize("command", ["born", "chsh-joint", "chsh-local",
+                                     "bell-state"])
+def test_check_without_detections_exits_1(command, capsys):
+    # One trial at the default seed leaves some ensemble of each run with no
+    # detection, so there is nothing for the check to test.
+    assert run([command, "--trials", "1", "--check"]) == 1
+    assert "no detections to check" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["bell-state"],
+                                  ["chsh-joint", "--noise", "sphere"],
+                                  ["chsh-local", "--noise", "sphere"]])
+def test_check_passes_at_a_fixed_seed(argv, capsys):
+    assert run([*argv, "--trials", TRIALS, "--seed", "20140731",
+                "--check"]) == 0
+
+
 def test_readme_cli_lines_parse():
     readme = Path(__file__).parents[1] / "README.md"
     block = readme.read_text().split("## CLI", 1)[1].split("```sh", 1)[1]

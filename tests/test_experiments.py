@@ -44,19 +44,19 @@ def test_two_dim_examples_limits():
     by_name = {r.name: r for r in rows}
     sp = by_name["single-phase basis state"]
     # noise alone can never cross; only the signal component can.
-    assert sp.p2 == 0.0 and sp.p_inf == 0.0
-    assert sp.p0 + sp.p1 == pytest.approx(1.0)
+    assert sp.stats.P_hat[1] == 0.0 and sp.stats.Pinf_hat == 0.0
+    assert sp.stats.P0_hat + sp.stats.P_hat[0] == pytest.approx(1.0)
     ac = by_name["anti-correlated superposition"]
     # symmetric components: equal single-detection rates near 1/2; the
     # double-detection window shrinks to zero as s approaches sigma
-    assert ac.p0 == 0.0
-    assert ac.p1 == pytest.approx(ac.p2, abs=0.01)
-    assert ac.p1 == pytest.approx(0.5, abs=0.01)
-    assert ac.p_inf < 0.002
+    assert ac.stats.P0_hat == 0.0
+    assert ac.stats.P_hat[0] == pytest.approx(ac.stats.P_hat[1], abs=0.01)
+    assert ac.stats.P_hat[0] == pytest.approx(0.5, abs=0.01)
+    assert ac.stats.Pinf_hat < 0.002
     bu = by_name["bloch-uniform basis state"]
-    assert bu.p1 > bu.p2
+    assert bu.stats.P_hat[0] > bu.stats.P_hat[1]
     bs = by_name["bloch-uniform superposition"]
-    assert bs.p1 == pytest.approx(bs.p2, abs=0.01)
+    assert bs.stats.P_hat[0] == pytest.approx(bs.stats.P_hat[1], abs=0.01)
 
 
 def test_chsh_joint_sphere_violates_classical_bound():
@@ -64,7 +64,7 @@ def test_chsh_joint_sphere_violates_classical_bound():
     assert res.s_d > 2.0 + 10 * res.s_d_err
     assert res.s_d < 4.0
     assert res.s_quantum == TSIRELSON_BOUND
-    signs = [np.sign(r.mean) for r in res.rows]
+    signs = [np.sign(st.mean) for st in res.stats.values()]
     assert signs == [1.0, 1.0, -1.0, 1.0]
 
 
@@ -118,18 +118,18 @@ def test_random_state_is_normalized_and_deterministic():
 def test_bell_state_checks():
     res = run_bell_state_checks(TRIALS, seed=71)
     # perfect anti-correlation in the standard basis
-    assert res.standard_counts[0] == 0 and res.standard_counts[3] == 0
-    assert res.standard_p_hat[1] == pytest.approx(0.5, abs=0.02)
+    assert res.standard.counts[0] == 0 and res.standard.counts[3] == 0
+    assert res.standard.p_hat[1] == pytest.approx(0.5, abs=0.02)
     # tilted-basis frequencies differ from the quantum weights but keep the
     # coarse structure: outer components rare, inner components dominant
-    assert res.tilted_p_hat[0] == pytest.approx(res.tilted_p_hat[3], abs=0.01)
-    assert res.tilted_p_hat[0] < 0.1
-    assert 0.4 < res.tilted_p_hat[1] < 0.5
-    assert 0.4 < res.tilted_p_hat[2] < 0.5
+    assert res.tilted.p_hat[0] == pytest.approx(res.tilted.p_hat[3], abs=0.01)
+    assert res.tilted.p_hat[0] < 0.1
+    assert 0.4 < res.tilted.p_hat[1] < 0.5
+    assert 0.4 < res.tilted.p_hat[2] < 0.5
     assert res.quantum_tilted == pytest.approx(
         [0.0732233, 0.4267767, 0.4267767, 0.0732233], abs=1e-6)
     assert res.quantum_tilted.sum() == pytest.approx(1.0, rel=1e-12)
-    assert np.abs(res.tilted_p_hat - res.quantum_tilted).max() > 0.02
+    assert np.abs(res.tilted.p_hat - res.quantum_tilted).max() > 0.02
 
 
 def test_local_violation_below_joint():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from threshdet import noise
+from threshdet.linalg import B_PLUS
 from threshdet.noise import SPHERE, NoiseModel
 from threshdet.tomography import (QUANTUM_BPLUS_EXPECTATION,
                                   InsufficientDetections,
@@ -33,9 +34,9 @@ def _bloch(alpha):
 def test_inferred_expectations_match_quantum_values(alpha):
     inf = infer_state(alpha, S, _model(), 1.0, TRIALS, seed=21)
     x, y, z = _bloch(alpha)
-    assert inf.exp_x == pytest.approx(x, abs=0.01)
-    assert inf.exp_y == pytest.approx(y, abs=0.01)
-    assert inf.exp_z == pytest.approx(z, abs=0.01)
+    assert inf.stats["X"].mean == pytest.approx(x, abs=0.01)
+    assert inf.stats["Y"].mean == pytest.approx(y, abs=0.01)
+    assert inf.stats["Z"].mean == pytest.approx(z, abs=0.01)
 
 
 def test_inferred_density_operator_structure():
@@ -52,9 +53,11 @@ def test_inferred_density_operator_structure():
 
 def test_expectations_property_view():
     inf = infer_state(np.array([1.0, 0.0]), S, _model(), 1.0, 1 << 16, seed=3)
-    assert inf.expectations == {"X": inf.exp_x, "Y": inf.exp_y, "Z": inf.exp_z}
-    assert set(inf.detections) == {"X", "Y", "Z"}
-    assert all(v > 0 for v in inf.detections.values())
+    assert inf.expectations == {"X": inf.stats["X"].mean,
+                                "Y": inf.stats["Y"].mean,
+                                "Z": inf.stats["Z"].mean}
+    assert set(inf.stats) == {"X", "Y", "Z"}
+    assert all(v.n_detected > 0 for v in inf.stats.values())
 
 
 def test_dimension_guard():
@@ -74,15 +77,16 @@ def test_counterexample_departs_from_quantum_prediction():
     # The conditional frequency of the -1 outcome sits near 0.7048, far from
     # the quantum value (1 - 1/sqrt(2))/2 + 1/2 = 0.8536 implied by the
     # inferred state.
-    assert res.p1 == pytest.approx(0.7048, abs=0.005)
-    assert res.p2 == pytest.approx(1.0 - res.p1, abs=1e-12)
-    assert res.expectation == pytest.approx(-0.41, abs=0.01)
-    gap = abs(res.expectation - res.quantum_expectation)
-    assert gap > 10 * res.stderr
-    assert res.quantum_expectation == QUANTUM_BPLUS_EXPECTATION
+    assert res.p_hat[0] == pytest.approx(0.7048, abs=0.005)
+    assert res.p_hat[1] == pytest.approx(1.0 - res.p_hat[0], abs=1e-12)
+    assert res.mean == pytest.approx(-0.41, abs=0.01)
+    gap = abs(res.mean - QUANTUM_BPLUS_EXPECTATION)
+    assert gap > 10 * res.mean_stderr
+    # Tr(rho B+) for rho = |0><0|, the quantum value the gap is taken from.
+    assert QUANTUM_BPLUS_EXPECTATION == pytest.approx(B_PLUS[0, 0].real)
 
 
 def test_counterexample_reproducible():
     a = bplus_counterexample(1 << 16, seed=9)
     b = bplus_counterexample(1 << 16, seed=9, workers=4)
-    assert (a.p1, a.n_detected) == (b.p1, b.n_detected)
+    assert (a.p_hat[0], a.n_detected) == (b.p_hat[0], b.n_detected)
