@@ -12,6 +12,7 @@ Batch kernels return integer codes per trial: the detected component index,
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,13 +62,38 @@ class SubspacePartition:
         return sum(len(g) for g in self.groups)
 
 
-def crossing_codes(mags: np.ndarray, gamma: float) -> np.ndarray:
-    """Detection codes for an array of magnitudes with shape (trials, N)."""
-    cross = mags > gamma
+# Widest row whose crossings fit one uint8 bitmask.
+_MASK_BITS = 8
+
+
+@functools.cache
+def _code_table(dim: int) -> np.ndarray:
+    """Detection code of every crossing bitmask of ``dim`` components."""
+    bits = (np.arange(1 << dim)[:, None] >> np.arange(dim)) & 1
+    table = _codes_from_crossings(bits.astype(bool))
+    table.flags.writeable = False  # shared by every caller
+    return table
+
+
+def _codes_from_crossings(cross: np.ndarray) -> np.ndarray:
     ncross = cross.sum(axis=1)
     codes = np.where(ncross == 1, np.argmax(cross, axis=1), NO_DETECTION)
     codes[ncross > 1] = MULTIPLE_DETECTIONS
     return codes
+
+
+def crossing_codes(mags: np.ndarray, gamma: float) -> np.ndarray:
+    """Detection codes for an array of magnitudes with shape (trials, N)."""
+    cross = mags > gamma
+    dim = cross.shape[1]
+    if dim > _MASK_BITS:
+        return _codes_from_crossings(cross)
+    # Bit j of a row's mask is set when component j crosses.
+    bits = cross.view(np.uint8)
+    mask = bits[:, 0].copy()
+    for j in range(1, dim):
+        mask |= bits[:, j] << np.uint8(j)
+    return _code_table(dim)[mask]
 
 
 def detect_standard_block(a: np.ndarray, gamma: float) -> np.ndarray:
@@ -96,6 +122,12 @@ def detect_projective_block(a: np.ndarray, unitary: np.ndarray,
     return crossing_codes(group_magnitudes(b, part), gamma)
 
 
+def check_gamma(gamma: float) -> None:
+    """Reject a threshold outside [0, inf), nan included."""
+    if not 0 <= gamma < np.inf:
+        raise ValueError(f"gamma must be non-negative and finite, got {gamma}")
+
+
 def _scalar(a) -> np.ndarray:
     a = np.asarray(a, dtype=complex)
     if a.ndim != 1:
@@ -114,14 +146,14 @@ def _outcome_from_code(code: int, values=None) -> DetectionOutcome:
 
 def measure_standard(a, gamma: float) -> DetectionOutcome:
     """Standard-basis measurement of a single amplitude vector."""
-    if not 0 <= gamma < np.inf:
-        raise ValueError("gamma must be non-negative")
+    check_gamma(gamma)
     code = int(detect_standard_block(_scalar(a), gamma)[0])
     return _outcome_from_code(code)
 
 
 def measure_observable(a, obs: ObservableSpec, gamma: float) -> DetectionOutcome:
     """Measure an observable by rotating into its eigenbasis first."""
+    check_gamma(gamma)
     a = _scalar(a)
     if a.shape[1] != obs.dim:
         raise ValueError("dimension mismatch between state and observable")
@@ -132,6 +164,7 @@ def measure_observable(a, obs: ObservableSpec, gamma: float) -> DetectionOutcome
 def measure_projective(a, unitary, part: SubspacePartition,
                        gamma: float) -> DetectionOutcome:
     """Projective subspace measurement of a single amplitude vector."""
+    check_gamma(gamma)
     unitary = _as_matrix(unitary)
     if not is_unitary(unitary):
         raise ValueError("projective measurement requires a unitary basis change")
@@ -149,6 +182,7 @@ def measure_triple(a, unitary, sign_lists, gamma: float):
     component n assigns all three observables their n-th signs at once;
     otherwise None is returned (no detection, or rejected multiples).
     """
+    check_gamma(gamma)
     a = _scalar(a)
     signs = [np.asarray(d, dtype=float) for d in sign_lists]
     if len(signs) != 3 or any(d.shape != (a.shape[1],) for d in signs):

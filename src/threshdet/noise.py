@@ -4,10 +4,17 @@ Randomness is counter-based: trials are grouped into fixed chunks of
 ``CHUNK`` draws, and each chunk is generated by a Philox generator keyed on
 (seed, stream, chunk index).  Trial t of a stream therefore always receives
 the same noise vector, independent of worker count or evaluation order.
+
+Each thread keeps a cursor on the last chunk it drew from: the chunk's
+address, the row after the last one drawn, and the live generator.  A draw
+that starts at that row continues the generator, so a chunk drawn in
+consecutive blocks costs the same as one full-chunk draw and gives the same
+values.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -78,12 +85,6 @@ def _chunk_rng(seed: int, stream: int, chunk_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(ss))
 
 
-def _complex_gaussian(rng: np.random.Generator, n: int, dim: int) -> np.ndarray:
-    # E[z z†] = I: real and imaginary parts i.i.d. with variance 1/2 each.
-    x = rng.standard_normal((n, 2 * dim))
-    return _SQRT_HALF * (x[:, :dim] + 1j * x[:, dim:])
-
-
 def _clamp_magnitude(values: np.ndarray, target: float) -> np.ndarray:
     """Nudge entries whose computed magnitude rounds above ``target``.
 
@@ -101,45 +102,90 @@ def _clamp_magnitude(values: np.ndarray, target: float) -> np.ndarray:
     return values
 
 
-def _chunk_noise(model: NoiseModel, seed: int, stream: int, chunk_index: int,
-                 rows: int) -> np.ndarray:
-    """Noise for the first ``rows`` trials of one chunk.
+def _variates(rng: np.random.Generator, kind: str, n: int,
+              dim: int) -> np.ndarray:
+    """The next ``n`` rows of raw uniform or normal variates of a family."""
+    if kind in (GAUSSIAN, SPHERE):
+        return rng.standard_normal((n, 2 * dim))
+    if kind in (SINGLE_PHASE, ANTICORRELATED_PHASE):
+        return rng.uniform(0.0, 2.0 * np.pi, n)
+    return rng.random((n, 3))
 
-    Every draw below fills its array in C order, so the first k rows of a
-    (CHUNK, ·) draw are exactly a (k, ·) draw from the same generator.  A
-    later row cannot be reached without drawing the rows before it: the
-    ziggurat normal sampler consumes a variable number of random words per
-    value.
-    """
-    rng = _chunk_rng(seed, stream, chunk_index)
-    n, d = rows, model.dim
+
+def _transform(model: NoiseModel, x: np.ndarray) -> np.ndarray:
+    """Noise vectors from raw variates, one row per trial."""
+    n, d = len(x), model.dim
     sigma = model.sigma
-    if model.kind == GAUSSIAN:
-        return sigma * _complex_gaussian(rng, n, d)
-    if model.kind == SPHERE:
-        z = _complex_gaussian(rng, n, d)
-        return sigma * z / np.linalg.norm(z, axis=1, keepdims=True)
+    if model.kind in (GAUSSIAN, SPHERE):
+        # E[z z†] = I: real and imaginary parts i.i.d. with variance 1/2.
+        # Built in place, one complex array per call; each step rounds as
+        # sigma * (sqrt(1/2) * (re + 1j*im)) [/ ||z||] does.
+        z = np.empty((n, d), dtype=complex)
+        parts = z.view(float)
+        np.multiply(x[:, :d], _SQRT_HALF, out=parts[:, 0::2])
+        np.multiply(x[:, d:], _SQRT_HALF, out=parts[:, 1::2])
+        if model.kind == GAUSSIAN:
+            z *= sigma
+            return z
+        norm = np.linalg.norm(z, axis=1, keepdims=True)
+        z *= sigma
+        z /= norm
+        return z
     if model.kind == SINGLE_PHASE:
-        theta = rng.uniform(0.0, 2.0 * np.pi, n)
         w = np.zeros((n, 2), dtype=complex)
-        w[:, 1] = _clamp_magnitude(sigma * np.exp(1j * theta), sigma)
+        w[:, 1] = _clamp_magnitude(sigma * np.exp(1j * x), sigma)
         return w
     if model.kind == ANTICORRELATED_PHASE:
-        theta = rng.uniform(0.0, 2.0 * np.pi, n)
-        phase = (sigma / np.sqrt(2.0)) * np.exp(1j * theta)
+        phase = (sigma / np.sqrt(2.0)) * np.exp(1j * x)
         return np.stack([phase, -phase], axis=1)
     # Bloch-uniform: phases uniform, polar angle with density sin(2θ) on
     # [0, π/2], sampled by inverting the CDF sin²θ.
-    u = rng.random((n, 3))
-    theta = np.arcsin(np.sqrt(u[:, 2]))
-    return sigma * np.stack([np.exp(2j * np.pi * u[:, 0]) * np.cos(theta),
-                             np.exp(2j * np.pi * u[:, 1]) * np.sin(theta)],
+    theta = np.arcsin(np.sqrt(x[:, 2]))
+    return sigma * np.stack([np.exp(2j * np.pi * x[:, 0]) * np.cos(theta),
+                             np.exp(2j * np.pi * x[:, 1]) * np.sin(theta)],
                             axis=1)
+
+
+# The per-thread cursor described in the module docstring.
+_cursor = threading.local()
+
+
+def _chunk_noise(model: NoiseModel, seed: int, stream: int, chunk_index: int,
+                 rows: int, first: int = 0) -> np.ndarray:
+    """Noise for trials [first, rows) of one chunk.
+
+    Every draw fills its array in C order and every transform works row by
+    row, so rows [first, rows) are exactly those rows of a (CHUNK, ·) draw
+    from the same generator.  A later row cannot be reached without drawing
+    the rows before it (the ziggurat normal sampler consumes a variable
+    number of random words per value), so a fresh generator draws and
+    discards rows [0, first).  The calling thread's cursor saves that: when
+    the previous call on this thread ended at row ``first`` of the same
+    chunk, family and dimension, its generator is continued instead.
+    """
+    key = (seed, stream, chunk_index, model.kind, model.dim)
+    cursor = getattr(_cursor, "state", None)
+    # Cleared while drawing, so a draw that raises leaves no stale cursor.
+    _cursor.state = None
+    if cursor is not None and cursor[:2] == (key, first):
+        rng = cursor[2]
+    else:
+        rng = _chunk_rng(seed, stream, chunk_index)
+        if first:
+            _variates(rng, model.kind, first, model.dim)
+    x = _variates(rng, model.kind, rows - first, model.dim)
+    _cursor.state = (key, rows, rng)
+    return _transform(model, x)
 
 
 def draw_noise_block(model: NoiseModel, seed: int, start: int, count: int,
                      stream: int = 0) -> np.ndarray:
-    """Noise vectors for trials [start, start+count) of one stream."""
+    """Noise vectors for trials [start, start+count) of one stream.
+
+    A call that starts where the previous call on the same thread ended, in
+    the same chunk, continues that chunk's generator (see ``_chunk_noise``),
+    so drawing a chunk in consecutive blocks costs one draw of the chunk.
+    """
     if start < 0 or count < 0:
         raise ValueError("start and count must be non-negative")
     parts = []
@@ -148,7 +194,8 @@ def draw_noise_block(model: NoiseModel, seed: int, start: int, count: int,
     while t < end:
         ci, offset = divmod(t, CHUNK)
         take = min(CHUNK - offset, end - t)
-        parts.append(_chunk_noise(model, seed, stream, ci, offset + take)[offset:])
+        parts.append(_chunk_noise(model, seed, stream, ci, offset + take,
+                                  offset))
         t += take
     if not parts:
         return np.empty((0, model.dim), dtype=complex)
@@ -186,7 +233,9 @@ def realize_block(alpha, s: float, model: NoiseModel, seed: int, start: int,
         raise ValueError("signal strength must be non-negative")
     if alpha.shape[0] != model.dim:
         raise InvalidModel("state dimension does not match noise model")
-    return s * alpha + draw_noise_block(model, seed, start, count, stream)
+    a = draw_noise_block(model, seed, start, count, stream)
+    a += s * alpha
+    return a
 
 
 def realize(alpha, s: float, model: NoiseModel, stream: RngStream) -> np.ndarray:

@@ -209,3 +209,50 @@ def test_outcome_dataclass_flags():
     det = DetectionOutcome(Outcome.DETECTED, index=1, value=-1.0)
     assert det.detected
     assert not DetectionOutcome(Outcome.NO_DETECTION).detected
+
+
+@pytest.mark.parametrize("gamma", [np.nan, -1.0, np.inf])
+def test_single_vector_measurements_reject_bad_gamma(gamma):
+    a2, a4 = np.array([0.1, 0.2]), np.array([0.5, 0.5, 0.5, 0.5])
+    spec = linalg.PAULI_SPECS["Z"]
+    u, part = ALICE_SETTINGS[next(iter(ALICE_SETTINGS))]
+    u_ctx, diags, _ = next(iter(MAGIC_CONTEXTS.values()))
+    calls = [lambda: measure_standard(a2, gamma),
+             lambda: measure_observable(a2, spec, gamma),
+             lambda: measure_projective(a4, u, part, gamma),
+             lambda: measure_triple(a4, u_ctx, diags, gamma),
+             lambda: replay_pauli(a2, gamma=gamma),
+             lambda: replay_magic_square(a4, gamma=gamma),
+             lambda: replay_local(a4, gamma=gamma)]
+    for call in calls:
+        with pytest.raises(ValueError, match="gamma must be non-negative"):
+            call()
+
+
+def _reference_codes(mags, gamma):
+    # The sum/argmax rule, written out independently of crossing_codes.
+    cross = mags > gamma
+    ncross = cross.sum(axis=1)
+    codes = np.where(ncross == 1, np.argmax(cross, axis=1), NO_DETECTION)
+    codes[ncross > 1] = MULTIPLE_DETECTIONS
+    return codes
+
+
+# Magnitudes on a coarse grid, so many equal gamma exactly and do not cross.
+_GRID = (0.0, 0.5, 1.0, 1.5, 2.0)
+
+
+@pytest.mark.parametrize("dim", range(1, 11))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), gamma=st.sampled_from(_GRID))
+def test_crossing_codes_match_sum_argmax_reference(dim, data, gamma):
+    # d <= 8 goes through the bitmask table, d = 9 and 10 through the
+    # fallback; both must give the reference codes and dtype.
+    mags = data.draw(arrays(float, (data.draw(st.integers(0, 40)), dim),
+                            elements=st.sampled_from(_GRID),
+                            fill=st.nothing()))
+    codes = detection.crossing_codes(mags, gamma)
+    assert (NO_DETECTION, MULTIPLE_DETECTIONS) == (-1, -2)
+    assert codes.dtype == np.intp and codes.shape == (len(mags),)
+    assert np.array_equal(codes, _reference_codes(mags, gamma))
+

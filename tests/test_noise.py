@@ -201,6 +201,23 @@ def test_block_equals_slice_of_full_chunk_draws(model, start, count, seed):
     assert np.array_equal(block, reference[start - first:end - first])
 
 
+def test_cursor_continues_only_its_own_chunk():
+    # Consecutive blocks continue the thread's cursor.  A draw in between
+    # from a later row, another stream, family or dimension moves it away.
+    # Either way the blocks equal one draw of the whole range.
+    model = NoiseModel(SPHERE, 1.0, 4)
+    others = [(model, 200, 2), (model, 0, 3),
+              (NoiseModel(GAUSSIAN, 1.0, 4), 0, 2),
+              (NoiseModel(SPHERE, 1.0, 2), 0, 2)]
+    blocks = []
+    for k, start in enumerate(range(100, 3100, 500)):
+        blocks.append(draw_noise_block(model, 5, start, 500, stream=2))
+        other, skip, stream = others[k % len(others)]
+        draw_noise_block(other, 5, start + 500 + skip, 10, stream)
+    assert np.array_equal(np.concatenate(blocks),
+                          draw_noise_block(model, 5, 100, 3000, stream=2))
+
+
 @pytest.mark.parametrize("seed", [0, 2**64 - 1])
 def test_seed_range_edges_accepted(seed):
     model = NoiseModel(GAUSSIAN, 1.0, 2)
