@@ -9,12 +9,9 @@ contextuality, and CHSH violations.
 
 from . import (detection, experiments, linalg, noise, probability,
                tomography)
-from .detection import (DetectionOutcome, Outcome, SubspacePartition,
-                        measure_observable, measure_projective,
-                        measure_standard, measure_triple)
-from .linalg import ObservableSpec, standard_unitaries, tensor, \
-    verify_diagonalization
-from .noise import NoiseModel, RngStream, draw_noise, realize
+from .detection import measure
+from .linalg import Measurement, tensor, verify_diagonalization
+from .noise import NoiseModel
 from .probability import (DetectionStats, estimate, marcum_q1, q1_bounds,
                           single_detection_probs)
 from .tomography import bplus_counterexample, infer_state
@@ -22,11 +19,9 @@ from .tomography import bplus_counterexample, infer_state
 __version__ = "0.1.0"
 
 __all__ = [
-    "DetectionOutcome", "DetectionStats", "NoiseModel", "ObservableSpec",
-    "Outcome", "RngStream", "SubspacePartition", "bplus_counterexample",
-    "detection", "draw_noise", "estimate", "experiments", "infer_state",
-    "linalg", "marcum_q1", "measure_observable", "measure_projective",
-    "measure_standard", "measure_triple", "noise", "probability",
-    "q1_bounds", "realize", "single_detection_probs", "standard_unitaries",
-    "tensor", "tomography", "verify_diagonalization",
+    "DetectionStats", "Measurement", "NoiseModel", "bplus_counterexample",
+    "detection", "estimate", "experiments", "infer_state", "linalg",
+    "marcum_q1", "measure", "noise", "probability", "q1_bounds",
+    "single_detection_probs", "tensor", "tomography",
+    "verify_diagonalization",
 ]

@@ -65,7 +65,11 @@ def parse_alpha(text: str, normalize: bool = False) -> np.ndarray:
         comps.append(complex(token))
     alpha = np.array(comps, dtype=complex)
     if normalize:
-        alpha = alpha / np.linalg.norm(alpha)
+        norm = np.linalg.norm(alpha)
+        if norm == 0:
+            raise ValueError("design state is the zero vector; "
+                             "it cannot be normalized")
+        alpha = alpha / norm
     return alpha
 
 
@@ -215,6 +219,7 @@ def _cmd_magic_square(args) -> None:
                 "six_way_overlap": result.six_way_overlap}]
     _emit(args, {"context_detections": rows, "summary": summary})
     if args.check:
+        _require_detections(*result.context_detections.values())
         _require(result.violation_count == 0, "product relation violated")
         _require(result.six_way_intersection_empty,
                  "six-way index intersection is not empty")
@@ -335,31 +340,40 @@ def _cmd_oracle(args) -> None:
                      " disagreement beyond 5 standard errors")
 
 
+# Tags of the codes that are not a detection, as replay prints them.
+_TAGS = {detection.NO_DETECTION: "no_detection",
+         detection.MULTIPLE_DETECTIONS: "multiple_detections"}
+
+
 def _cmd_replay(args) -> None:
     w = noise.load_vector(args.file)
     if args.alpha is None:  # the first basis state of the file's dimension
         args.alpha = ",".join(["1"] + ["0"] * (len(w) - 1))
     a = noise.inject(parse_alpha(args.alpha, args.normalize), args.s, w)
-    res = detection.measure_standard(a, args.gamma)
+    code = detection.measure(a, linalg.Measurement(np.eye(len(a))),
+                             args.gamma)
     tables = {"injected_outcome": [
-        {"tag": res.tag.value,
-         "index": -1 if res.index is None else res.index + 1}]}
+        {"tag": _TAGS.get(code, "detected"),
+         "index": code + 1 if code >= 0 else -1}]}
     if len(a) == 4:
         rows = []
-        for name, triple in experiments.replay_magic_square(
-                a, gamma=args.gamma).items():
-            if triple is None:
+        contexts = experiments.MAGIC_CONTEXTS
+        codes = experiments.replay(a, contexts, gamma=args.gamma)
+        for name, code in codes.items():
+            if code < 0:
                 rows.append({"context": name, "g1": "NaN", "g2": "NaN",
                              "g3": "NaN", "product": "NaN"})
             else:
-                rows.append({"context": name,
-                             "g1": int(triple[0]), "g2": int(triple[1]),
-                             "g3": int(triple[2]),
-                             "product": int(triple[0] * triple[1] * triple[2])})
+                g = [int(v) for v in contexts[name].values[code]]
+                rows.append({"context": name, "g1": g[0], "g2": g[1],
+                             "g3": g[2], "product": g[0] * g[1] * g[2]})
         tables["context_outcomes"] = rows
+        settings = experiments.LOCAL_SETTINGS
+        codes = experiments.replay(a, settings, gamma=args.gamma)
         tables["local_outcomes"] = [
-            {"setting": k, "outcome": v}
-            for k, v in experiments.replay_local(a, gamma=args.gamma).items()]
+            {"setting": name, "outcome": "NaN" if code < 0
+             else f"{settings[name].values[code]:+.0f}"}
+            for name, code in codes.items()]
     _emit(args, tables, s=args.s, gamma=args.gamma)
 
 

@@ -12,9 +12,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import detection, linalg, noise, probability
-from .detection import SubspacePartition
 from .linalg import (H, I2, U_C1, U_C2, U_C3, U_R1, U_R2, U_R3, W_MINUS,
-                     W_PLUS, X, Y, Z, ObservableSpec, tensor,
+                     W_PLUS, X, Y, Z, Measurement, tensor,
                      verify_diagonalization)
 from .noise import NoiseModel
 from .probability import DetectionStats
@@ -34,46 +33,52 @@ _STREAM_MAGIC_STATES = 500
 _STREAM_MAGIC_NOISE_BASE = 1000
 
 
-def _diags(u, observables):
-    return tuple(np.sign(verify_diagonalization(u, o)) for o in observables)
+def _context(u, *observables) -> Measurement:
+    # Value row n: the signs the three observables take at component n.
+    return Measurement(u, values=np.stack(
+        [np.sign(verify_diagonalization(u, o)) for o in observables], axis=1))
 
 
-# Magic-square contexts: common diagonalizer plus the three sign diagonals,
-# validated at import time against the operator definitions.
-MAGIC_CONTEXTS: dict[str, tuple[np.ndarray, tuple[np.ndarray, ...], int]] = {
-    "R1": (U_R1, _diags(U_R1, [tensor(X, I2), tensor(I2, X), tensor(X, X)]), +1),
-    "R2": (U_R2, _diags(U_R2, [tensor(I2, Y), tensor(Y, I2), tensor(Y, Y)]), +1),
-    "R3": (U_R3, _diags(U_R3, [tensor(X, Y), tensor(Y, X), tensor(Z, Z)]), +1),
-    "C1": (U_C1, _diags(U_C1, [tensor(X, I2), tensor(I2, Y), tensor(X, Y)]), +1),
-    "C2": (U_C2, _diags(U_C2, [tensor(I2, X), tensor(Y, I2), tensor(Y, X)]), +1),
-    "C3": (U_C3, _diags(U_C3, [tensor(X, X), tensor(Y, Y), tensor(Z, Z)]), -1),
+# Magic-square contexts: one common diagonalizer per row and column, whose
+# values are the three sign diagonals, validated at import time against the
+# operator definitions; beside them, the product each context must give.
+MAGIC_CONTEXTS: dict[str, Measurement] = {
+    "R1": _context(U_R1, tensor(X, I2), tensor(I2, X), tensor(X, X)),
+    "R2": _context(U_R2, tensor(I2, Y), tensor(Y, I2), tensor(Y, Y)),
+    "R3": _context(U_R3, tensor(X, Y), tensor(Y, X), tensor(Z, Z)),
+    "C1": _context(U_C1, tensor(X, I2), tensor(I2, Y), tensor(X, Y)),
+    "C2": _context(U_C2, tensor(I2, X), tensor(Y, I2), tensor(Y, X)),
+    "C3": _context(U_C3, tensor(X, X), tensor(Y, Y), tensor(Z, Z)),
 }
+MAGIC_PRODUCTS = {"R1": +1, "R2": +1, "R3": +1, "C1": +1, "C2": +1, "C3": -1}
 
 # Joint CHSH observables: A = Z(x)I, A' = X(x)I paired with the tilted
 # B = I(x)B+ and B' = I(x)B-, measured through one product unitary each.
-_AB_OPERATORS = {
-    "AB": (tensor(I2, W_PLUS), tensor(Z, linalg.B_PLUS)),
-    "AB'": (tensor(I2, W_MINUS), tensor(Z, linalg.B_MINUS)),
-    "A'B": (tensor(H, W_PLUS), tensor(X, linalg.B_PLUS)),
-    "A'B'": (tensor(H, W_MINUS), tensor(X, linalg.B_MINUS)),
-}
-JOINT_OBSERVABLES: dict[str, ObservableSpec] = {
-    name: ObservableSpec.from_observable(u, op)
-    for name, (u, op) in _AB_OPERATORS.items()
+JOINT_OBSERVABLES: dict[str, Measurement] = {
+    "AB": Measurement.from_observable(tensor(I2, W_PLUS),
+                                      tensor(Z, linalg.B_PLUS)),
+    "AB'": Measurement.from_observable(tensor(I2, W_MINUS),
+                                       tensor(Z, linalg.B_MINUS)),
+    "A'B": Measurement.from_observable(tensor(H, W_PLUS),
+                                       tensor(X, linalg.B_PLUS)),
+    "A'B'": Measurement.from_observable(tensor(H, W_MINUS),
+                                        tensor(X, linalg.B_MINUS)),
 }
 
-# Local CHSH: Alice measures the left factor through a subspace partition,
-# Bob the right factor; eigenvalue groups follow the diagonals of the
-# rotated operators.
-ALICE_SETTINGS = {
-    "A": (tensor(I2, I2), SubspacePartition(((0, 1), (2, 3)), (+1.0, -1.0))),
-    "A'": (tensor(H, I2), SubspacePartition(((0, 1), (2, 3)), (+1.0, -1.0))),
-}
-BOB_SETTINGS = {
-    "B": (tensor(I2, W_PLUS), SubspacePartition(((1, 3), (0, 2)), (+1.0, -1.0))),
-    "B'": (tensor(I2, W_MINUS), SubspacePartition(((0, 2), (1, 3)), (+1.0, -1.0))),
+# Local CHSH: Alice (A, A') measures the left factor and Bob (B, B') the
+# right one, each through a subspace partition whose groups follow the
+# diagonals of the rotated operators.
+LOCAL_SETTINGS: dict[str, Measurement] = {
+    "A": Measurement(tensor(I2, I2), ((0, 1), (2, 3)), (+1.0, -1.0)),
+    "A'": Measurement(tensor(H, I2), ((0, 1), (2, 3)), (+1.0, -1.0)),
+    "B": Measurement(tensor(I2, W_PLUS), ((1, 3), (0, 2)), (+1.0, -1.0)),
+    "B'": Measurement(tensor(I2, W_MINUS), ((0, 2), (1, 3)), (+1.0, -1.0)),
 }
 LOCAL_PAIRS = (("A", "B"), ("A", "B'"), ("A'", "B"), ("A'", "B'"))
+
+# The tilted Bell-state observable I(x)B+.
+BELL_TILTED = Measurement.from_observable(tensor(I2, W_PLUS),
+                                          tensor(I2, linalg.B_PLUS))
 
 
 @dataclass
@@ -127,7 +132,7 @@ class BellStateResult:
     tilted: DetectionStats
     quantum_tilted: np.ndarray = field(
         default_factory=lambda: np.abs(
-            BELL_STATE @ np.conj(tensor(I2, W_PLUS))) ** 2)
+            BELL_STATE @ np.conj(BELL_TILTED.unitary)) ** 2)
 
 
 @dataclass
@@ -181,8 +186,7 @@ def run_chsh_joint(noise_kind: str, trials: int, seed: int, *,
         raise ValueError(f"unsupported noise kind for this run: {noise_kind}")
     model = NoiseModel(noise_kind, sigma, 4)
     stats = {name: probability.estimate(BELL_STATE, s, model, gamma, trials,
-                                        seed, unitary=obs.unitary,
-                                        eigenvalues=obs.eigenvalues,
+                                        seed, measurement=obs,
                                         stream=_STREAM_JOINT_BASE + i,
                                         workers=workers)
              for i, (name, obs) in enumerate(JOINT_OBSERVABLES.items())}
@@ -204,8 +208,8 @@ def run_chsh_local(trials: int, seed: int, *, noise_kind: str = noise.SPHERE,
 
     def kernel(i, a):
         alice, bob = LOCAL_PAIRS[i]
-        ca = detection.detect_projective_block(a, *ALICE_SETTINGS[alice], gamma)
-        cb = detection.detect_projective_block(a, *BOB_SETTINGS[bob], gamma)
+        ca = detection.detect_observable_block(a, LOCAL_SETTINGS[alice], gamma)
+        cb = detection.detect_observable_block(a, LOCAL_SETTINGS[bob], gamma)
         da, db = ca >= 0, cb >= 0
         coinc = da & db
         # joint outcome cell: 2*alice_group + bob_group over coincidences
@@ -257,17 +261,20 @@ def run_magic_square(num_states: int, trials_per_state: int, seed: int, *,
                   _STREAM_MAGIC_NOISE_BASE + i, trials_per_state)
                  for i in range(num_states)]
     k = len(MAGIC_CONTEXTS)
+    # Per context: the product of the three values at each component, and
+    # the product the operators require.
+    products = [(m, m.values.prod(axis=1), MAGIC_PRODUCTS[name])
+                for name, m in MAGIC_CONTEXTS.items()]
 
     def kernel(_, a):
         # k context detection counts, k violation counts, six-way overlap
         tally = np.zeros(2 * k + 1, dtype=np.int64)
         detected_all = np.ones(len(a), dtype=bool)
-        for i, (u, diags, expected) in enumerate(MAGIC_CONTEXTS.values()):
-            codes = detection.detect_observable_block(a, u, sigma)
+        for i, (m, product, expected) in enumerate(products):
+            codes = detection.detect_observable_block(a, m, sigma)
             det = codes >= 0
-            product = (diags[0] * diags[1] * diags[2])[codes[det]]
             tally[i] = np.count_nonzero(det)
-            tally[k + i] = np.count_nonzero(product != expected)
+            tally[k + i] = np.count_nonzero(product[codes[det]] != expected)
             detected_all &= det
         tally[2 * k] = np.count_nonzero(detected_all)
         return tally
@@ -291,33 +298,13 @@ def run_bell_state_checks(trials: int, seed: int, *,
     std = probability.estimate(BELL_STATE, s, model, sigma, trials, seed,
                                stream=_STREAM_BELL_STANDARD, workers=workers)
     tilted = probability.estimate(BELL_STATE, s, model, sigma, trials, seed,
-                                  unitary=tensor(I2, W_PLUS),
+                                  measurement=BELL_TILTED,
                                   stream=_STREAM_BELL_TILTED, workers=workers)
     return BellStateResult(standard=std, tilted=tilted)
 
 
-# --- exact replay of injected realizations ------------------------------
-
-
-def replay_pauli(w, *, s: float = SQRT2 - 1.0, gamma: float = 1.0) -> dict:
-    """Measure Z, X, Y on the single realization a = s·[1,0] + w."""
-    a = noise.inject(np.array([1.0, 0.0]), s, w)
-    return {name: detection.measure_observable(a, spec, gamma)
-            for name, spec in linalg.PAULI_SPECS.items()}
-
-
-def replay_magic_square(a, *, gamma: float = 1.0) -> dict:
-    """Six-context triple outcomes for one injected amplitude vector."""
-    out = {}
-    for name, (u, diags, _) in MAGIC_CONTEXTS.items():
-        out[name] = detection.measure_triple(a, u, diags, gamma)
-    return out
-
-
-def replay_local(a, *, gamma: float = 1.0) -> dict:
-    """Alice/Bob outcome strings for one injected realization."""
-    out = {}
-    for name, (u, part) in {**ALICE_SETTINGS, **BOB_SETTINGS}.items():
-        res = detection.measure_projective(a, u, part, gamma)
-        out[name] = f"{res.value:+.0f}" if res.detected else "NaN"
-    return out
+def replay(a, table: dict[str, Measurement], *,
+           gamma: float = 1.0) -> dict[str, int]:
+    """Outcome code of every measurement of ``table`` on one amplitude
+    vector, such as an injected realization."""
+    return {name: detection.measure(a, m, gamma) for name, m in table.items()}

@@ -104,39 +104,59 @@ U_C3 = np.array([[1, 0, 1, 0],
                  [1, 0, -1, 0]], dtype=complex) / _SQRT2
 
 
-def standard_unitaries() -> dict[str, np.ndarray]:
-    """The named unitaries used throughout the experiments, by name."""
-    return {
-        "I": I2.copy(), "X": X.copy(), "Y": Y.copy(), "Z": Z.copy(),
-        "H": H.copy(), "V": V.copy(),
-        "W+": W_PLUS.copy(), "W-": W_MINUS.copy(),
-        "U_R1": U_R1.copy(), "U_R2": U_R2.copy(), "U_R3": U_R3.copy(),
-        "U_C1": U_C1.copy(), "U_C2": U_C2.copy(), "U_C3": U_C3.copy(),
-    }
+@dataclass(frozen=True, eq=False)
+class Measurement:
+    """One threshold measurement: rotate by U†, then report group n when the
+    magnitude of group n alone strictly exceeds the threshold.
 
-
-@dataclass(frozen=True)
-class ObservableSpec:
-    """A measurement basis: diagonalizing unitary plus eigenvalues in column order."""
+    ``groups`` partition the rotated components 0..N-1 (singletons, in
+    order, when omitted); ``values[n]`` is the value row reported with
+    group n, a scalar eigenvalue or a row of several co-measured ones.  A
+    measurement without ``values`` reports only which group detected.
+    Everything is checked here, once, and the arrays it keeps are
+    read-only.
+    """
 
     unitary: np.ndarray
-    eigenvalues: np.ndarray = field(default=None)  # type: ignore[assignment]
+    groups: tuple[tuple[int, ...], ...] = None  # type: ignore[assignment]
+    values: np.ndarray | None = None
+    # Decided at construction: skip the rotation, and detect on |b_n|.
+    is_identity: bool = field(init=False)
+    singletons: bool = field(init=False)
 
     def __post_init__(self):
-        u = _as_matrix(self.unitary)
+        u = np.array(_as_matrix(self.unitary))
         if not is_unitary(u):
-            raise NotUnitary("observable unitary fails the unitarity check")
-        eig = np.asarray(self.eigenvalues, dtype=float)
-        if eig.shape != (u.shape[0],):
-            raise ValueError("eigenvalue count must match dimension")
-        object.__setattr__(self, "unitary", u)
-        object.__setattr__(self, "eigenvalues", eig)
+            raise NotUnitary("measurement unitary fails the unitarity check")
+        dim = u.shape[0]
+        basis = tuple((i,) for i in range(dim))
+        groups = basis if self.groups is None else tuple(
+            tuple(int(i) for i in g) for g in self.groups)
+        if (any(not g for g in groups)
+                or sorted(i for g in groups for i in g) != list(range(dim))):
+            raise ValueError(f"groups must partition 0..{dim - 1} "
+                             "without overlap")
+        values = self.values
+        if values is not None:
+            # A view, not a copy: np.dot (DetectionStats.mean) rounds by
+            # memory layout, and from_observable's strided diagonal is what
+            # every recorded mean was computed from.
+            values = np.asarray(values, dtype=float).view()
+            if values.ndim == 0 or len(values) != len(groups):
+                raise ValueError(f"expected one value row per group "
+                                 f"({len(groups)}), got shape {values.shape}")
+            values.flags.writeable = False
+        u.flags.writeable = False
+        # The instance is frozen, so the checked fields go in directly.
+        vars(self).update(unitary=u, groups=groups, values=values,
+                          is_identity=bool(np.array_equal(u, np.eye(dim))),
+                          singletons=groups == basis)
 
     @classmethod
-    def from_observable(cls, unitary, hermitian) -> "ObservableSpec":
-        """Build a spec from (U, A), validating U†AU = diag(Λ)."""
-        eig = verify_diagonalization(unitary, hermitian)
-        return cls(unitary=np.asarray(unitary, dtype=complex), eigenvalues=eig)
+    def from_observable(cls, unitary, hermitian) -> "Measurement":
+        """Measure A in the eigenbasis U, after checking that U†AU is diagonal;
+        the values are that diagonal, in column order."""
+        return cls(unitary, values=verify_diagonalization(unitary, hermitian))
 
     @property
     def dim(self) -> int:
@@ -145,7 +165,7 @@ class ObservableSpec:
 
 # Pauli measurement bases: Z, X and Y through I, H and V, eigenvalues +1, -1.
 PAULI_SPECS = {
-    "Z": ObservableSpec(I2, [1.0, -1.0]),
-    "X": ObservableSpec(H, [1.0, -1.0]),
-    "Y": ObservableSpec(V, [1.0, -1.0]),
+    "Z": Measurement(I2, values=[1.0, -1.0]),
+    "X": Measurement(H, values=[1.0, -1.0]),
+    "Y": Measurement(V, values=[1.0, -1.0]),
 }

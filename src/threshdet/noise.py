@@ -62,15 +62,6 @@ class NoiseModel:
             raise InvalidModel(f"{self.kind} noise is only defined for dim = 2")
 
 
-@dataclass(frozen=True)
-class RngStream:
-    """Addressable position in the reproducible noise source."""
-
-    seed: int
-    trial: int = 0
-    stream: int = 0
-
-
 def check_seed(seed) -> int:
     """Return ``seed`` as an int, rejecting values outside [0, 2^64)."""
     seed = int(seed)
@@ -202,12 +193,6 @@ def draw_noise_block(model: NoiseModel, seed: int, start: int, count: int,
     return np.concatenate(parts) if len(parts) > 1 else parts[0]
 
 
-def draw_noise(model: NoiseModel, stream: RngStream) -> np.ndarray:
-    """Single noise vector for one (seed, trial) address."""
-    return draw_noise_block(model, stream.seed, stream.trial, 1,
-                            stream.stream)[0]
-
-
 def _check_finite(v: np.ndarray, what: str) -> np.ndarray:
     if not np.all(np.isfinite(v)):
         raise ValueError(f"{what} has non-finite components")
@@ -236,12 +221,6 @@ def realize_block(alpha, s: float, model: NoiseModel, seed: int, start: int,
     a = draw_noise_block(model, seed, start, count, stream)
     a += s * alpha
     return a
-
-
-def realize(alpha, s: float, model: NoiseModel, stream: RngStream) -> np.ndarray:
-    """One amplitude vector s·alpha + w for a fresh noise draw."""
-    return realize_block(alpha, s, model, stream.seed, stream.trial, 1,
-                         stream.stream)[0]
 
 
 def inject(alpha, s: float, w) -> np.ndarray:

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import detection, noise
+from .linalg import Measurement
 from .noise import CHUNK, NoiseModel
 
 # Rows realized and tallied at a time inside a chunk.  Each block's arrays
@@ -240,22 +241,20 @@ def tally_chunks(ensembles, kernel, workers: int = 1) -> np.ndarray:
 
 
 def estimate(alpha, s: float, model: NoiseModel, gamma: float, trials: int,
-             seed: int, *, unitary=None, eigenvalues=None, stream: int = 0,
-             workers: int = 1) -> DetectionStats:
-    """Monte Carlo detection statistics for one measurement configuration.
-
-    With ``unitary`` given, each realization is rotated by U† before
-    threshold detection (measurement of the associated observable).
-    """
+             seed: int, *, measurement: Measurement | None = None,
+             stream: int = 0, workers: int = 1) -> DetectionStats:
+    """Monte Carlo detection statistics of one measurement, by default the
+    standard basis of ``model.dim``; its values, if any, weight the mean."""
     detection.check_gamma(gamma)
+    m = Measurement(np.eye(model.dim)) if measurement is None else measurement
+    if m.dim != model.dim:
+        raise ValueError(f"measurement of dimension {m.dim} on a noise model "
+                         f"of dimension {model.dim}")
 
     def kernel(_, a):
-        if unitary is None:
-            codes = detection.detect_standard_block(a, gamma)
-        else:
-            codes = detection.detect_observable_block(a, unitary, gamma)
-        # Shifted codes: 0 multiple, 1 none, 2 + n a detection at n.
-        return np.bincount(codes + 2, minlength=model.dim + 2)
+        codes = detection.detect_observable_block(a, m, gamma)
+        # Shifted codes: 0 multiple, 1 none, 2 + n a detection of group n.
+        return np.bincount(codes + 2, minlength=len(m.groups) + 2)
 
     (total,) = tally_chunks([(alpha, s, model, seed, stream, trials)], kernel,
                             workers)
@@ -264,7 +263,7 @@ def estimate(alpha, s: float, model: NoiseModel, gamma: float, trials: int,
         no_detection=int(total[1]),
         multiple_detections=int(total[0]),
         trials=trials,
-        eigenvalues=None if eigenvalues is None else np.asarray(eigenvalues, float),
+        eigenvalues=m.values,
     )
 
 

@@ -17,6 +17,8 @@ _STREAM_BPLUS = 13
 # Fewest detections in a basis for its mean to count as an estimate.
 MIN_DETECTIONS = 100
 
+# B+ = -(X+Z)/sqrt(2), measured in its eigenbasis W+.
+BPLUS = linalg.Measurement.from_observable(linalg.W_PLUS, linalg.B_PLUS)
 QUANTUM_BPLUS_EXPECTATION = -1.0 / np.sqrt(2.0)
 
 
@@ -46,9 +48,8 @@ def infer_state(alpha, s: float, model: NoiseModel, gamma: float, trials: int,
     stats = {}
     for name, spec in linalg.PAULI_SPECS.items():
         stats[name] = probability.estimate(
-            alpha, s, model, gamma, trials, seed, unitary=spec.unitary,
-            eigenvalues=spec.eigenvalues, stream=_STREAMS[name],
-            workers=workers)
+            alpha, s, model, gamma, trials, seed, measurement=spec,
+            stream=_STREAMS[name], workers=workers)
         if stats[name].n_detected < MIN_DETECTIONS:
             raise InsufficientDetections(
                 f"only {stats[name].n_detected} detections "
@@ -71,6 +72,5 @@ def bplus_counterexample(trials: int, seed: int, *,
     s = np.sqrt(2.0) - 1.0
     model = NoiseModel(noise.SPHERE, sigma, 2)
     return probability.estimate(np.array([1.0, 0.0]), s, model, sigma, trials,
-                                seed, unitary=linalg.W_PLUS,
-                                eigenvalues=[-1.0, 1.0],
+                                seed, measurement=BPLUS,
                                 stream=_STREAM_BPLUS, workers=workers)

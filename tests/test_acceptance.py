@@ -9,10 +9,10 @@ from scipy import integrate, special
 
 from threshdet import noise, probability, tomography
 from threshdet.cli import main as cli_main
-from threshdet.experiments import (replay_local, replay_magic_square,
-                                   replay_pauli, run_bell_state_checks,
-                                   run_chsh_joint, run_chsh_local,
-                                   run_magic_square)
+from threshdet.experiments import (LOCAL_SETTINGS, MAGIC_CONTEXTS, replay,
+                                   run_bell_state_checks, run_chsh_joint,
+                                   run_chsh_local, run_magic_square)
+from threshdet.linalg import PAULI_SPECS
 from threshdet.noise import GAUSSIAN, SPHERE, NoiseModel
 from threshdet.probability import estimate, marcum_q1, single_detection_probs
 
@@ -163,14 +163,23 @@ def test_criterion_10_oracle_equivalence():
                f"worst |z| = {worst:.2f}, worst quadrature error = {q_err:.2e}")
 
 
-def test_criterion_11_replay():
-    pauli = replay_pauli(np.array([0.5186 + 0.3818j, -0.6876 + 0.3354j]))
-    pauli_ok = (pauli["Z"].value, pauli["X"].value, pauli["Y"].value) \
-        == (1.0, -1.0, 1.0)
+def _replayed_values(a, table):
+    """Each measurement's value row, or None when it reports no outcome."""
+    return {name: None if code < 0 else tuple(np.atleast_1d(
+                table[name].values[code]))
+            for name, code in replay(a, table).items()}
 
-    square = replay_magic_square(
+
+def test_criterion_11_replay():
+    pauli = _replayed_values(
+        noise.inject(np.array([1.0, 0.0]), SQRT2 - 1.0,
+                     np.array([0.5186 + 0.3818j, -0.6876 + 0.3354j])),
+        PAULI_SPECS)
+    pauli_ok = (pauli["Z"], pauli["X"], pauli["Y"]) == ((1.0,), (-1.0,), (1.0,))
+
+    square = _replayed_values(
         np.array([-0.3151 + 0.5498j, -0.9092 + 0.1208j,
-                  -0.0581 - 0.5120j, 0.4560 - 0.3460j]))
+                  -0.0581 - 0.5120j, 0.4560 - 0.3460j]), MAGIC_CONTEXTS)
     square_ok = (square["R1"] == (-1.0, 1.0, -1.0)
                  and square["R2"] == (1.0, 1.0, 1.0)
                  and square["R3"] == (-1.0, 1.0, -1.0)
@@ -178,9 +187,10 @@ def test_criterion_11_replay():
                  and square["C2"] == (1.0, 1.0, 1.0)
                  and square["C3"] is None)
 
-    local = replay_local(np.array([-0.165 + 0.2046j, 0.8316 + 0.6696j,
-                                   0.5690 - 0.2230j, 0.2321 - 0.1111j]))
-    local_ok = (local["A"], local["B"], local["B'"]) == ("+1", "NaN", "+1")
+    local = _replayed_values(np.array([-0.165 + 0.2046j, 0.8316 + 0.6696j,
+                                       0.5690 - 0.2230j, 0.2321 - 0.1111j]),
+                             LOCAL_SETTINGS)
+    local_ok = (local["A"], local["B"], local["B'"]) == ((1.0,), None, (1.0,))
 
     ok = pauli_ok and square_ok and local_ok
     _criterion(11, "injected published realizations replay exactly", ok,

@@ -2,6 +2,7 @@
 
 import json
 import shlex
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -415,6 +416,27 @@ def test_check_without_detections_exits_1(command, capsys):
     # detection, so there is nothing for the check to test.
     assert run([command, "--trials", "1", "--check"]) == 1
     assert "no detections to check" in capsys.readouterr().err
+
+
+def test_magic_square_check_without_detections_exits_1(capsys):
+    # One trial cannot detect in all six contexts (their six-way overlap is
+    # always empty), so some context has nothing for the check to test.
+    assert run(["magic-square", "--states", "1", "--trials", "1", "--check",
+                "--seed", "3"]) == 1
+    assert "no detections to check" in capsys.readouterr().err
+
+
+def test_zero_alpha_with_normalize_exits_1(capsys):
+    # Rejected before it is divided by its zero norm: numpy warns of
+    # nothing, so turning warnings into errors changes nothing.
+    for argv in (["born"], ["detect-probs", "--normalize"]):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run([*argv, "--alpha", "0,0", "--trials", "10"]) == 1
+        err = capsys.readouterr().err
+        assert "zero vector" in err and "RuntimeWarning" not in err
+    with pytest.raises(ValueError, match="zero vector"):
+        parse_alpha("0,0", normalize=True)
 
 
 @pytest.mark.parametrize("argv", [["bell-state"],

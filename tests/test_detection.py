@@ -8,54 +8,51 @@ from hypothesis.extra.numpy import arrays
 
 from threshdet import detection, linalg, noise
 from threshdet.detection import (MULTIPLE_DETECTIONS, NO_DETECTION,
-                                 DetectionOutcome, Outcome, SubspacePartition,
+                                 detect_observable_block,
                                  detect_standard_block, group_magnitudes,
-                                 measure_observable, measure_projective,
-                                 measure_standard, measure_triple)
-from threshdet.experiments import (ALICE_SETTINGS, BOB_SETTINGS,
-                                   MAGIC_CONTEXTS, replay_local,
-                                   replay_magic_square, replay_pauli)
-from threshdet.linalg import H, I2, V, ObservableSpec
+                                 measure)
+from threshdet.experiments import LOCAL_SETTINGS, MAGIC_CONTEXTS, replay
+from threshdet.linalg import H, I2, U_R1, V, Measurement
 from threshdet.noise import NoiseModel, draw_noise_block
 
 SQRT2 = np.sqrt(2.0)
 
 
+def basis(dim):
+    return Measurement(np.eye(dim))
+
+
 def test_zero_noise_basis_state_detects():
-    res = measure_standard(np.array([1.0, 0.0]), 0.5)
-    assert res.tag is Outcome.DETECTED and res.index == 0
+    assert measure(np.array([1.0, 0.0]), basis(2), 0.5) == 0
 
 
 def test_no_detection_when_all_below():
-    res = measure_standard(np.array([0.3, 0.2, 0.1]), 0.5)
-    assert res.tag is Outcome.NO_DETECTION
+    assert measure(np.array([0.3, 0.2, 0.1]), basis(3), 0.5) == NO_DETECTION
 
 
 def test_multiple_detections_tracked_separately():
-    res = measure_standard(np.array([1.0, 1.0]), 0.5)
-    assert res.tag is Outcome.MULTIPLE_DETECTIONS
+    assert measure(np.array([1.0, 1.0]), basis(2), 0.5) == MULTIPLE_DETECTIONS
 
 
 def test_threshold_is_strict():
     # |a_n| == gamma does not cross.
-    res = measure_standard(np.array([1.0, 0.0]), 1.0)
-    assert res.tag is Outcome.NO_DETECTION
+    assert measure(np.array([1.0, 0.0]), basis(2), 1.0) == NO_DETECTION
 
 
 def test_first_printed_realization_is_a_nondetection():
     w = np.array([0.2197 - 0.7169j, -0.5290 + 0.3974j])
     a = noise.inject(np.array([1.0, 0.0]), SQRT2 - 1.0, w)
-    assert measure_standard(a, 1.0).tag is Outcome.NO_DETECTION
+    assert measure(a, basis(2), 1.0) == NO_DETECTION
 
 
 def test_second_printed_realization_measures_all_three_paulis():
     w = np.array([0.5186 + 0.3818j, -0.6876 + 0.3354j])
-    outcomes = replay_pauli(w)
-    assert outcomes["Z"].value == +1.0
-    assert outcomes["X"].value == -1.0
-    assert outcomes["Y"].value == +1.0
-    # intermediate rotated amplitudes match the printed ones
     a = noise.inject(np.array([1.0, 0.0]), SQRT2 - 1.0, w)
+    codes = replay(a, linalg.PAULI_SPECS)
+    values = {name: linalg.PAULI_SPECS[name].values[code]
+              for name, code in codes.items()}
+    assert values == {"Z": +1.0, "X": -1.0, "Y": +1.0}
+    # intermediate rotated amplitudes match the printed ones
     ha = H.conj().T @ a
     assert np.abs(ha) == pytest.approx([0.5360, 1.1463], abs=5e-4)
     va = V.conj().T @ a
@@ -63,66 +60,68 @@ def test_second_printed_realization_measures_all_three_paulis():
 
 
 def test_measure_observable_carries_eigenvalue():
-    spec = ObservableSpec(I2, [7.0, -3.0])
-    res = measure_observable(np.array([2.0, 0.0]), spec, 1.0)
-    assert res.value == 7.0
+    m = Measurement(I2, values=[7.0, -3.0])
+    assert m.values[measure(np.array([2.0, 0.0]), m, 1.0)] == 7.0
 
 
 def test_partition_validation():
-    with pytest.raises(ValueError):
-        SubspacePartition(((0, 1), (1, 2)), (1.0, -1.0))
-    with pytest.raises(ValueError):
-        SubspacePartition(((0, 1),), (1.0, -1.0))
+    with pytest.raises(ValueError, match="partition"):   # overlapping
+        Measurement(np.eye(3), ((0, 1), (1, 2)), (1.0, -1.0))
+    with pytest.raises(ValueError, match="partition"):   # missing
+        Measurement(np.eye(4), ((0, 1), (2,)))
+    with pytest.raises(ValueError, match="partition"):   # empty group
+        Measurement(np.eye(2), ((0, 1), ()))
+    for values in ((1.0, -1.0), 1.0):
+        with pytest.raises(ValueError, match="value row per group"):
+            Measurement(np.eye(2), ((0, 1),), values)
 
 
 def test_partition_consistency():
-    part = SubspacePartition(((0, 2), (1, 3)), (1.0, -1.0))
+    groups = ((0, 2), (1, 3))
     b = draw_noise_block(NoiseModel(noise.GAUSSIAN, 1.0, 4), 1, 0, 100)
-    mags = group_magnitudes(b, part)
+    mags = group_magnitudes(b, groups)
     assert np.allclose((mags**2).sum(axis=1),
                        (np.abs(b) ** 2).sum(axis=1), atol=1e-12)
 
 
 def test_projective_reduces_to_observable_with_singletons():
-    part = SubspacePartition(((0,), (1,)), (1.0, -1.0))
-    spec = ObservableSpec(H, [1.0, -1.0])
+    # Singleton groups listed out of order take the subspace path; they
+    # must report the component the standard path reports, relabelled.
+    swapped = Measurement(H, ((1,), (0,)), (-1.0, 1.0))
+    m = Measurement(H, values=[1.0, -1.0])
+    assert not swapped.singletons and m.singletons
     block = draw_noise_block(NoiseModel(noise.SPHERE, 1.2, 2), 3, 0, 200)
-    for a in block[:50]:
-        p = measure_projective(a, H, part, 0.7)
-        o = measure_observable(a, spec, 0.7)
-        assert p.tag == o.tag
-        if p.detected:
-            assert p.index == o.index and p.value == o.value
+    p = detect_observable_block(block, swapped, 0.7)
+    o = detect_observable_block(block, m, 0.7)
+    assert np.array_equal(p, np.where(o >= 0, 1 - o, o))
+    assert np.array_equal(swapped.values[p[p >= 0]], m.values[o[o >= 0]])
 
 
 def test_local_game_printed_realization():
     a = np.array([-0.165 + 0.2046j, 0.8316 + 0.6696j,
                   0.5690 - 0.2230j, 0.2321 - 0.1111j])
-    ua, parta = ALICE_SETTINGS["A"]
-    res = measure_projective(a, ua, parta, 1.0)
-    assert res.detected and res.value == +1.0
-    mags = group_magnitudes(a.reshape(1, -1), parta)[0] ** 2
+    codes = replay(a, LOCAL_SETTINGS)
+    values = {name: "NaN" if code < 0
+              else f"{LOCAL_SETTINGS[name].values[code]:+.0f}"
+              for name, code in codes.items()}
+    assert values == {"A": "+1", "A'": "NaN", "B": "NaN", "B'": "+1"}
+
+    ma, mb, mbp = (LOCAL_SETTINGS[k] for k in ("A", "B", "B'"))
+    mags = group_magnitudes(a.reshape(1, -1), ma.groups)[0] ** 2
     assert mags == pytest.approx([1.209, 0.4397], abs=5e-4)
-
-    ub, partb = BOB_SETTINGS["B"]
-    resb = measure_projective(a, ub, partb, 1.0)
-    assert resb.tag is Outcome.NO_DETECTION
-    magsb = group_magnitudes((a @ np.conj(ub)).reshape(1, -1), partb)[0] ** 2
+    magsb = group_magnitudes((a @ np.conj(mb.unitary)).reshape(1, -1),
+                             mb.groups)[0] ** 2
     assert magsb == pytest.approx([0.9836, 0.6651], abs=5e-4)
-
-    ubp, partbp = BOB_SETTINGS["B'"]
-    resbp = measure_projective(a, ubp, partbp, 1.0)
-    assert resbp.detected and resbp.value == +1.0
-    magsp = group_magnitudes((a @ np.conj(ubp)).reshape(1, -1), partbp)[0] ** 2
+    magsp = group_magnitudes((a @ np.conj(mbp.unitary)).reshape(1, -1),
+                             mbp.groups)[0] ** 2
     assert magsp == pytest.approx([1.2051, 0.4436], abs=5e-4)
-
-    assert replay_local(a) == {"A": "+1", "A'": "NaN", "B": "NaN", "B'": "+1"}
 
 
 def test_magic_square_printed_realization():
     a = np.array([-0.3151 + 0.5498j, -0.9092 + 0.1208j,
                   -0.0581 - 0.5120j, 0.4560 - 0.3460j])
-    out = replay_magic_square(a)
+    out = {name: None if code < 0 else tuple(MAGIC_CONTEXTS[name].values[code])
+           for name, code in replay(a, MAGIC_CONTEXTS).items()}
     assert out["R1"] == (-1.0, 1.0, -1.0)
     assert out["R2"] == (1.0, 1.0, 1.0)
     assert out["R3"] == (-1.0, 1.0, -1.0)
@@ -130,13 +129,15 @@ def test_magic_square_printed_realization():
     assert out["C2"] == (1.0, 1.0, 1.0)
     assert out["C3"] is None
     # all four rotated column-3 magnitudes sit below the threshold
-    u = MAGIC_CONTEXTS["C3"][0]
+    u = MAGIC_CONTEXTS["C3"].unitary
     assert np.abs(a @ np.conj(u)).max() < 1.0
 
 
 def test_measure_triple_requires_three_diagonals():
-    with pytest.raises(ValueError):
-        measure_triple(np.zeros(4), np.eye(4), [[1, 1, 1, 1]], 1.0)
+    # Three diagonals are three value columns, one row per component.
+    with pytest.raises(ValueError, match="value row per group"):
+        Measurement(U_R1, values=np.ones((3, 4)))
+    assert Measurement(U_R1, values=np.ones((4, 3))).values.shape == (4, 3)
 
 
 def test_bounded_noise_never_double_detects():
@@ -155,10 +156,8 @@ def test_detection_is_counterfactually_definite(seed):
     # Pure functions of (a, U, gamma): re-evaluation never disagrees.
     rng = np.random.default_rng(seed)
     a = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-    first = measure_standard(a, 0.8)
-    assert measure_standard(a, 0.8) == first
-    spec = ObservableSpec(H, [1.0, -1.0])
-    assert measure_observable(a, spec, 0.8) == measure_observable(a, spec, 0.8)
+    for m in (basis(2), Measurement(H, values=[1.0, -1.0])):
+        assert measure(a, m, 0.8) == measure(a, m, 0.8)
 
 
 @settings(max_examples=100, deadline=None)
@@ -181,9 +180,9 @@ _complex = st.complex_numbers(max_magnitude=3.0, allow_nan=False,
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.sampled_from([ObservableSpec(H, [1.0, -1.0]),
-                        ObservableSpec(linalg.tensor(H, V),
-                                       [1.0, -1.0, -1.0, 1.0])]).flatmap(
+@given(st.sampled_from([Measurement(H, values=[1.0, -1.0]),
+                        Measurement(linalg.tensor(H, V),
+                                    values=[1.0, -1.0, -1.0, 1.0])]).flatmap(
            lambda spec: st.tuples(
                st.just(spec),
                st.lists(_complex, min_size=spec.dim, max_size=spec.dim))),
@@ -194,9 +193,9 @@ def test_measurement_is_global_phase_invariant(spec_comps, phi, gamma):
     for mags in (np.abs(a), np.abs(a @ np.conj(spec.unitary))):
         assume(np.all(np.abs(mags - gamma) > 1e-9))
     b = np.exp(1j * phi) * a
-    assert measure_standard(b, gamma) == measure_standard(a, gamma)
-    assert measure_observable(b, spec, gamma) == \
-        measure_observable(a, spec, gamma)
+    standard = basis(spec.dim)
+    assert measure(b, standard, gamma) == measure(a, standard, gamma)
+    assert measure(b, spec, gamma) == measure(a, spec, gamma)
 
 
 def test_codes_cover_all_outcomes():
@@ -205,28 +204,42 @@ def test_codes_cover_all_outcomes():
     assert codes.tolist() == [0, NO_DETECTION, MULTIPLE_DETECTIONS]
 
 
-def test_outcome_dataclass_flags():
-    det = DetectionOutcome(Outcome.DETECTED, index=1, value=-1.0)
-    assert det.detected
-    assert not DetectionOutcome(Outcome.NO_DETECTION).detected
-
-
 @pytest.mark.parametrize("gamma", [np.nan, -1.0, np.inf])
 def test_single_vector_measurements_reject_bad_gamma(gamma):
     a2, a4 = np.array([0.1, 0.2]), np.array([0.5, 0.5, 0.5, 0.5])
-    spec = linalg.PAULI_SPECS["Z"]
-    u, part = ALICE_SETTINGS[next(iter(ALICE_SETTINGS))]
-    u_ctx, diags, _ = next(iter(MAGIC_CONTEXTS.values()))
-    calls = [lambda: measure_standard(a2, gamma),
-             lambda: measure_observable(a2, spec, gamma),
-             lambda: measure_projective(a4, u, part, gamma),
-             lambda: measure_triple(a4, u_ctx, diags, gamma),
-             lambda: replay_pauli(a2, gamma=gamma),
-             lambda: replay_magic_square(a4, gamma=gamma),
-             lambda: replay_local(a4, gamma=gamma)]
+    calls = [lambda: measure(a2, basis(2), gamma),
+             lambda: measure(a2, linalg.PAULI_SPECS["Z"], gamma),
+             lambda: measure(a4, LOCAL_SETTINGS["A"], gamma),
+             lambda: measure(a4, MAGIC_CONTEXTS["R1"], gamma),
+             lambda: replay(a2, linalg.PAULI_SPECS, gamma=gamma),
+             lambda: replay(a4, MAGIC_CONTEXTS, gamma=gamma),
+             lambda: replay(a4, LOCAL_SETTINGS, gamma=gamma)]
     for call in calls:
         with pytest.raises(ValueError, match="gamma must be non-negative"):
             call()
+
+
+def test_measure_rejects_a_dimension_mismatch():
+    with pytest.raises(ValueError, match="4 components"):
+        measure(np.array([1.0, 0.0]), MAGIC_CONTEXTS["R1"], 1.0)
+    with pytest.raises(ValueError, match="2 components"):
+        measure(np.ones((1, 2)), basis(2), 1.0)
+
+
+def test_identity_rotation_is_skipped_bit_for_bit():
+    # The identity is decided once; skipping the product a @ conj(I)
+    # leaves every code, and every subspace magnitude, unchanged.
+    m = LOCAL_SETTINGS["A"]
+    assert m.is_identity and not MAGIC_CONTEXTS["R1"].is_identity
+    model = NoiseModel(noise.SPHERE, 1.0, 4)
+    for start in range(0, 20 * 500, 500):
+        a = noise.realize_block(np.eye(4)[1], SQRT2 - 1.0, model, 5, start, 500)
+        rotated = a @ np.conj(m.unitary)
+        assert np.array_equal(group_magnitudes(rotated, m.groups),
+                              group_magnitudes(a, m.groups))
+        assert np.array_equal(detect_observable_block(a, m, 1.0),
+                              detection.detect_projective_block(
+                                  rotated, m.groups, 1.0))
 
 
 def _reference_codes(mags, gamma):

@@ -5,14 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from threshdet import detection, noise
-from threshdet.experiments import (ALICE_SETTINGS, BELL_STATE, BOB_SETTINGS,
-                                   JOINT_OBSERVABLES, LOCAL_PAIRS,
-                                   MAGIC_CONTEXTS, TSIRELSON_BOUND,
-                                   random_state, replay_local,
-                                   replay_magic_square, run_bell_state_checks,
-                                   run_chsh_joint, run_chsh_local,
-                                   run_magic_square, run_two_dim_examples)
+from threshdet import detection, experiments, linalg, noise, tomography
+from threshdet.experiments import (BELL_STATE, BELL_TILTED, JOINT_OBSERVABLES,
+                                   LOCAL_PAIRS, LOCAL_SETTINGS,
+                                   MAGIC_CONTEXTS, MAGIC_PRODUCTS,
+                                   TSIRELSON_BOUND, random_state, replay,
+                                   run_bell_state_checks, run_chsh_joint,
+                                   run_chsh_local, run_magic_square,
+                                   run_two_dim_examples)
+from threshdet.linalg import Measurement
 from threshdet.noise import CHUNK, NoiseModel
 
 TRIALS = 1 << 17  # enough statistics for coarse checks, fast in CI
@@ -25,18 +26,17 @@ def test_joint_observable_diagonals():
         "A'B": [-1, 1, 1, -1],
         "A'B'": [1, -1, -1, 1],
     }
-    for name, spec in JOINT_OBSERVABLES.items():
-        assert np.allclose(spec.eigenvalues, expected[name], atol=1e-12)
+    for name, m in JOINT_OBSERVABLES.items():
+        assert np.allclose(m.values, expected[name], atol=1e-12)
 
 
 def test_magic_context_products():
-    products = {name: float(np.prod([d for d in diags], axis=0).prod())
-                for name, (u, diags, exp) in MAGIC_CONTEXTS.items()}
     # elementwise triple product equals the expected sign on every component
-    for name, (u, diags, exp) in MAGIC_CONTEXTS.items():
-        triple = diags[0] * diags[1] * diags[2]
-        assert np.allclose(triple, exp), name
-    assert [exp for _, _, exp in MAGIC_CONTEXTS.values()] == [1, 1, 1, 1, 1, -1]
+    for name, m in MAGIC_CONTEXTS.items():
+        assert m.values.shape == (4, 3)
+        assert np.allclose(m.values.prod(axis=1), MAGIC_PRODUCTS[name]), name
+    assert list(MAGIC_PRODUCTS) == list(MAGIC_CONTEXTS)
+    assert list(MAGIC_PRODUCTS.values()) == [1, 1, 1, 1, 1, -1]
 
 
 def test_two_dim_examples_limits():
@@ -153,41 +153,60 @@ def test_worker_invariance_of_experiment_runs():
                for a, b in zip(l1.rows, l4.rows))
 
 
-REPLAY_MODELS = (NoiseModel(noise.SPHERE, 1.0, 4),
-                 NoiseModel(noise.GAUSSIAN, 1.0, 4))
+# Every shipped measurement table; the measurements of one table share a
+# dimension.
+TABLES = {
+    "basis-4": {"basis": Measurement(np.eye(4))},
+    "magic": MAGIC_CONTEXTS,
+    "local": LOCAL_SETTINGS,
+    "joint": JOINT_OBSERVABLES,
+    "tilted": {"tilted": BELL_TILTED},
+    "basis-2": {"basis": Measurement(np.eye(2))},
+    "pauli": linalg.PAULI_SPECS,
+    "bplus": {"B+": tomography.BPLUS},
+}
+REPLAY_MODELS = {4: (NoiseModel(noise.SPHERE, 1.0, 4),
+                     NoiseModel(noise.GAUSSIAN, 1.0, 4)),
+                 2: (NoiseModel(noise.SPHERE, 1.0, 2),
+                     NoiseModel(noise.GAUSSIAN, 1.0, 2))}
 
 
-@settings(max_examples=40, deadline=None)
-@given(model=st.sampled_from(REPLAY_MODELS),
+def test_replay_tables_cover_every_shipped_measurement():
+    # Every Measurement a module holds, alone or in a table, is replayed.
+    shipped = {id(m) for module in (linalg, experiments, tomography)
+               for value in vars(module).values()
+               for m in (value.values() if isinstance(value, dict)
+                         else [value])
+               if isinstance(m, Measurement)}
+    assert shipped <= {id(m) for t in TABLES.values() for m in t.values()}
+
+
+@settings(max_examples=160, deadline=None)
+@given(table=st.sampled_from(sorted(TABLES)), data=st.data(),
        seed=st.sampled_from([0, 20140731, 2**64 - 1]),
        start=st.one_of(st.integers(0, 64),
                        st.integers(CHUNK - 3, CHUNK + 1)),
        gamma=st.floats(0.0, 1.5),
-       bell=st.booleans())
-def test_replay_of_a_drawn_trial_matches_the_simulation(model, seed, start,
-                                                        gamma, bell):
-    # Replaying trial t through inject and the single-vector measurements
-    # gives, for every observable, the outcome the block kernels of a Monte
-    # Carlo run give row t, within a chunk and across its boundary.
-    alpha = BELL_STATE if bell else random_state(seed, 0)
+       design=st.booleans())
+def test_replay_of_a_drawn_trial_matches_the_simulation(table, data, seed,
+                                                        start, gamma, design):
+    # Replaying trial t through inject and the single-vector measurement
+    # gives, for every measurement of every table, the outcome the block
+    # kernel of a Monte Carlo run gives row t, within a chunk and across its
+    # boundary.
+    measurements = TABLES[table]
+    dim = next(iter(measurements.values())).dim
+    model = data.draw(st.sampled_from(REPLAY_MODELS[dim]))
+    if dim == 4:
+        alpha = BELL_STATE if design else random_state(seed, 0)
+    else:
+        alpha = np.array([1.0, 0.0]) if design else np.array([0.6, 0.8j])
     s, count, stream = np.sqrt(2.0) - 1.0, 3, 7
     block = noise.realize_block(alpha, s, model, seed, start, count, stream)
-    standard = detection.detect_standard_block(block, gamma)
-    contexts = {name: detection.detect_observable_block(block, u, gamma)
-                for name, (u, _, _) in MAGIC_CONTEXTS.items()}
-    parties = {**ALICE_SETTINGS, **BOB_SETTINGS}
-    local = {name: detection.detect_projective_block(block, u, part, gamma)
-             for name, (u, part) in parties.items()}
+    codes = {name: detection.detect_observable_block(block, m, gamma)
+             for name, m in measurements.items()}
     for row in range(count):
         w = noise.draw_noise_block(model, seed, start + row, 1, stream)[0]
         a = noise.inject(alpha, s, w)
-        assert detection.measure_standard(a, gamma) == \
-            detection._outcome_from_code(int(standard[row]))
-        for name, triple in replay_magic_square(a, gamma=gamma).items():
-            c = contexts[name][row]
-            diags = MAGIC_CONTEXTS[name][1]
-            assert triple == (None if c < 0 else tuple(d[c] for d in diags))
-        for name, outcome in replay_local(a, gamma=gamma).items():
-            c = local[name][row]
-            values = parties[name][1].values
-            assert outcome == ("NaN" if c < 0 else f"{values[c]:+.0f}")
+        assert replay(a, measurements, gamma=gamma) == \
+            {name: int(c[row]) for name, c in codes.items()}

@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from threshdet import linalg
-from threshdet.linalg import (B_MINUS, B_PLUS, H, I2, U_C3, U_R1, U_R3, V,
-                              W_MINUS, W_PLUS, X, Y, Z, NotDiagonalized,
-                              NotUnitary, ObservableSpec, standard_unitaries,
+from threshdet.linalg import (B_MINUS, B_PLUS, H, I2, U_C1, U_C2, U_C3, U_R1,
+                              U_R2, U_R3, V, W_MINUS, W_PLUS, X, Y, Z,
+                              Measurement, NotDiagonalized, NotUnitary,
                               tensor, verify_diagonalization)
 
 
@@ -26,7 +26,10 @@ def test_tensor_dimension():
 
 
 def test_all_named_unitaries_are_unitary():
-    for name, u in standard_unitaries().items():
+    named = {"I": I2, "X": X, "Y": Y, "Z": Z, "H": H, "V": V, "W+": W_PLUS,
+             "W-": W_MINUS, "U_R1": U_R1, "U_R2": U_R2, "U_R3": U_R3,
+             "U_C1": U_C1, "U_C2": U_C2, "U_C3": U_C3}
+    for name, u in named.items():
         err = np.abs(u.conj().T @ u - np.eye(u.shape[0])).max()
         assert err <= 1e-12, name
 
@@ -110,22 +113,35 @@ def test_norm_preservation_under_named_unitaries(seed):
                                                       rel=1e-12)
 
 
-def test_observable_spec_from_observable():
-    spec = ObservableSpec.from_observable(W_PLUS, B_PLUS)
-    assert spec.dim == 2
-    assert np.allclose(spec.eigenvalues, [-1.0, 1.0])
+def test_measurement_from_observable():
+    m = Measurement.from_observable(W_PLUS, B_PLUS)
+    assert m.dim == 2 and m.groups == ((0,), (1,)) and m.singletons
+    assert np.allclose(m.values, [-1.0, 1.0])
+    with pytest.raises(NotDiagonalized):
+        Measurement.from_observable(I2, X)
 
 
-def test_observable_spec_rejects_bad_unitary():
+def test_measurement_rejects_bad_unitary():
     with pytest.raises(NotUnitary):
-        ObservableSpec(unitary=np.ones((2, 2)), eigenvalues=[1.0, -1.0])
+        Measurement(np.ones((2, 2)), values=[1.0, -1.0])
+
+
+def test_measurement_is_read_only_and_leaves_its_inputs_alone():
+    u, values = H.copy(), np.array([1.0, -1.0])
+    m = Measurement(u, values=values)
+    with pytest.raises(ValueError):
+        m.unitary[0, 0] = 0
+    with pytest.raises(ValueError):
+        m.values[0] = 0
+    assert u.flags.writeable and values.flags.writeable
+    assert Measurement(np.eye(2)).is_identity and not m.is_identity
 
 
 def test_row3_sign_structure():
     # Detected Row-3 trials with Z(x)Z = +1 force the other two outcomes to
     # agree: the diagonals pair as (+1,+1) or (-1,-1) on those components.
     from threshdet.experiments import MAGIC_CONTEXTS
-    _, (d1, d2, d3), _ = MAGIC_CONTEXTS["R3"]
+    d1, d2, d3 = MAGIC_CONTEXTS["R3"].values.T
     for n in range(4):
         if d3[n] == 1.0:
             assert (d1[n], d2[n]) in {(1.0, 1.0), (-1.0, -1.0)}

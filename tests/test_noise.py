@@ -12,9 +12,8 @@ from scipy import integrate
 from threshdet import linalg, noise
 from threshdet.noise import (ANTICORRELATED_PHASE, BLOCH_UNIFORM, CHUNK,
                              GAUSSIAN, SINGLE_PHASE, SPHERE, InvalidModel,
-                             NoiseModel,
-                             RngStream, UnnormalizedState, draw_noise,
-                             draw_noise_block, inject, realize, realize_block)
+                             NoiseModel, UnnormalizedState, draw_noise_block,
+                             inject, realize_block)
 
 SQRT2 = np.sqrt(2.0)
 
@@ -80,8 +79,8 @@ def test_per_trial_reproducibility_is_order_independent():
     block = draw_noise_block(model, seed=11, start=0, count=200000)
     # Single-trial lookups and oddly-aligned blocks see identical values.
     for trial in (0, 1, 70000, 131071, 131072, 199999):
-        single = draw_noise(model, RngStream(seed=11, trial=trial))
-        assert np.array_equal(single, block[trial])
+        single = draw_noise_block(model, 11, trial, 1)
+        assert np.array_equal(single[0], block[trial])
     shifted = draw_noise_block(model, seed=11, start=65530, count=12)
     assert np.array_equal(shifted, block[65530:65542])
 
@@ -109,14 +108,14 @@ def test_unitary_invariance_of_noise(kind, expected):
 
 def test_realize_zero_noise():
     model = NoiseModel(GAUSSIAN, 0.0, 2)
-    a = realize(np.array([1.0, 0.0]), 1.0, model, RngStream(seed=0))
-    assert np.allclose(a, [1.0, 0.0], atol=1e-15)
+    a = realize_block(np.array([1.0, 0.0]), 1.0, model, 0, 0, 1)
+    assert np.allclose(a, [[1.0, 0.0]], atol=1e-15)
 
 
 def test_realize_rejects_unnormalized_state():
     model = NoiseModel(GAUSSIAN, 1.0, 2)
     with pytest.raises(UnnormalizedState):
-        realize(np.array([1.0, 1.0]), 1.0, model, RngStream(seed=0))
+        realize_block(np.array([1.0, 1.0]), 1.0, model, 0, 0, 1)
 
 
 def test_inject_reproduces_printed_magnitudes():
@@ -158,8 +157,8 @@ def test_realize_block_matches_single_draws():
     alpha = np.array([1.0, 0.0])
     block = realize_block(alpha, 0.5, model, seed=9, start=5, count=3)
     for k in range(3):
-        single = realize(alpha, 0.5, model, RngStream(seed=9, trial=5 + k))
-        assert np.array_equal(single, block[k])
+        single = realize_block(alpha, 0.5, model, 9, 5 + k, 1)
+        assert np.array_equal(single[0], block[k])
 
 
 # Every noise family, with an odd and an even dimension where both exist.

@@ -17,6 +17,7 @@ from scipy import integrate, special
 
 import threshdet
 from threshdet import detection, noise, probability
+from threshdet.linalg import H, Measurement
 from threshdet.noise import CHUNK, GAUSSIAN, SPHERE, NoiseModel
 from threshdet.probability import (BLOCK, DetectionStats, DomainTooSmall,
                                    estimate, marcum_q1, no_detection_prob,
@@ -96,6 +97,38 @@ def test_estimate_worker_invariance():
     four = estimate(alpha, SQRT2 - 1.0, model, workers=4, **kw)
     assert np.array_equal(one.counts, four.counts)
     assert one.no_detection == four.no_detection
+
+
+def test_estimate_tallies_the_measurement_it_is_given():
+    # Two groups of a 4-dim measurement give two counts, and the mean is
+    # weighted by the measurement's values.
+    model = NoiseModel(SPHERE, 1.0, 4)
+    alpha = np.array([1.0, 0.0, 0.0, 0.0])
+    m = Measurement(np.eye(4), ((0, 1), (2, 3)), (1.0, -1.0))
+    stats = estimate(alpha, SQRT2 - 1.0, model, 1.0, 20_000, 3,
+                     measurement=m)
+    assert stats.counts.shape == (2,)
+    assert stats.mean == pytest.approx(stats.p_hat[0] - stats.p_hat[1])
+    standard = estimate(alpha, SQRT2 - 1.0, model, 1.0, 20_000, 3)
+    assert standard.counts.shape == (4,) and standard.eigenvalues is None
+    with pytest.raises(ValueError, match="no eigenvalues"):
+        standard.mean
+
+
+def test_estimate_rejects_invalid_measurements():
+    model = NoiseModel(GAUSSIAN, 1.0, 2)
+    alpha = np.array([1.0, 0.0])
+    with pytest.raises(ValueError, match="dimension 4 on a noise model "
+                                         "of dimension 2"):
+        estimate(alpha, 1.0, model, 1.0, 100, 0,
+                 measurement=Measurement(np.eye(4)))
+    # Checked when the measurement is built, before any noise is drawn.
+    with pytest.raises(ValueError, match="unitarity"):
+        estimate(alpha, 1.0, model, 1.0, 100, 0,
+                 measurement=Measurement(np.ones((2, 2)), values=[1, -1]))
+    with pytest.raises(ValueError, match="value row per group"):
+        estimate(alpha, 1.0, model, 1.0, 100, 0,
+                 measurement=Measurement(H, values=[1, -1, 0]))
 
 
 def test_oracle_matches_monte_carlo():
