@@ -138,10 +138,7 @@ class Measurement:
                              "without overlap")
         values = self.values
         if values is not None:
-            # A view, not a copy: np.dot (DetectionStats.mean) rounds by
-            # memory layout, and from_observable's strided diagonal is what
-            # every recorded mean was computed from.
-            values = np.asarray(values, dtype=float).view()
+            values = np.array(values, dtype=float)
             if values.ndim == 0 or len(values) != len(groups):
                 raise ValueError(f"expected one value row per group "
                                  f"({len(groups)}), got shape {values.shape}")

@@ -1,26 +1,22 @@
 """Seedable generation of the hidden-variable noise vector w.
 
-Randomness is counter-based: trials are grouped into fixed chunks of
-``CHUNK`` draws, and each chunk is generated by a Philox generator keyed on
-(seed, stream, chunk index).  Trial t of a stream therefore always receives
-the same noise vector, independent of worker count or evaluation order.
-
-Each thread keeps a cursor on the last chunk it drew from: the chunk's
-address, the row after the last one drawn, and the live generator.  A draw
-that starts at that row continues the generator, so a chunk drawn in
-consecutive blocks costs the same as one full-chunk draw and gives the same
-values.
+Trials are grouped into fixed chunks of ``CHUNK`` = 2^14 draws, and each
+chunk is generated by its own SFC64 generator keyed by
+``SeedSequence(seed, spawn_key=(stream, chunk))``.  Trial t of a stream
+therefore always receives the same noise vector, independent of worker
+count or evaluation order.  A chunk is small enough that its arrays stay in
+a core's L2 cache from the draw to the tally, so it is realized in one
+block.
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-CHUNK = 1 << 16
+CHUNK = 1 << 14
 
 GAUSSIAN = "gaussian"
 SPHERE = "sphere"
@@ -73,7 +69,7 @@ def check_seed(seed) -> int:
 def _chunk_rng(seed: int, stream: int, chunk_index: int) -> np.random.Generator:
     ss = np.random.SeedSequence(entropy=check_seed(seed),
                                 spawn_key=(int(stream), int(chunk_index)))
-    return np.random.Generator(np.random.Philox(ss))
+    return np.random.Generator(np.random.SFC64(ss))
 
 
 def _clamp_magnitude(values: np.ndarray, target: float) -> np.ndarray:
@@ -105,25 +101,18 @@ def _variates(rng: np.random.Generator, kind: str, n: int,
 
 def _transform(model: NoiseModel, x: np.ndarray) -> np.ndarray:
     """Noise vectors from raw variates, one row per trial."""
-    n, d = len(x), model.dim
     sigma = model.sigma
     if model.kind in (GAUSSIAN, SPHERE):
-        # E[z z†] = I: real and imaginary parts i.i.d. with variance 1/2.
-        # Built in place, one complex array per call; each step rounds as
-        # sigma * (sqrt(1/2) * (re + 1j*im)) [/ ||z||] does.
-        z = np.empty((n, d), dtype=complex)
-        parts = z.view(float)
-        np.multiply(x[:, :d], _SQRT_HALF, out=parts[:, 0::2])
-        np.multiply(x[:, d:], _SQRT_HALF, out=parts[:, 1::2])
+        # Consecutive normals are (re, im) of one component.  E[z z†] = I:
+        # real and imaginary parts i.i.d. with variance 1/2.  The sphere
+        # divides by ||z|| = sqrt(1/2)·||x||, so its sqrt(1/2) cancels.
         if model.kind == GAUSSIAN:
-            z *= sigma
-            return z
-        norm = np.linalg.norm(z, axis=1, keepdims=True)
-        z *= sigma
-        z /= norm
-        return z
+            x *= sigma * _SQRT_HALF
+        else:
+            x *= sigma / np.sqrt(np.einsum("ij,ij->i", x, x))[:, None]
+        return x.view(complex)
     if model.kind == SINGLE_PHASE:
-        w = np.zeros((n, 2), dtype=complex)
+        w = np.zeros((len(x), 2), dtype=complex)
         w[:, 1] = _clamp_magnitude(sigma * np.exp(1j * x), sigma)
         return w
     if model.kind == ANTICORRELATED_PHASE:
@@ -137,10 +126,6 @@ def _transform(model: NoiseModel, x: np.ndarray) -> np.ndarray:
                             axis=1)
 
 
-# The per-thread cursor described in the module docstring.
-_cursor = threading.local()
-
-
 def _chunk_noise(model: NoiseModel, seed: int, stream: int, chunk_index: int,
                  rows: int, first: int = 0) -> np.ndarray:
     """Noise for trials [first, rows) of one chunk.
@@ -149,34 +134,19 @@ def _chunk_noise(model: NoiseModel, seed: int, stream: int, chunk_index: int,
     row, so rows [first, rows) are exactly those rows of a (CHUNK, ·) draw
     from the same generator.  A later row cannot be reached without drawing
     the rows before it (the ziggurat normal sampler consumes a variable
-    number of random words per value), so a fresh generator draws and
-    discards rows [0, first).  The calling thread's cursor saves that: when
-    the previous call on this thread ended at row ``first`` of the same
-    chunk, family and dimension, its generator is continued instead.
+    number of random words per value), so rows [0, first) are drawn and
+    discarded.
     """
-    key = (seed, stream, chunk_index, model.kind, model.dim)
-    cursor = getattr(_cursor, "state", None)
-    # Cleared while drawing, so a draw that raises leaves no stale cursor.
-    _cursor.state = None
-    if cursor is not None and cursor[:2] == (key, first):
-        rng = cursor[2]
-    else:
-        rng = _chunk_rng(seed, stream, chunk_index)
-        if first:
-            _variates(rng, model.kind, first, model.dim)
-    x = _variates(rng, model.kind, rows - first, model.dim)
-    _cursor.state = (key, rows, rng)
-    return _transform(model, x)
+    rng = _chunk_rng(seed, stream, chunk_index)
+    if first:
+        _variates(rng, model.kind, first, model.dim)
+    return _transform(model, _variates(rng, model.kind, rows - first,
+                                       model.dim))
 
 
 def draw_noise_block(model: NoiseModel, seed: int, start: int, count: int,
                      stream: int = 0) -> np.ndarray:
-    """Noise vectors for trials [start, start+count) of one stream.
-
-    A call that starts where the previous call on the same thread ended, in
-    the same chunk, continues that chunk's generator (see ``_chunk_noise``),
-    so drawing a chunk in consecutive blocks costs one draw of the chunk.
-    """
+    """Noise vectors for trials [start, start+count) of one stream."""
     if start < 0 or count < 0:
         raise ValueError("start and count must be non-negative")
     parts = []

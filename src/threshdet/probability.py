@@ -20,11 +20,6 @@ from . import detection, noise
 from .linalg import Measurement
 from .noise import CHUNK, NoiseModel
 
-# Rows realized and tallied at a time inside a chunk.  Each block's arrays
-# stay in a core's L2 cache through draw, transform and kernel; smaller
-# blocks pay more per-call overhead than the cache saves.
-BLOCK = CHUNK // 4
-
 
 class DomainTooSmall(ValueError):
     """Closed-form Marcum Q bounds require b > a."""
@@ -165,14 +160,14 @@ _TRIM_THRESHOLD = 2 * _MMAP_THRESHOLD
 
 @functools.cache
 def _reuse_freed_memory() -> None:
-    """Keep freed block temporaries in the heap, once per process.
+    """Keep freed chunk temporaries in the heap, once per process.
 
-    Every block allocates and frees arrays of up to 1 MiB.  Under glibc's
+    Every chunk allocates and frees arrays of up to 1 MiB.  Under glibc's
     starting thresholds such an array is a fresh mmap, or the heap top it was
-    freed into is returned to the kernel, so the next block faults in zeroed
-    pages again: about 5600 page faults per sphere d=4 chunk (a third of its
-    time), against 4 with these settings.  Without ``mallopt`` (not glibc)
-    nothing is set.
+    freed into is returned to the kernel, so the next chunk faults in zeroed
+    pages again: about 5600 page faults per 65 536 sphere d=4 rows (a third
+    of their time), against 4 with these settings.  Without ``mallopt`` (not
+    glibc) nothing is set.
     """
     import ctypes  # deferred: only Monte Carlo runs need it
 
@@ -192,7 +187,7 @@ def _reuse_freed_memory() -> None:
 def map_chunks(fn, jobs, workers: int = 1) -> list:
     """Apply a chunk worker to all jobs, optionally on a shared thread pool.
 
-    The chunk kernels spend their time in numpy's Philox fills, ufuncs and
+    The chunk kernels spend their time in numpy's random fills, ufuncs and
     BLAS calls, which release the GIL, so chunks run concurrently on threads;
     BLAS itself runs single-threaded (see ``_single_thread_blas``), and
     freed memory stays in the heap (see ``_reuse_freed_memory``).
@@ -208,14 +203,14 @@ def map_chunks(fn, jobs, workers: int = 1) -> list:
 
 
 def tally_chunks(ensembles, kernel, workers: int = 1) -> np.ndarray:
-    """Integer tallies of ``kernel`` summed over the blocks of each ensemble.
+    """Integer tallies of ``kernel`` summed over the chunks of each ensemble.
 
     An ensemble is ``(alpha, s, model, seed, stream, trials)``.  Its trials
     are cut into chunks of ``CHUNK``, one pool job each.  A job realizes its
-    chunk ``BLOCK`` rows at a time and passes each block to
-    ``kernel(i, a)``, where i is the ensemble's index; the kernel returns a
-    fixed-length integer tally that adds over rows.  Row i of the result is
-    the sum of ensemble i's block tallies.
+    chunk in one block and passes it to ``kernel(i, a)``, where i is the
+    ensemble's index; the kernel returns a fixed-length integer tally that
+    adds over rows.  Row i of the result is the sum of ensemble i's chunk
+    tallies.
     """
     ensembles = list(ensembles)
     if not ensembles or min(trials for *_, trials in ensembles) < 1:
@@ -226,12 +221,8 @@ def tally_chunks(ensembles, kernel, workers: int = 1) -> np.ndarray:
     def run(job):
         i, start, count = job
         alpha, s, model, seed, stream, _ = ensembles[i]
-        end = start + count
-        # The blocks continue one chunk generator (noise's per-thread
-        # cursor), so they are exactly the rows of a full-chunk draw.
-        return np.sum([kernel(i, noise.realize_block(
-            alpha, s, model, seed, b, min(BLOCK, end - b), stream))
-            for b in range(start, end, BLOCK)], axis=0)
+        return kernel(i, noise.realize_block(alpha, s, model, seed, start,
+                                             count, stream))
 
     tallies = map_chunks(run, jobs, workers)
     total = np.zeros((len(ensembles), len(tallies[0])), dtype=np.int64)

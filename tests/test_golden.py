@@ -3,11 +3,11 @@
 The digests pin the exact bytes the simulator writes at a fixed seed: the
 --output file as CSV and as JSON, and the text printed to stdout.  Any
 change to the noise stream, the detection rule, the reductions or the
-rendering shows up here.  Trial counts are small; 70000 = 2^16 + 4464 spans
-one full and one partial chunk.  magic-square runs twice: 5000 trials per
-state use only a prefix of each state's first chunk, and 70000 trials per
-state give every state several chunks.  Every case runs at several
-worker counts against the same digest.  ``replay`` draws nothing and
+rendering shows up here.  Trial counts are small; 70000 = 4·2^14 + 4464
+spans four full chunks and one partial one.  magic-square runs twice: 5000
+trials per state use only a prefix of each state's first chunk, and 70000
+trials per state give every state several chunks.  Every case runs at
+several worker counts against the same digest.  ``replay`` draws nothing and
 rejects ``--workers``; it runs on each of three printed realizations.
 """
 
@@ -24,82 +24,82 @@ GOLDEN = {
     "detect-probs": (
         ["detect-probs", "--alpha", "0.6,0.8", "--noise", "gaussian",
          "--trials", TRIALS],
-        "4117a0a27a9f0f8b7a4f0572ae4b9340cd6325247f9e578b65786e42d384a482"),
+        "fcca55cc852812d2b58d104010952adb4fc3254746321be0fea2bfb838fbf790"),
     "born": (
         ["born", "--trials", TRIALS],
-        "9543b9ffda0e00a3b3a26f19160e3c361feaf337c4c4d5f268bf297634da177d"),
+        "ec75d64aee431adf5a4dbbfc0d573e2db39c1a6e17e1207178c130238467dd72"),
     "tomography": (
         ["tomography", "--alpha", "0.6,0.8i", "--trials", TRIALS],
-        "484937098772277e9c57eefb4041d318923a962576487a46f90bbd004a6d75d8"),
+        "af5b72522ad949eda5d99b156d50ba833a9918c2c534698467b99e5f08031e9c"),
     "magic-square": (
         ["magic-square", "--states", "3", "--trials", "5000"],
-        "d0f3bdec6607a8fba94be7a01710a0d11af5420bfc74ffc8f5cf0198d8e6f934"),
+        "ca4495136654c5a6330d134b67587cd892ff319ccf6a4e7fa0dc5b2e84ce3ac6"),
     "magic-square-multichunk": (
         ["magic-square", "--states", "2", "--trials", TRIALS],
-        "546994ff125a89fe12e3abdef83a6dc32d34950718b39fc54155b47b02331821"),
+        "00c390df6adfc399ad36ef23aed15b4454f1f2a6428113a56fa516bca0c750c0"),
     "chsh-joint-sphere": (
         ["chsh-joint", "--noise", "sphere", "--trials", TRIALS],
-        "7f705c7ef1d2ddfe7847d15e08fa3ac1fc2a037262b2b75a5f6aa7544fd1472a"),
+        "0d17f5cad64775aa8089b717b81d755dfbfa520ff51fc2ae4eacaffd0552ba57"),
     "chsh-joint-gaussian": (
         ["chsh-joint", "--noise", "gaussian", "--trials", TRIALS],
-        "44ce4d8c3e1356e689478af367117ac043c054a650d8a1912e9b8de89da2c690"),
+        "274038a7a0e3a8cc154305a7e51fbd0b5b69e1b6e3ff339e4c3f2b515827c9f7"),
     "chsh-local": (
         ["chsh-local", "--trials", TRIALS],
-        "1e2aa8a3892d8e2df82585583902c1664e67a37ecec552a9e0ded176d170a6c2"),
+        "d73fb687e8bb413402ddbf7c291a40e7b7287786d6e769026610188bfed1c871"),
     "chsh-local-gaussian": (
         ["chsh-local", "--noise", "gaussian", "--trials", TRIALS],
-        "f4243c01feea99c16d80505e8f0d384a9765c6bf864b400e43978718f1f38e86"),
+        "3819305c315ad782f171b8c3ebeacdfd45db51d48e1bbfb416d1cb20916fe0b2"),
     "bell-state": (
         ["bell-state", "--trials", TRIALS],
-        "3d7d2082473db9436cfe429f687936935b0ca1657ff57ebb0e3ba3edc5698893"),
+        "b6488c132b0a367108436b49280993f5161d8061ed1f3ca8a1272bda8b6ecfbb"),
     "two-dim": (
         ["two-dim", "--trials", TRIALS],
-        "d43f847cfc754e6be63bcdf35b96a263b35542557c8b56e003fd2e0c7476420e"),
+        "e2c3dac3a69de8e0a4bf358cf49aa545e0b39d2bd43b7721d3f6ea811961a8df"),
     "oracle": (
         ["oracle", "--alpha", "0.8,0.6", "--s", "1", "--gamma", "2",
          "--mc-trials", TRIALS],
-        "8f4fc0daf60b60b4d4a3a77ce6cf3c29249857187d17772ce1664717b9c603fe"),
+        "a33d0332cc56e4e8e50fa0567b9841469c08b4400a1769a0a8d2fef3a77c63d1"),
 }
 
 
 # (--format json file, stdout) of each GOLDEN case.
 JSON_AND_STDOUT = {
     "bell-state": (
-        "88e4e2cd9e49e1e7478d4bee4ea1b82ac236848817ec77efa06f9b7e1c1038a8",
-        "ee378144c0f8feb1a17b47f0040303d521c323e1c14c0c91615b3c64e2b4d59e"),
+        "6e2feb41e1d95f05961f99de2b581c106bb4476b5cf04edc9d4f6d5eb49bbdc7",
+        "521720ed869c57d3c9bf9bc7c3af60c0210caa9af7a57a2a0ef1df90b75d9b6e"),
     "born": (
-        "f82a67c97c8d706e20e4b8f9a8e73f01a69843ac0f4b22aa1cf369b6482fb2a8",
-        "8d57774dcd1a940bcdb9521375958874fbe7d4f2df893cb3a232f001e6722778"),
+        "abe901f1e80b794d11124f5c1733aa361275a9c5038f0525fc4db124684ca8db",
+        "960dcb21720c34c69310fda4cd6f80980ebcf235e41fbd8863f3c30159e0a68b"),
     "chsh-joint-gaussian": (
-        "5588eae183fa62ae312316e445c29940ce412bde989f64f97432c02007d38588",
-        "43ce297bd900dfd387d5cd40f760eb131789622ea217f2ac55b0bc2115977f93"),
+        "2f4b590de6e7f248a3078bf837429239b7e5685916ba53f6cb12aa5d59f5490a",
+        "9f60e1bd4a985ff266ecc1de8b632ac085c5bbdd922ce9301a7c0ff578edd8f1"),
     "chsh-joint-sphere": (
-        "b064af7e166dbf00fe29e20178191e9bbed2a428aabb643784fe8396fc82fa92",
-        "37acafbe4136368c38512d13d07e2f0f6f90c42ba32b644c51b8e55a8aa4ae8e"),
+        "05590a923cffbe3c090ee9e96af79ae97ff23a1663ec022e0ddf3ea00de51293",
+        "a6b16583126ba76a453ee339fda2e333e3ff85e75d73022a698edf9a9afc5c6f"),
     "chsh-local": (
-        "ab906da76e6f5033802d63b76df86833c500d0054b69f9fe98b5b3a2a0434fab",
-        "38f38f5f56018207dfc7d53c9a51ee7e2ddcfb6d726d62171bf22fa1be28afa2"),
+        "c08b2b928da0b49b420d521d70b7aae9d33ab95946799c35cafcff11180b7906",
+        "e725b080c369fb5c82549acd89a9fe753c9350075b051818b77bd191a3beea8c"),
     "chsh-local-gaussian": (
-        "f414715c01b5661bdc0cf53f07ff5177f278df148e88e55446f1810ba000cc72",
-        "007ce430e49c737f91f69eb43c6a7868cf090f60d8ab1f7c3f804cffc92e2e3a"),
+        "efe4fe22e13bc1a2a6dae1b07ae09cca577faa0a5a755459f1f01d7870146b0f",
+        "c1e411a67b78b4f209c31c85c3a99df8cef69ed0a6460b9397a08018e2660a2c"),
     "detect-probs": (
-        "cf8812810b3faa5821a147debd1c058ed9f9202b58aa6da88acc83838c019af4",
-        "9d9c0fe1ff24a55d1a518b295c21ef1a14c961857f6f65f9674604cd7f6b587e"),
+        "df33822a9c5c5590a1c94a1eb9751644db6c8e2a50615160e4fe2d43ab868324",
+        "aef27ff20301ff2787869f7fb7396456ae14ed4f0675aa1c679652c821829ebf"),
     "magic-square": (
-        "12005ad31edb5697d80061da6fbd57fbe1bbd89f6330406f4410241654fef69d",
-        "3aa13080828c964a2520b57f8f9261cb0147022def7c031d5f1da45372ec9fdf"),
+        "0847045669ee2e6d5214bab90ce38c24fff4144a0bb11e891087ebfa45eab0bb",
+        "c4481bcef40a13e24976f2b1fd58c6c0c0ca3d486a6a1c509f7093ee9039f062"),
     "magic-square-multichunk": (
-        "7a001fbf6d7ed97de3b6b6e26180e1070d2b9ad19a37a4677505a284ba64aa63",
-        "3d0c2f83e2879a91ea85d3de6314675c041f2dd7b0c42dfce0a6ac6628f89e0c"),
+        "2d791dda611fd261e55a3d6a1e56a022d3f4906fadddf8f40f1d75410902e06e",
+        "8c3498f010e72a4606412517dfab10901ff1c0ae8e3d9bf24ccd4db4bb7bf3c6"),
     "oracle": (
-        "9a4d3cc84925a93db30471a2316f508efafbdc991dc28de6d5bafe3793fd7fb0",
-        "64d8859da4956c89bb4034e72499cf9c5604bf739127bd6b3b4241579e6b2a76"),
+        "6c34e576859335d988073eaad02ad7bbccc2a9e675ff670f33819212d84f6fd9",
+        "222ecaa3b356af6646d13ec1e9ac0e50a656b266c9ff50ab13bb88e1a1f86a17"),
     "tomography": (
-        "40cb483fcb68d3c4afb9feffa89f40afcaa3894757228ef26b0b928a47381ce1",
-        "a0f5b53c87db203a9d3d9f11a3e48761c01f8dcc9c0fbb3cfd53d0e04aad4344"),
+        "87233ff0e0685f14c3a0b3f9be6b5a7ec8d42e2f1752abed7fb4bad5f16c9b8c",
+        "c71abdaa7e5fe17240dda7b21f857c0584e347ee6dfa5c40d77be0e33c740310"),
     "two-dim": (
-        "ed8506a9bafa20422e3cd278c45b763dc5e9d19cbe14e432c8fe4a2535ae295c",
-        "d9ffd4242c7d44e5a5cef65e922f888cb48da0d786504db953cf4addbdc554f7"),
+        "3986e9af3c915911521ab89189c525870bd14bb1b5aa084345665733469bad43",
+        "d82277d34a69bd19c0d33a88f81424b3fc658e29696d9cdd09c89fd45bd2f6ea"),
 }
 
 # replay: flags, the realization, (CSV, JSON, stdout) digests.  The

@@ -137,6 +137,18 @@ def test_measurement_is_read_only_and_leaves_its_inputs_alone():
     assert Measurement(np.eye(2)).is_identity and not m.is_identity
 
 
+def test_measurement_owns_its_values():
+    # Writing to the caller's array afterwards must not reach the
+    # measurement, and a strided input is stored contiguous.
+    v = np.array([1.0, -1.0])
+    m = Measurement(I2, values=v)
+    v[0] = 5.0
+    assert m.values.tolist() == [1.0, -1.0]
+    strided = np.array([[1.0, 0.0], [-1.0, 0.0]])[:, 0]
+    assert not strided.flags.c_contiguous
+    assert Measurement(I2, values=strided).values.flags.c_contiguous
+
+
 def test_row3_sign_structure():
     # Detected Row-3 trials with Z(x)Z = +1 force the other two outcomes to
     # agree: the diagonals pair as (+1,+1) or (-1,-1) on those components.

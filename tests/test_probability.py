@@ -19,9 +19,9 @@ import threshdet
 from threshdet import detection, noise, probability
 from threshdet.linalg import H, Measurement
 from threshdet.noise import CHUNK, GAUSSIAN, SPHERE, NoiseModel
-from threshdet.probability import (BLOCK, DetectionStats, DomainTooSmall,
-                                   estimate, marcum_q1, no_detection_prob,
-                                   q1_bounds, single_detection_probs)
+from threshdet.probability import (DetectionStats, DomainTooSmall, estimate,
+                                   marcum_q1, no_detection_prob, q1_bounds,
+                                   single_detection_probs)
 
 SQRT2 = np.sqrt(2.0)
 
@@ -235,8 +235,8 @@ def test_tally_chunks_sums_chunks_per_ensemble():
                  (alpha, 0.4, model, 4, 7, 2 * CHUNK + 1)]
 
     def kernel(i, a):
-        # Every column adds over rows, as tallies must: a chunk is tallied
-        # in blocks.  Column 0 checks that rows land at their ensemble.
+        # Every column adds over rows, as tallies must: the driver sums
+        # chunk tallies.  Column 0 checks that rows land at their ensemble.
         crossed = np.abs(a) > 0.9
         return np.array([i * len(a), len(a), *crossed.sum(axis=0)])
 
@@ -252,8 +252,28 @@ def test_tally_chunks_sums_chunks_per_ensemble():
             probability.tally_chunks(ensembles, kernel, workers), expected)
 
 
+def test_tally_chunks_sees_at_most_chunk_rows_per_call():
+    # One job, and one kernel call, per chunk: no call sees more than
+    # CHUNK rows, which is what keeps a call's arrays in cache.
+    model = NoiseModel(SPHERE, 1.0, 4)
+    alpha = np.array([0.5, 0.5, 0.5, 0.5])
+    trials = 3 * CHUNK + 7
+    for workers in (1, 2):
+        rows = []
+
+        def kernel(_, a):
+            rows.append(len(a))
+            return np.array([len(a)])
+
+        (total,) = probability.tally_chunks(
+            [(alpha, 0.5, model, 1, 0, trials)], kernel, workers)
+        assert total.tolist() == [trials]
+        assert len(rows) == -(-trials // CHUNK)
+        assert max(rows) == CHUNK
+
+
 # Every noise family, at each dimension the workloads use.
-BLOCKED_MODELS = (
+TALLY_MODELS = (
     NoiseModel(GAUSSIAN, 1.0, 2),
     NoiseModel(SPHERE, 1.0, 4),
     NoiseModel(noise.SINGLE_PHASE, 1.0, 2),
@@ -264,7 +284,7 @@ BLOCKED_MODELS = (
 
 def _bits_and_codes(_, a):
     # Column sums of the raw bits wrap mod 2^64, so they add exactly over
-    # blocks, and one changed bit in any row changes them; the codes are
+    # chunks, and one changed bit in any row changes them; the codes are
     # the estimator's tally.
     codes = detection.detect_standard_block(a, 1.0)
     return np.concatenate([a.view(np.int64).sum(axis=0),
@@ -272,13 +292,12 @@ def _bits_and_codes(_, a):
 
 
 @settings(max_examples=25, deadline=None)
-@given(model=st.sampled_from(BLOCKED_MODELS),
-       trials=st.sampled_from([1, BLOCK + 1, CHUNK + 1, 70000])
+@given(model=st.sampled_from(TALLY_MODELS),
+       trials=st.sampled_from([1, CHUNK - 1, CHUNK + 1, 70000])
        | st.integers(min_value=1, max_value=2 * CHUNK + 3),
        seed=st.integers(min_value=0, max_value=2**64 - 1),
        stream=st.integers(min_value=0, max_value=50))
-def test_blocked_tallies_equal_whole_chunk_tallies(model, trials, seed,
-                                                   stream):
+def test_tallies_equal_per_chunk_tallies(model, trials, seed, stream):
     alpha = np.ones(model.dim) / np.sqrt(model.dim)
     ensemble = (alpha, 0.5, model, seed, stream, trials)
     expected = np.zeros(3 * model.dim + 2, dtype=np.int64)
@@ -408,8 +427,8 @@ def test_single_thread_blas_without_openblas(monkeypatch):
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
                     reason="sets glibc's malloc thresholds")
 def test_chunk_blocks_reuse_freed_pages():
-    # Returning each block's freed temporaries to the kernel cost about
-    # 5600 page faults per sphere d=4 chunk, a third of its time.
+    # Returning each chunk's freed temporaries to the kernel cost about
+    # 5600 page faults per 65 536 sphere d=4 rows, a third of their time.
     import resource  # POSIX only
 
     model = NoiseModel(SPHERE, 1.0, 4)
