@@ -1,10 +1,11 @@
 """Empirical detection-probability estimators and the analytic Gaussian oracle.
 
-The Monte Carlo estimator tallies single-detection frequencies over
-counter-based noise chunks, so results are independent of worker count.
-The analytic side expresses per-component crossing probabilities for
-independent Gaussian noise through the Marcum Q-function (equivalently the
-tail of a noncentral chi-squared distribution with two degrees of freedom).
+The Monte Carlo estimator tallies single-detection frequencies over noise
+chunks addressed by (seed, stream, chunk), so results are independent of
+worker count.  The analytic side expresses per-component crossing
+probabilities for independent Gaussian noise through the Marcum Q-function
+(equivalently the tail of a noncentral chi-squared distribution with two
+degrees of freedom), evaluated by ``scipy.special``'s ``_ncx2_sf`` ufunc.
 """
 
 from __future__ import annotations
@@ -260,16 +261,28 @@ def estimate(alpha, s: float, model: NoiseModel, gamma: float, trials: int,
 
 def marcum_q1(a: float, b: float) -> float:
     """Marcum Q-function Q1(a, b), the tail of a noncentral chi-squared
-    distribution with 2 degrees of freedom and noncentrality a² at b²."""
-    from scipy import stats  # deferred: costs most of the package import
+    distribution with 2 degrees of freedom and noncentrality a² at b².
 
+    Evaluated by ``_ncx2_sf``, the private Boost ufunc of ``scipy.special``
+    that scipy's ``ncx2.sf`` calls: the same bits, without importing scipy's
+    statistics package, which costs most of a cold oracle run.
+    """
+    # deferred: only the analytic oracle needs scipy
+    from scipy.special._ufuncs import _ncx2_sf
+
+    if not (np.isfinite(a) and np.isfinite(b)):
+        raise ValueError("arguments must be finite")
     if a < 0 or b < 0:
         raise ValueError("arguments must be non-negative")
     if b == 0.0:
         return 1.0
     if a == 0.0:
         return float(np.exp(-0.5 * b * b))
-    return float(stats.ncx2.sf(b * b, 2, a * a))
+    x = b * b
+    if x == np.inf:  # ncx2.sf gives 0 here, the bare ufunc nan
+        return 0.0
+    with np.errstate(over="ignore"):  # as in ncx2._sf
+        return float(_ncx2_sf(x, 2.0, a * a))
 
 
 def _below_threshold_probs(alpha, s: float, sigma: float,
@@ -314,6 +327,8 @@ def q1_bounds(a: float, b: float) -> tuple[float, float]:
     """Closed-form lower/upper envelopes of Q1(a, b), valid for b > a."""
     from scipy import special
 
+    if not (np.isfinite(a) and np.isfinite(b)):
+        raise ValueError("arguments must be finite")
     if a <= 0:
         raise ValueError("a must be positive")
     if b <= a:

@@ -94,6 +94,18 @@ def test_chsh_local_gaussian_shows_no_violation():
     assert res.s_d < 2.0
 
 
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**64 - 1),
+       noise_kind=st.sampled_from([noise.SPHERE, noise.GAUSSIAN]))
+def test_chsh_local_obeys_detection_loophole_bound(seed, noise_kind):
+    # chsh-local is a local hidden-variable model, so it can pass 2 only
+    # through the detection loophole: S_D <= 4/eta - 2 with
+    # eta = 2e/(1+e) (Garg & Mermin 1987; Larsson 1998).
+    res = run_chsh_local(1 << 14, seed, noise_kind=noise_kind)
+    eta = 2.0 * res.efficiency / (1.0 + res.efficiency)
+    assert res.s_d <= 4.0 / eta - 2.0
+
+
 def test_magic_square_no_violations_and_empty_overlap():
     res = run_magic_square(num_states=8, trials_per_state=1 << 12, seed=61)
     assert res.violation_count == 0

@@ -49,6 +49,47 @@ def test_marcum_limits():
         marcum_q1(-1.0, 1.0)
 
 
+def _criterion_10_cells():
+    # The (a, b) pairs of criterion 10's oracle grid, computed as
+    # single_detection_probs computes them.
+    alpha, sigma = np.array([0.8, 0.6]), 1.0
+    for s in (0.5, 1.0, 2.0):
+        for gamma in (2.0, 3.0, 4.0):
+            b = np.sqrt(2.0) * gamma / sigma
+            for lam in 2.0 * np.abs(s * alpha / sigma) ** 2:
+                yield np.sqrt(lam), b
+
+
+def test_marcum_bit_identical_to_ncx2_sf():
+    # marcum_q1 calls scipy.special's private _ncx2_sf, the ufunc behind
+    # stats.ncx2.sf, to keep scipy.stats out of the oracle.  This fails if
+    # a scipy release makes the two differ, which would move oracle bytes.
+    from scipy import stats
+
+    grid = [(a, b) for a in np.linspace(0.0, 10.0, 201)[1:]
+            for b in np.linspace(0.0, 12.0, 241)]
+    cells = [*grid, *_criterion_10_cells(), (1.0, 1e155), (10.0, 1e155)]
+    for a, b in cells:
+        assert marcum_q1(a, b) == float(stats.ncx2.sf(b * b, 2, a * a)), (a, b)
+    # b² overflows to inf: still 0.0, where the bare ufunc gives nan.
+    assert marcum_q1(1.0, 1e155) == 0.0
+    # a = 0 takes the closed form exp(-b²/2), within a few ulps of chi2.sf.
+    for b in [*np.linspace(0.0, 12.0, 241), 1e155]:
+        assert marcum_q1(0.0, b) == pytest.approx(
+            float(stats.ncx2.sf(b * b, 2, 0.0)), rel=1e-14, abs=0)
+
+
+@pytest.mark.parametrize("a, b", [(np.nan, 1.0), (np.inf, 1.0),
+                                  (1.0, np.nan), (1.0, np.inf),
+                                  (0.0, np.inf), (np.nan, 0.0),
+                                  (-np.inf, 1.0)])
+def test_marcum_and_bounds_reject_non_finite(a, b):
+    with pytest.raises(ValueError, match="finite"):
+        marcum_q1(a, b)
+    with pytest.raises(ValueError, match="finite"):
+        q1_bounds(a, b)
+
+
 def test_stats_outcome_accounting():
     stats = DetectionStats(counts=[30, 20], no_detection=40,
                            multiple_detections=10, trials=100)
@@ -441,8 +482,8 @@ def test_chunk_blocks_reuse_freed_pages():
 
 
 def test_cli_import_defers_scipy_stats():
-    # scipy.stats costs most of the package's import time and only the
-    # analytic oracle needs it.
+    # scipy.stats would cost most of the package's import time and no part
+    # of threshdet needs it (see test_oracle_never_imports_scipy_stats).
     src = Path(threshdet.__file__).resolve().parents[1]
     code = ("import sys; sys.path.insert(0, sys.argv[1]); import threshdet.cli; "
             "print('scipy.stats' in sys.modules)")
@@ -450,3 +491,20 @@ def test_cli_import_defers_scipy_stats():
                           capture_output=True, text=True, check=True,
                           timeout=120)
     assert done.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("extra", [[], ["--mc-trials", "4096", "--check"]])
+def test_oracle_never_imports_scipy_stats(extra):
+    # The oracle's Marcum Q comes from scipy.special alone: importing
+    # scipy.stats took 1.1 s and 73 MB, most of a cold oracle run.
+    src = Path(threshdet.__file__).resolve().parents[1]
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); "
+            "from threshdet import cli; "
+            "code = cli.main(['oracle', '--alpha', '0.8,0.6', '--s', '1', "
+            "'--gamma', '3', *sys.argv[2:]]); "
+            "print(code, 'scipy.stats' in sys.modules, "
+            "'scipy.special' in sys.modules)")
+    done = subprocess.run([sys.executable, "-c", code, str(src), *extra],
+                          capture_output=True, text=True, check=True,
+                          timeout=120)
+    assert done.stdout.splitlines()[-1] == "0 False True"
