@@ -27,7 +27,7 @@ _FLAGS = {
     "workers": {"type": int, "default": 1},
     "sigma": {"type": float, "default": 1.0},
     "gamma": {"type": float, "default": 1.0},
-    "s": {"type": float, "default": float(np.sqrt(2.0) - 1.0)},
+    "s": {"type": float, "default": noise.S_BOUNDED},
     "noise": {"choices": noise.KINDS, "default": noise.SPHERE},
     "alpha": {"default": "1,0",
               "help": "state components, comma separated (complex ok)"},
@@ -213,46 +213,30 @@ def _cmd_magic_square(args) -> None:
                                           workers=args.workers)
     rows = [{"context": name, "detections": n}
             for name, n in result.context_detections.items()]
-    summary = [{"states": result.num_states,
-                "trials_per_state": result.trials_per_state,
+    summary = [{"states": args.states, "trials_per_state": args.trials,
                 "violation_count": result.violation_count,
                 "six_way_overlap": result.six_way_overlap}]
     _emit(args, {"context_detections": rows, "summary": summary})
     if args.check:
         _require_detections(*result.context_detections.values())
         _require(result.violation_count == 0, "product relation violated")
-        _require(result.six_way_intersection_empty,
+        _require(result.six_way_overlap == 0,
                  "six-way index intersection is not empty")
-
-
-def _chsh_tables(result) -> dict:
-    if isinstance(result, experiments.ChshJointResult):
-        rows = [{"observable": name,
-                 "n_1": int(st.counts[0]), "n_2": int(st.counts[1]),
-                 "n_3": int(st.counts[2]), "n_4": int(st.counts[3]),
-                 "n": st.n_detected, "mean": st.mean,
-                 "stderr": st.mean_stderr,
-                 "detection_fraction": st.detection_fraction}
-                for name, st in result.stats.items()]
-        summary = [{"S_D": result.s_d, "S_D_err": result.s_d_err,
-                    "S_quantum": result.s_quantum}]
-    else:
-        rows = [{"alice": r.alice, "bob": r.bob,
-                 "n_uu": int(r.counts[0]), "n_ud": int(r.counts[1]),
-                 "n_du": int(r.counts[2]), "n_dd": int(r.counts[3]),
-                 "total": r.total, "mean": r.mean, "stderr": r.stderr}
-                for r in result.rows]
-        summary = [{"S_D": result.s_d, "S_D_err": result.s_d_err,
-                    "singles_fraction": result.singles_fraction,
-                    "coincidence_fraction": result.coincidence_fraction,
-                    "efficiency": result.efficiency}]
-    return {"correlations": rows, "summary": summary}
 
 
 def _cmd_chsh_joint(args) -> None:
     result = experiments.run_chsh_joint(args.noise, args.trials, args.seed,
                                         workers=args.workers)
-    _emit(args, _chsh_tables(result), trials=args.trials, noise=args.noise)
+    rows = [{"observable": name,
+             "n_1": int(st.counts[0]), "n_2": int(st.counts[1]),
+             "n_3": int(st.counts[2]), "n_4": int(st.counts[3]),
+             "n": st.n_detected, "mean": st.mean, "stderr": st.mean_stderr,
+             "detection_fraction": st.detection_fraction}
+            for name, st in result.stats.items()]
+    summary = [{"S_D": result.s_d, "S_D_err": result.s_d_err,
+                "S_quantum": experiments.TSIRELSON_BOUND}]
+    _emit(args, {"correlations": rows, "summary": summary},
+          trials=args.trials, noise=args.noise)
     if args.check:
         _require_detections(*(st.n_detected for st in result.stats.values()))
         _require(result.s_d > 2.0, f"S_D = {result.s_d:.4f} <= 2")
@@ -265,7 +249,17 @@ def _cmd_chsh_local(args) -> None:
     result = experiments.run_chsh_local(args.trials, args.seed,
                                         noise_kind=args.noise,
                                         workers=args.workers)
-    _emit(args, _chsh_tables(result), trials=args.trials, noise=args.noise)
+    rows = [{"alice": r.alice, "bob": r.bob,
+             "n_uu": int(r.counts[0]), "n_ud": int(r.counts[1]),
+             "n_du": int(r.counts[2]), "n_dd": int(r.counts[3]),
+             "total": r.total, "mean": r.mean, "stderr": r.stderr}
+            for r in result.rows]
+    summary = [{"S_D": result.s_d, "S_D_err": result.s_d_err,
+                "singles_fraction": result.singles_fraction,
+                "coincidence_fraction": result.coincidence_fraction,
+                "efficiency": result.efficiency}]
+    _emit(args, {"correlations": rows, "summary": summary},
+          trials=args.trials, noise=args.noise)
     if args.check:
         _require_detections(*(r.total for r in result.rows))
         if args.noise == noise.SPHERE:
@@ -286,7 +280,7 @@ def _cmd_bell_state(args) -> None:
     tilt_rows = [{"component": n + 1, "count": int(tilted.counts[n]),
                   "p_hat": float(tilted.p_hat[n]),
                   "stderr": float(tilted.stderr[n]),
-                  "quantum": float(result.quantum_tilted[n])}
+                  "quantum": float(experiments.QUANTUM_TILTED[n])}
                  for n in range(4)]
     _emit(args, {"standard_basis": std_rows, "tilted_observable": tilt_rows},
           trials=args.trials)
@@ -436,7 +430,7 @@ def main(argv=None) -> int:
     except CheckFailure as exc:
         sys.stderr.write(f"threshdet: check failed: {exc}\n")
         return 2
-    except (ValueError, OSError, tomography.InsufficientDetections) as exc:
+    except (ValueError, OSError) as exc:
         sys.stderr.write(f"threshdet: error: {exc}\n")
         return 1
     return 0

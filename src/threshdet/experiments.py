@@ -3,11 +3,16 @@
 Covers the two-dimensional warm-up configurations, the magic-square
 contextuality Monte Carlo, joint and local CHSH runs, and the Bell-state
 statistics checks, plus exact replay of injected realizations.
+
+Every chunk kernel returns histograms of shifted outcome codes (see
+``detection``); coincidences, singles, context detections and product
+violations are sums of their cells, taken after the map.  Result records
+hold only what a run measured, not its arguments or module constants.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -76,19 +81,18 @@ LOCAL_SETTINGS: dict[str, Measurement] = {
 }
 LOCAL_PAIRS = (("A", "B"), ("A", "B'"), ("A'", "B"), ("A'", "B'"))
 
-# The tilted Bell-state observable I(x)B+.
+# The tilted Bell-state observable I(x)B+, and the quantum probabilities of
+# its four outcomes on the Bell state.
 BELL_TILTED = Measurement.from_observable(tensor(I2, W_PLUS),
                                           tensor(I2, linalg.B_PLUS))
+QUANTUM_TILTED = np.abs(BELL_STATE @ np.conj(BELL_TILTED.unitary)) ** 2
 
 
 @dataclass
 class ChshJointResult:
-    noise_kind: str
-    trials: int
     stats: dict[str, DetectionStats]    # by JOINT_OBSERVABLES name
     s_d: float
     s_d_err: float
-    s_quantum: float = TSIRELSON_BOUND
 
 
 @dataclass
@@ -103,8 +107,6 @@ class PairRow:
 
 @dataclass
 class ChshLocalResult:
-    noise_kind: str
-    trials: int
     rows: list[PairRow]
     s_d: float
     s_d_err: float
@@ -115,24 +117,15 @@ class ChshLocalResult:
 
 @dataclass
 class MagicSquareResult:
-    num_states: int
-    trials_per_state: int
     context_detections: dict[str, int]
     violation_count: int
     six_way_overlap: int
-
-    @property
-    def six_way_intersection_empty(self) -> bool:
-        return self.six_way_overlap == 0
 
 
 @dataclass
 class BellStateResult:
     standard: DetectionStats
     tilted: DetectionStats
-    quantum_tilted: np.ndarray = field(
-        default_factory=lambda: np.abs(
-            BELL_STATE @ np.conj(BELL_TILTED.unitary)) ** 2)
 
 
 @dataclass
@@ -156,13 +149,14 @@ def run_two_dim_examples(trials: int, seed: int, *,
     sigma = 1.0
     basis = np.array([1.0, 0.0], dtype=complex)
     plus = np.array([1.0, 1.0], dtype=complex) / SQRT2
-    s_theorem1 = (SQRT2 - 1.0) * sigma
     configs = [
         ("single-phase basis state", noise.SINGLE_PHASE, basis, 1.1 * sigma),
         ("anti-correlated superposition", noise.ANTICORRELATED_PHASE, plus,
          1.001 * sigma),
-        ("bloch-uniform basis state", noise.BLOCH_UNIFORM, basis, s_theorem1),
-        ("bloch-uniform superposition", noise.BLOCH_UNIFORM, plus, s_theorem1),
+        ("bloch-uniform basis state", noise.BLOCH_UNIFORM, basis,
+         noise.S_BOUNDED),
+        ("bloch-uniform superposition", noise.BLOCH_UNIFORM, plus,
+         noise.S_BOUNDED),
     ]
     rows = []
     for i, (name, kind, alpha, s) in enumerate(configs):
@@ -179,7 +173,7 @@ def run_chsh_joint(noise_kind: str, trials: int, seed: int, *,
                    workers: int = 1) -> ChshJointResult:
     """Joint four-dimensional CHSH run with independent ensembles per observable."""
     if noise_kind == noise.SPHERE:
-        sigma, s, gamma = 1.0, SQRT2 - 1.0, 1.0
+        sigma, s, gamma = 1.0, noise.S_BOUNDED, 1.0
     elif noise_kind == noise.GAUSSIAN:
         sigma, s, gamma = 1.0, 1.0, 3.0
     else:
@@ -192,49 +186,47 @@ def run_chsh_joint(noise_kind: str, trials: int, seed: int, *,
              for i, (name, obs) in enumerate(JOINT_OBSERVABLES.items())}
     s_d, s_d_err = _chsh_value([st.mean for st in stats.values()],
                                [st.mean_stderr for st in stats.values()])
-    return ChshJointResult(noise_kind=noise_kind, trials=trials, stats=stats,
-                           s_d=s_d, s_d_err=s_d_err)
+    return ChshJointResult(stats=stats, s_d=s_d, s_d_err=s_d_err)
 
 
 def run_chsh_local(trials: int, seed: int, *, noise_kind: str = noise.SPHERE,
                    workers: int = 1) -> ChshLocalResult:
     """Local CHSH game: Alice and Bob measure the shared realization
     separately through subspace partitions; only coincidences are scored."""
-    sigma, gamma = 1.0, 1.0
-    s = (SQRT2 - 1.0) * sigma
-    model = NoiseModel(noise_kind, sigma, 4)
-    ensembles = [(BELL_STATE, s, model, seed, _STREAM_LOCAL_BASE + i, trials)
+    gamma = 1.0
+    model = NoiseModel(noise_kind, 1.0, 4)
+    ensembles = [(BELL_STATE, noise.S_BOUNDED, model, seed,
+                  _STREAM_LOCAL_BASE + i, trials)
                  for i in range(len(LOCAL_PAIRS))]
 
     def kernel(i, a):
+        # Joint histogram of Alice's and Bob's shifted codes (see detection).
         alice, bob = LOCAL_PAIRS[i]
         ca = detection.detect_observable_block(a, LOCAL_SETTINGS[alice], gamma)
         cb = detection.detect_observable_block(a, LOCAL_SETTINGS[bob], gamma)
-        da, db = ca >= 0, cb >= 0
-        coinc = da & db
-        # joint outcome cell: 2*alice_group + bob_group over coincidences
-        cells = np.bincount(2 * ca[coinc] + cb[coinc], minlength=4)
-        return np.append(cells, [np.count_nonzero(da | db),
-                                 np.count_nonzero(coinc)])
+        return np.bincount(4 * (ca + 2) + cb + 2, minlength=16)
 
-    per_pair = probability.tally_chunks(ensembles, kernel, workers)
+    # h[x, y]: trials where Alice's shifted code is x and Bob's is y.
+    joint = probability.tally_chunks(ensembles, kernel,
+                                     workers).reshape(-1, 4, 4)
     rows = []
-    for (alice, bob), tall in zip(LOCAL_PAIRS, per_pair):
-        counts = tall[:4]
+    for (alice, bob), h in zip(LOCAL_PAIRS, joint):
+        counts = h[2:, 2:].ravel()  # coincidences: (++, +-, -+, --)
         total = int(counts.sum())
         mean = (counts[0] - counts[1] - counts[2] + counts[3]) / total \
             if total else np.nan
         stderr = 1.0 / np.sqrt(total) if total else np.inf
-        rows.append(PairRow(alice=alice, bob=bob, counts=counts.copy(),
-                            total=total, mean=float(mean), stderr=stderr))
+        rows.append(PairRow(alice=alice, bob=bob, counts=counts, total=total,
+                            mean=float(mean), stderr=stderr))
     s_d, s_d_err = _chsh_value([r.mean for r in rows],
                                [r.stderr for r in rows])
-    singles = int(per_pair[:, 4].sum())
-    coincidences = int(per_pair[:, 5].sum())
-    n_total = trials * len(LOCAL_PAIRS)
+    n_total = trials * len(rows)
+    coincidences = sum(r.total for r in rows)
+    # Singles: Alice or Bob detects, so not both shifted codes are below 2.
+    singles = int(n_total - joint[:, :2, :2].sum())
     return ChshLocalResult(
-        noise_kind=noise_kind, trials=trials, rows=rows, s_d=s_d,
-        s_d_err=s_d_err, singles_fraction=singles / n_total,
+        rows=rows, s_d=s_d, s_d_err=s_d_err,
+        singles_fraction=singles / n_total,
         coincidence_fraction=coincidences / n_total,
         efficiency=coincidences / singles if singles else np.nan)
 
@@ -255,45 +247,42 @@ def run_magic_square(num_states: int, trials_per_state: int, seed: int, *,
     if num_states < 1:
         raise ValueError("num_states must be at least 1")
     sigma = 1.0
-    s = (SQRT2 - 1.0) * sigma
     model = NoiseModel(noise.SPHERE, sigma, 4)
-    ensembles = [(random_state(seed, i), s, model, seed,
+    ensembles = [(random_state(seed, i), noise.S_BOUNDED, model, seed,
                   _STREAM_MAGIC_NOISE_BASE + i, trials_per_state)
                  for i in range(num_states)]
-    k = len(MAGIC_CONTEXTS)
-    # Per context: the product of the three values at each component, and
-    # the product the operators require.
-    products = [(m, m.values.prod(axis=1), MAGIC_PRODUCTS[name])
-                for name, m in MAGIC_CONTEXTS.items()]
 
     def kernel(_, a):
-        # k context detection counts, k violation counts, six-way overlap
-        tally = np.zeros(2 * k + 1, dtype=np.int64)
+        # Per context, the histogram of its shifted codes (see detection);
+        # then the rows where all six contexts detect.
+        hists = []
         detected_all = np.ones(len(a), dtype=bool)
-        for i, (m, product, expected) in enumerate(products):
+        for m in MAGIC_CONTEXTS.values():
             codes = detection.detect_observable_block(a, m, sigma)
-            det = codes >= 0
-            tally[i] = np.count_nonzero(det)
-            tally[k + i] = np.count_nonzero(product[codes[det]] != expected)
-            detected_all &= det
-        tally[2 * k] = np.count_nonzero(detected_all)
-        return tally
+            hists.append(np.bincount(codes + 2, minlength=6))
+            detected_all &= codes >= 0
+        return np.append(hists, np.count_nonzero(detected_all))
 
     total = probability.tally_chunks(ensembles, kernel, workers).sum(axis=0)
+    # Detections of each component, per context.
+    detected = dict(zip(MAGIC_CONTEXTS, total[:-1].reshape(-1, 6)[:, 2:]))
+    # A violation is a detection of a component whose three values multiply
+    # to other than the product the context's operators require.
+    violations = 0
+    for name, m in MAGIC_CONTEXTS.items():
+        wrong = m.values.prod(axis=1) != MAGIC_PRODUCTS[name]
+        violations += int(detected[name][wrong].sum())
     return MagicSquareResult(
-        num_states=num_states, trials_per_state=trials_per_state,
-        context_detections={name: int(total[i])
-                            for i, name in enumerate(MAGIC_CONTEXTS)},
-        violation_count=int(total[k:2 * k].sum()),
-        six_way_overlap=int(total[2 * k]))
+        context_detections={name: int(n.sum())
+                            for name, n in detected.items()},
+        violation_count=violations, six_way_overlap=int(total[-1]))
 
 
 def run_bell_state_checks(trials: int, seed: int, *,
                           workers: int = 1) -> BellStateResult:
     """Bell-state statistics: perfect anti-correlation in the standard basis
     and the four-outcome conditional distribution of the tilted observable."""
-    sigma = 1.0
-    s = (SQRT2 - 1.0) * sigma
+    sigma, s = 1.0, noise.S_BOUNDED
     model = NoiseModel(noise.SPHERE, sigma, 4)
     std = probability.estimate(BELL_STATE, s, model, sigma, trials, seed,
                                stream=_STREAM_BELL_STANDARD, workers=workers)

@@ -18,6 +18,10 @@ import numpy as np
 
 CHUNK = 1 << 14
 
+# s at sigma = gamma = 1: the largest s at which noise of norm sigma never
+# takes two components over gamma, since ||a|| <= s + sigma.
+S_BOUNDED = float(np.sqrt(2.0) - 1.0)
+
 GAUSSIAN = "gaussian"
 SPHERE = "sphere"
 SINGLE_PHASE = "single_phase"

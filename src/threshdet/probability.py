@@ -244,8 +244,8 @@ def estimate(alpha, s: float, model: NoiseModel, gamma: float, trials: int,
                          f"of dimension {model.dim}")
 
     def kernel(_, a):
+        # Histogram of the shifted codes (see detection).
         codes = detection.detect_observable_block(a, m, gamma)
-        # Shifted codes: 0 multiple, 1 none, 2 + n a detection of group n.
         return np.bincount(codes + 2, minlength=len(m.groups) + 2)
 
     (total,) = tally_chunks([(alpha, s, model, seed, stream, trials)], kernel,
@@ -282,7 +282,10 @@ def marcum_q1(a: float, b: float) -> float:
     if x == np.inf:  # ncx2.sf gives 0 here, the bare ufunc nan
         return 0.0
     with np.errstate(over="ignore"):  # as in ncx2._sf
-        return float(_ncx2_sf(x, 2.0, a * a))
+        q = float(_ncx2_sf(x, 2.0, a * a))
+    if np.isnan(q):  # the ufunc gives up, at a² past about 9.2e18
+        raise ValueError(f"Marcum Q1 is not computable at a={a}, b={b}")
+    return q
 
 
 def _below_threshold_probs(alpha, s: float, sigma: float,

@@ -22,7 +22,7 @@ BPLUS = linalg.Measurement.from_observable(linalg.W_PLUS, linalg.B_PLUS)
 QUANTUM_BPLUS_EXPECTATION = -1.0 / np.sqrt(2.0)
 
 
-class InsufficientDetections(RuntimeError):
+class InsufficientDetections(ValueError):
     """Too few detections in some basis to form a usable estimate."""
 
 
@@ -69,8 +69,7 @@ def bplus_counterexample(trials: int, seed: int, *,
     whose value is ``QUANTUM_BPLUS_EXPECTATION``.
     """
     sigma = 1.0
-    s = np.sqrt(2.0) - 1.0
     model = NoiseModel(noise.SPHERE, sigma, 2)
-    return probability.estimate(np.array([1.0, 0.0]), s, model, sigma, trials,
-                                seed, measurement=BPLUS,
+    return probability.estimate(np.array([1.0, 0.0]), noise.S_BOUNDED, model,
+                                sigma, trials, seed, measurement=BPLUS,
                                 stream=_STREAM_BPLUS, workers=workers)

@@ -148,6 +148,14 @@ def test_oracle_check(capsys):
     assert "analytic" in out and "monte_carlo" in out
 
 
+def test_oracle_past_the_marcum_range_exits_1(capsys):
+    assert run(["oracle", "--alpha", "0.8,0.6", "--s", "3e9",
+                "--gamma", "3"]) == 1
+    captured = capsys.readouterr()
+    assert "Marcum Q1 is not computable" in captured.err
+    assert "nan" not in captured.out
+
+
 def test_csv_output_with_raw_columns(tmp_path, capsys):
     path = tmp_path / "out.csv"
     assert run(["bell-state", "--trials", TRIALS, "--output", str(path)]) == 0

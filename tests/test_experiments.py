@@ -9,7 +9,7 @@ from threshdet import detection, experiments, linalg, noise, tomography
 from threshdet.experiments import (BELL_STATE, BELL_TILTED, JOINT_OBSERVABLES,
                                    LOCAL_PAIRS, LOCAL_SETTINGS,
                                    MAGIC_CONTEXTS, MAGIC_PRODUCTS,
-                                   TSIRELSON_BOUND, random_state, replay,
+                                   QUANTUM_TILTED, random_state, replay,
                                    run_bell_state_checks, run_chsh_joint,
                                    run_chsh_local, run_magic_square,
                                    run_two_dim_examples)
@@ -63,7 +63,6 @@ def test_chsh_joint_sphere_violates_classical_bound():
     res = run_chsh_joint(noise.SPHERE, TRIALS, seed=41)
     assert res.s_d > 2.0 + 10 * res.s_d_err
     assert res.s_d < 4.0
-    assert res.s_quantum == TSIRELSON_BOUND
     signs = [np.sign(st.mean) for st in res.stats.values()]
     assert signs == [1.0, 1.0, -1.0, 1.0]
 
@@ -110,8 +109,15 @@ def test_magic_square_no_violations_and_empty_overlap():
     res = run_magic_square(num_states=8, trials_per_state=1 << 12, seed=61)
     assert res.violation_count == 0
     assert res.six_way_overlap == 0
-    assert res.six_way_intersection_empty
     assert all(v > 0 for v in res.context_detections.values())
+
+
+def test_magic_square_violation_counter_counts(monkeypatch):
+    # C3's three values multiply to -1 on every component, so requiring +1
+    # makes every C3 detection a violation, and no other context's.
+    monkeypatch.setitem(experiments.MAGIC_PRODUCTS, "C3", +1)
+    res = run_magic_square(num_states=2, trials_per_state=1 << 12, seed=61)
+    assert res.violation_count == res.context_detections["C3"] > 0
 
 
 def test_magic_square_rejects_zero_states():
@@ -138,10 +144,10 @@ def test_bell_state_checks():
     assert res.tilted.p_hat[0] < 0.1
     assert 0.4 < res.tilted.p_hat[1] < 0.5
     assert 0.4 < res.tilted.p_hat[2] < 0.5
-    assert res.quantum_tilted == pytest.approx(
+    assert QUANTUM_TILTED == pytest.approx(
         [0.0732233, 0.4267767, 0.4267767, 0.0732233], abs=1e-6)
-    assert res.quantum_tilted.sum() == pytest.approx(1.0, rel=1e-12)
-    assert np.abs(res.tilted.p_hat - res.quantum_tilted).max() > 0.02
+    assert QUANTUM_TILTED.sum() == pytest.approx(1.0, rel=1e-12)
+    assert np.abs(res.tilted.p_hat - QUANTUM_TILTED).max() > 0.02
 
 
 def test_local_violation_below_joint():
@@ -163,6 +169,56 @@ def test_worker_invariance_of_experiment_runs():
     assert l1.s_d == l4.s_d
     assert all(np.array_equal(a.counts, b.counts)
                for a, b in zip(l1.rows, l4.rows))
+
+
+def _codes(alpha, stream, seed, trials, table, names):
+    # Codes of each named measurement of ``table`` on the stream's trials.
+    model = NoiseModel(noise.SPHERE, 1.0, 4)
+    a = noise.realize_block(alpha, noise.S_BOUNDED, model, seed, 0, trials,
+                            stream)
+    return [detection.detect_observable_block(a, table[name], 1.0).tolist()
+            for name in names]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_chsh_local_recounts_row_by_row(workers):
+    # The pair counts and the fractions, recounted trial by trial from the
+    # two parties' codes, past a chunk boundary.
+    trials, seed = CHUNK + 3, 93
+    res = run_chsh_local(trials, seed, workers=workers)
+    singles = coincidences = 0
+    for i, (row, pair) in enumerate(zip(res.rows, LOCAL_PAIRS)):
+        counts = [0, 0, 0, 0]
+        for ca, cb in zip(*_codes(BELL_STATE, experiments._STREAM_LOCAL_BASE
+                                  + i, seed, trials, LOCAL_SETTINGS, pair)):
+            singles += ca >= 0 or cb >= 0
+            if ca >= 0 and cb >= 0:
+                counts[2 * ca + cb] += 1
+        assert row.counts.tolist() == counts
+        assert row.total == sum(counts)
+        coincidences += sum(counts)
+    n_total = trials * len(LOCAL_PAIRS)
+    assert res.singles_fraction == singles / n_total
+    assert res.coincidence_fraction == coincidences / n_total
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_magic_square_recounts_row_by_row(workers):
+    # Context detections and the six-way overlap, recounted trial by trial.
+    states, trials, seed = 2, CHUNK + 3, 95
+    res = run_magic_square(states, trials, seed, workers=workers)
+    detections = dict.fromkeys(MAGIC_CONTEXTS, 0)
+    overlap = 0
+    for i in range(states):
+        codes = _codes(random_state(seed, i),
+                       experiments._STREAM_MAGIC_NOISE_BASE + i, seed, trials,
+                       MAGIC_CONTEXTS, MAGIC_CONTEXTS)
+        for row in zip(*codes):
+            for name, code in zip(MAGIC_CONTEXTS, row):
+                detections[name] += code >= 0
+            overlap += all(code >= 0 for code in row)
+    assert res.context_detections == detections
+    assert res.six_way_overlap == overlap
 
 
 # Every shipped measurement table; the measurements of one table share a

@@ -90,6 +90,14 @@ def test_marcum_and_bounds_reject_non_finite(a, b):
         q1_bounds(a, b)
 
 
+def test_marcum_rejects_a_past_the_ufunc_range():
+    # Boost's ncx2 survival function gives nan for a noncentrality a² past
+    # about 9.2e18, even at b = 1 where Q1 is 1 to double precision.
+    assert marcum_q1(3.0e9, 1.0) == 1.0
+    with pytest.raises(ValueError, match=r"a=3100000000\.0, b=1\.0"):
+        marcum_q1(3.1e9, 1.0)
+
+
 def test_stats_outcome_accounting():
     stats = DetectionStats(counts=[30, 20], no_detection=40,
                            multiple_detections=10, trials=100)
