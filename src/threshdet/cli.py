@@ -61,8 +61,11 @@ class _Parser(argparse.ArgumentParser):
 def parse_alpha(text: str, normalize: bool = False) -> np.ndarray:
     comps = []
     for token in text.split(","):
-        token = token.strip().replace("i", "j")
-        comps.append(complex(token))
+        try:
+            comps.append(complex(token.strip().replace("i", "j")))
+        except ValueError:
+            raise ValueError(f"--alpha: bad component {token.strip()!r}") \
+                from None
     alpha = np.array(comps, dtype=complex)
     if normalize:
         norm = np.linalg.norm(alpha)
@@ -249,11 +252,11 @@ def _cmd_chsh_local(args) -> None:
     result = experiments.run_chsh_local(args.trials, args.seed,
                                         noise_kind=args.noise,
                                         workers=args.workers)
-    rows = [{"alice": r.alice, "bob": r.bob,
+    rows = [{"alice": alice, "bob": bob,
              "n_uu": int(r.counts[0]), "n_ud": int(r.counts[1]),
              "n_du": int(r.counts[2]), "n_dd": int(r.counts[3]),
              "total": r.total, "mean": r.mean, "stderr": r.stderr}
-            for r in result.rows]
+            for (alice, bob), r in result.rows.items()]
     summary = [{"S_D": result.s_d, "S_D_err": result.s_d_err,
                 "singles_fraction": result.singles_fraction,
                 "coincidence_fraction": result.coincidence_fraction,
@@ -261,7 +264,7 @@ def _cmd_chsh_local(args) -> None:
     _emit(args, {"correlations": rows, "summary": summary},
           trials=args.trials, noise=args.noise)
     if args.check:
-        _require_detections(*(r.total for r in result.rows))
+        _require_detections(*(r.total for r in result.rows.values()))
         if args.noise == noise.SPHERE:
             _require(result.s_d > 2.0, f"S_D = {result.s_d:.4f} <= 2")
         else:
@@ -271,9 +274,8 @@ def _cmd_chsh_local(args) -> None:
 
 
 def _cmd_bell_state(args) -> None:
-    result = experiments.run_bell_state_checks(args.trials, args.seed,
-                                               workers=args.workers)
-    std, tilted = result.standard, result.tilted
+    std, tilted = experiments.run_bell_state_checks(args.trials, args.seed,
+                                                    workers=args.workers)
     std_rows = [{"component": n + 1, "count": int(std.counts[n]),
                  "p_hat": float(std.p_hat[n])}
                 for n in range(4)]
@@ -291,11 +293,13 @@ def _cmd_bell_state(args) -> None:
 
 
 def _cmd_two_dim(args) -> None:
-    rows = [{"name": r.name, "noise": r.kind, "s": r.s, "gamma": r.gamma,
-             "P0": r.stats.P0_hat, "P1": float(r.stats.P_hat[0]),
-             "P2": float(r.stats.P_hat[1]), "Pinf": r.stats.Pinf_hat}
-            for r in experiments.run_two_dim_examples(args.trials, args.seed,
-                                                      workers=args.workers)]
+    stats = experiments.run_two_dim_examples(args.trials, args.seed,
+                                             workers=args.workers)
+    rows = [{"name": name, "noise": kind, "s": s, "gamma": 1.0,
+             "P0": st.P0_hat, "P1": float(st.P_hat[0]),
+             "P2": float(st.P_hat[1]), "Pinf": st.Pinf_hat}
+            for (name, (kind, _, s)), st
+            in zip(experiments.TWO_DIM_SETUPS.items(), stats.values())]
     _emit(args, {"two_dim_examples": rows}, trials=args.trials)
     if args.check:
         by_name = {r["name"]: r for r in rows}
@@ -339,6 +343,14 @@ _TAGS = {detection.NO_DETECTION: "no_detection",
          detection.MULTIPLE_DETECTIONS: "multiple_detections"}
 
 
+def _outcome_rows(a, table, gamma) -> list[dict]:
+    """The value each measurement of ``table`` reports on ``a``, or NaN."""
+    codes = experiments.replay(a, table, gamma=gamma)
+    return [{"setting": name, "outcome": "NaN" if code < 0
+             else f"{table[name].values[code]:+.0f}"}
+            for name, code in codes.items()]
+
+
 def _cmd_replay(args) -> None:
     w = noise.load_vector(args.file)
     if args.alpha is None:  # the first basis state of the file's dimension
@@ -349,6 +361,9 @@ def _cmd_replay(args) -> None:
     tables = {"injected_outcome": [
         {"tag": _TAGS.get(code, "detected"),
          "index": code + 1 if code >= 0 else -1}]}
+    if len(a) == 2:
+        tables["pauli_outcomes"] = _outcome_rows(a, linalg.PAULI_SPECS,
+                                                 args.gamma)
     if len(a) == 4:
         rows = []
         contexts = experiments.MAGIC_CONTEXTS
@@ -362,12 +377,8 @@ def _cmd_replay(args) -> None:
                 rows.append({"context": name, "g1": g[0], "g2": g[1],
                              "g3": g[2], "product": g[0] * g[1] * g[2]})
         tables["context_outcomes"] = rows
-        settings = experiments.LOCAL_SETTINGS
-        codes = experiments.replay(a, settings, gamma=args.gamma)
-        tables["local_outcomes"] = [
-            {"setting": name, "outcome": "NaN" if code < 0
-             else f"{settings[name].values[code]:+.0f}"}
-            for name, code in codes.items()]
+        tables["local_outcomes"] = _outcome_rows(a, experiments.LOCAL_SETTINGS,
+                                                 args.gamma)
     _emit(args, tables, s=args.s, gamma=args.gamma)
 
 

@@ -87,6 +87,24 @@ BELL_TILTED = Measurement.from_observable(tensor(I2, W_PLUS),
                                           tensor(I2, linalg.B_PLUS))
 QUANTUM_TILTED = np.abs(BELL_STATE @ np.conj(BELL_TILTED.unitary)) ** 2
 
+# Joint CHSH parameters (sigma, s, gamma) by noise kind.
+CHSH_JOINT_PARAMS = {noise.SPHERE: (1.0, noise.S_BOUNDED, 1.0),
+                     noise.GAUSSIAN: (1.0, 1.0, 3.0)}
+
+# Two-dim setups, all at sigma = gamma = 1: noise kind, state and s.  Setup
+# i runs on stream _STREAM_TWODIM_BASE + i.
+_BASIS_2 = np.array([1.0, 0.0], dtype=complex)
+_PLUS_2 = np.array([1.0, 1.0], dtype=complex) / SQRT2
+TWO_DIM_SETUPS = {
+    "single-phase basis state": (noise.SINGLE_PHASE, _BASIS_2, 1.1),
+    "anti-correlated superposition": (noise.ANTICORRELATED_PHASE, _PLUS_2,
+                                      1.001),
+    "bloch-uniform basis state": (noise.BLOCH_UNIFORM, _BASIS_2,
+                                  noise.S_BOUNDED),
+    "bloch-uniform superposition": (noise.BLOCH_UNIFORM, _PLUS_2,
+                                    noise.S_BOUNDED),
+}
+
 
 @dataclass
 class ChshJointResult:
@@ -97,8 +115,6 @@ class ChshJointResult:
 
 @dataclass
 class PairRow:
-    alice: str
-    bob: str
     counts: np.ndarray          # coincidences: (++, +-, -+, --)
     total: int
     mean: float
@@ -107,7 +123,7 @@ class PairRow:
 
 @dataclass
 class ChshLocalResult:
-    rows: list[PairRow]
+    rows: dict[tuple[str, str], PairRow]    # by LOCAL_PAIRS entry
     s_d: float
     s_d_err: float
     singles_fraction: float
@@ -122,21 +138,6 @@ class MagicSquareResult:
     six_way_overlap: int
 
 
-@dataclass
-class BellStateResult:
-    standard: DetectionStats
-    tilted: DetectionStats
-
-
-@dataclass
-class TwoDimRow:
-    name: str
-    kind: str
-    s: float
-    gamma: float
-    stats: DetectionStats
-
-
 def _chsh_value(means, stderrs) -> tuple[float, float]:
     """S_D = |E(AB) + E(AB')| + |E(A'B) - E(A'B')| and its summed stderr,
     from means and stderrs in the order AB, AB', A'B, A'B'."""
@@ -144,40 +145,22 @@ def _chsh_value(means, stderrs) -> tuple[float, float]:
 
 
 def run_two_dim_examples(trials: int, seed: int, *,
-                         workers: int = 1) -> list[TwoDimRow]:
-    """Detection statistics for the four scripted 2-dim noise setups."""
-    sigma = 1.0
-    basis = np.array([1.0, 0.0], dtype=complex)
-    plus = np.array([1.0, 1.0], dtype=complex) / SQRT2
-    configs = [
-        ("single-phase basis state", noise.SINGLE_PHASE, basis, 1.1 * sigma),
-        ("anti-correlated superposition", noise.ANTICORRELATED_PHASE, plus,
-         1.001 * sigma),
-        ("bloch-uniform basis state", noise.BLOCH_UNIFORM, basis,
-         noise.S_BOUNDED),
-        ("bloch-uniform superposition", noise.BLOCH_UNIFORM, plus,
-         noise.S_BOUNDED),
-    ]
-    rows = []
-    for i, (name, kind, alpha, s) in enumerate(configs):
-        model = NoiseModel(kind, sigma, 2)
-        stats = probability.estimate(alpha, s, model, sigma, trials, seed,
-                                     stream=_STREAM_TWODIM_BASE + i,
-                                     workers=workers)
-        rows.append(TwoDimRow(name=name, kind=kind, s=s, gamma=sigma,
-                              stats=stats))
-    return rows
+                         workers: int = 1) -> dict[str, DetectionStats]:
+    """Detection statistics for each of TWO_DIM_SETUPS, by name."""
+    return {name: probability.estimate(alpha, s, NoiseModel(kind, 1.0, 2),
+                                       1.0, trials, seed,
+                                       stream=_STREAM_TWODIM_BASE + i,
+                                       workers=workers)
+            for i, (name, (kind, alpha, s))
+            in enumerate(TWO_DIM_SETUPS.items())}
 
 
 def run_chsh_joint(noise_kind: str, trials: int, seed: int, *,
                    workers: int = 1) -> ChshJointResult:
     """Joint four-dimensional CHSH run with independent ensembles per observable."""
-    if noise_kind == noise.SPHERE:
-        sigma, s, gamma = 1.0, noise.S_BOUNDED, 1.0
-    elif noise_kind == noise.GAUSSIAN:
-        sigma, s, gamma = 1.0, 1.0, 3.0
-    else:
+    if noise_kind not in CHSH_JOINT_PARAMS:
         raise ValueError(f"unsupported noise kind for this run: {noise_kind}")
+    sigma, s, gamma = CHSH_JOINT_PARAMS[noise_kind]
     model = NoiseModel(noise_kind, sigma, 4)
     stats = {name: probability.estimate(BELL_STATE, s, model, gamma, trials,
                                         seed, measurement=obs,
@@ -209,19 +192,19 @@ def run_chsh_local(trials: int, seed: int, *, noise_kind: str = noise.SPHERE,
     # h[x, y]: trials where Alice's shifted code is x and Bob's is y.
     joint = probability.tally_chunks(ensembles, kernel,
                                      workers).reshape(-1, 4, 4)
-    rows = []
-    for (alice, bob), h in zip(LOCAL_PAIRS, joint):
+    rows = {}
+    for pair, h in zip(LOCAL_PAIRS, joint):
         counts = h[2:, 2:].ravel()  # coincidences: (++, +-, -+, --)
         total = int(counts.sum())
         mean = (counts[0] - counts[1] - counts[2] + counts[3]) / total \
             if total else np.nan
         stderr = 1.0 / np.sqrt(total) if total else np.inf
-        rows.append(PairRow(alice=alice, bob=bob, counts=counts, total=total,
-                            mean=float(mean), stderr=stderr))
-    s_d, s_d_err = _chsh_value([r.mean for r in rows],
-                               [r.stderr for r in rows])
+        rows[pair] = PairRow(counts=counts, total=total, mean=float(mean),
+                             stderr=stderr)
+    s_d, s_d_err = _chsh_value([r.mean for r in rows.values()],
+                               [r.stderr for r in rows.values()])
     n_total = trials * len(rows)
-    coincidences = sum(r.total for r in rows)
+    coincidences = sum(r.total for r in rows.values())
     # Singles: Alice or Bob detects, so not both shifted codes are below 2.
     singles = int(n_total - joint[:, :2, :2].sum())
     return ChshLocalResult(
@@ -278,10 +261,11 @@ def run_magic_square(num_states: int, trials_per_state: int, seed: int, *,
         violation_count=violations, six_way_overlap=int(total[-1]))
 
 
-def run_bell_state_checks(trials: int, seed: int, *,
-                          workers: int = 1) -> BellStateResult:
-    """Bell-state statistics: perfect anti-correlation in the standard basis
-    and the four-outcome conditional distribution of the tilted observable."""
+def run_bell_state_checks(trials: int, seed: int, *, workers: int = 1
+                          ) -> tuple[DetectionStats, DetectionStats]:
+    """Bell-state statistics, standard then tilted: perfect
+    anti-correlation in the standard basis and the four-outcome conditional
+    distribution of the tilted observable."""
     sigma, s = 1.0, noise.S_BOUNDED
     model = NoiseModel(noise.SPHERE, sigma, 4)
     std = probability.estimate(BELL_STATE, s, model, sigma, trials, seed,
@@ -289,7 +273,7 @@ def run_bell_state_checks(trials: int, seed: int, *,
     tilted = probability.estimate(BELL_STATE, s, model, sigma, trials, seed,
                                   measurement=BELL_TILTED,
                                   stream=_STREAM_BELL_TILTED, workers=workers)
-    return BellStateResult(standard=std, tilted=tilted)
+    return std, tilted
 
 
 def replay(a, table: dict[str, Measurement], *,

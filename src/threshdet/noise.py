@@ -93,59 +93,42 @@ def _clamp_magnitude(values: np.ndarray, target: float) -> np.ndarray:
     return values
 
 
-def _variates(rng: np.random.Generator, kind: str, n: int,
-              dim: int) -> np.ndarray:
-    """The next ``n`` rows of raw uniform or normal variates of a family."""
-    if kind in (GAUSSIAN, SPHERE):
-        return rng.standard_normal((n, 2 * dim))
-    if kind in (SINGLE_PHASE, ANTICORRELATED_PHASE):
-        return rng.uniform(0.0, 2.0 * np.pi, n)
-    return rng.random((n, 3))
+def _chunk_noise(model: NoiseModel, seed: int, stream: int, chunk_index: int,
+                 rows: int) -> np.ndarray:
+    """Noise vectors for the first ``rows`` trials of one chunk, one row per
+    trial.
 
-
-def _transform(model: NoiseModel, x: np.ndarray) -> np.ndarray:
-    """Noise vectors from raw variates, one row per trial."""
+    Every draw fills its array in C order and every transform works row by
+    row, so these are exactly the leading rows of a (CHUNK, ·) draw from the
+    same generator.
+    """
+    rng = _chunk_rng(seed, stream, chunk_index)
     sigma = model.sigma
     if model.kind in (GAUSSIAN, SPHERE):
         # Consecutive normals are (re, im) of one component.  E[z z†] = I:
         # real and imaginary parts i.i.d. with variance 1/2.  The sphere
         # divides by ||z|| = sqrt(1/2)·||x||, so its sqrt(1/2) cancels.
+        x = rng.standard_normal((rows, 2 * model.dim))
         if model.kind == GAUSSIAN:
             x *= sigma * _SQRT_HALF
         else:
             x *= sigma / np.sqrt(np.einsum("ij,ij->i", x, x))[:, None]
         return x.view(complex)
+    if model.kind == BLOCH_UNIFORM:
+        # Phases uniform, polar angle with density sin(2θ) on [0, π/2],
+        # sampled by inverting the CDF sin²θ.
+        u = rng.random((rows, 3))
+        theta = np.arcsin(np.sqrt(u[:, 2]))
+        return sigma * np.stack(
+            [np.exp(2j * np.pi * u[:, 0]) * np.cos(theta),
+             np.exp(2j * np.pi * u[:, 1]) * np.sin(theta)], axis=1)
+    phi = rng.uniform(0.0, 2.0 * np.pi, rows)
     if model.kind == SINGLE_PHASE:
-        w = np.zeros((len(x), 2), dtype=complex)
-        w[:, 1] = _clamp_magnitude(sigma * np.exp(1j * x), sigma)
+        w = np.zeros((rows, 2), dtype=complex)
+        w[:, 1] = _clamp_magnitude(sigma * np.exp(1j * phi), sigma)
         return w
-    if model.kind == ANTICORRELATED_PHASE:
-        phase = (sigma / np.sqrt(2.0)) * np.exp(1j * x)
-        return np.stack([phase, -phase], axis=1)
-    # Bloch-uniform: phases uniform, polar angle with density sin(2θ) on
-    # [0, π/2], sampled by inverting the CDF sin²θ.
-    theta = np.arcsin(np.sqrt(x[:, 2]))
-    return sigma * np.stack([np.exp(2j * np.pi * x[:, 0]) * np.cos(theta),
-                             np.exp(2j * np.pi * x[:, 1]) * np.sin(theta)],
-                            axis=1)
-
-
-def _chunk_noise(model: NoiseModel, seed: int, stream: int, chunk_index: int,
-                 rows: int, first: int = 0) -> np.ndarray:
-    """Noise for trials [first, rows) of one chunk.
-
-    Every draw fills its array in C order and every transform works row by
-    row, so rows [first, rows) are exactly those rows of a (CHUNK, ·) draw
-    from the same generator.  A later row cannot be reached without drawing
-    the rows before it (the ziggurat normal sampler consumes a variable
-    number of random words per value), so rows [0, first) are drawn and
-    discarded.
-    """
-    rng = _chunk_rng(seed, stream, chunk_index)
-    if first:
-        _variates(rng, model.kind, first, model.dim)
-    return _transform(model, _variates(rng, model.kind, rows - first,
-                                       model.dim))
+    phase = (sigma / np.sqrt(2.0)) * np.exp(1j * phi)  # anti-correlated
+    return np.stack([phase, -phase], axis=1)
 
 
 def draw_noise_block(model: NoiseModel, seed: int, start: int, count: int,
@@ -159,8 +142,12 @@ def draw_noise_block(model: NoiseModel, seed: int, start: int, count: int,
     while t < end:
         ci, offset = divmod(t, CHUNK)
         take = min(CHUNK - offset, end - t)
-        parts.append(_chunk_noise(model, seed, stream, ci, offset + take,
-                                  offset))
+        # A later row cannot be reached without drawing the rows before it
+        # (the ziggurat normal sampler consumes a variable number of random
+        # words per value), so an unaligned start draws the chunk's prefix
+        # and drops its first ``offset`` rows.
+        parts.append(_chunk_noise(model, seed, stream, ci,
+                                  offset + take)[offset:])
         t += take
     if not parts:
         return np.empty((0, model.dim), dtype=complex)
@@ -212,12 +199,16 @@ def inject(alpha, s: float, w) -> np.ndarray:
 def load_vector(path) -> np.ndarray:
     """Read a complex vector from a text file with one ``re,im`` pair per line."""
     comps = []
-    for line in Path(path).read_text().splitlines():
+    for number, line in enumerate(Path(path).read_text().splitlines(), 1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
-        re_s, im_s = line.split(",")
-        comps.append(complex(float(re_s), float(im_s)))
+        try:
+            re_s, im_s = line.split(",")
+            comps.append(complex(float(re_s), float(im_s)))
+        except ValueError:
+            raise ValueError(f"{path}, line {number}: expected 're,im', "
+                             f"got {line!r}") from None
     if not comps:
         raise ValueError(f"no components found in {path}")
     return _check_finite(np.array(comps, dtype=complex), str(path))

@@ -70,13 +70,13 @@ def test_criterion_03_inference_counterexample():
 
 
 def test_criterion_04_tilted_bell_distribution():
-    res = run_bell_state_checks(TRIALS, SEED, workers=WORKERS)
+    _, tilted = run_bell_state_checks(TRIALS, SEED, workers=WORKERS)
     target = np.array([0.0364, 0.4608, 0.4641, 0.0388])
-    errs = np.abs(res.tilted.p_hat - target)
+    errs = np.abs(tilted.p_hat - target)
     ok = bool(np.all(errs < 0.01))
     _criterion(4, "four-outcome tilted-basis distribution matches the "
                   "reference values within 0.01", ok,
-               f"p_hat = {np.round(res.tilted.p_hat, 4).tolist()}")
+               f"p_hat = {np.round(tilted.p_hat, 4).tolist()}")
 
 
 def test_criterion_05_magic_square():
@@ -112,7 +112,8 @@ def test_criterion_07_chsh_joint_gaussian():
 
 def test_criterion_08_chsh_local():
     res = run_chsh_local(TRIALS, SEED, workers=WORKERS)
-    means_ok = all(abs(abs(r.mean) - 0.583) < 0.01 for r in res.rows)
+    means_ok = all(abs(abs(r.mean) - 0.583) < 0.01
+                   for r in res.rows.values())
     ok = (abs(res.s_d - 2.34) < 0.02
           and abs(res.coincidence_fraction - 0.10) < 0.02
           and abs(res.efficiency - 0.33) < 0.05

@@ -98,7 +98,16 @@ def replay_tables(tmp_path, vector, *flags) -> dict:
 def test_replay_of_the_printed_qubit_realization(tmp_path, capsys):
     # At gamma 0.9 only component 1 of s*(1, 0) + w crosses.
     assert replay_tables(tmp_path, PRINTED["detect-probs"], "--gamma",
-                         "0.9") == {"injected_outcome": [("detected", 1)]}
+                         "0.9") == {
+        "injected_outcome": [("detected", 1)],
+        "pauli_outcomes": [("Z", "+1"), ("X", "-1"), ("Y", "NaN")]}
+
+
+def test_replay_of_the_printed_pauli_realization(tmp_path, capsys):
+    # Acceptance criterion 11's qubit realization, for alpha = (1, 0) at the
+    # default s and gamma.
+    tables = replay_tables(tmp_path, "0.5186,0.3818\n-0.6876,0.3354\n")
+    assert tables["pauli_outcomes"] == [("Z", "+1"), ("X", "-1"), ("Y", "+1")]
 
 
 def test_magic_square_inject(tmp_path, capsys):
@@ -263,6 +272,20 @@ def test_non_finite_inject_exits_1(command, bad, tmp_path, capsys):
     vec.write_text(f"{bad},0\n" + PRINTED[command].split("\n", 1)[1])
     assert run(["replay", str(vec), "--s", "0"]) == 1
     assert "non-finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("line", ["1,2,3", "abc,1", "0.5"])
+def test_malformed_inject_line_exits_1(line, tmp_path, capsys):
+    vec = tmp_path / "a.txt"
+    vec.write_text(f"# w\n0.5,0\n{line}\n")
+    assert run(["replay", str(vec)]) == 1
+    assert f"{vec}, line 3: expected 're,im', got '{line}'" in \
+        capsys.readouterr().err
+
+
+def test_malformed_alpha_exits_1(capsys):
+    assert run(["detect-probs", "--alpha", "1,x", "--trials", "10"]) == 1
+    assert "--alpha: bad component 'x'" in capsys.readouterr().err
 
 
 def test_non_finite_alpha_exits_1(capsys):

@@ -9,7 +9,8 @@ from threshdet import detection, experiments, linalg, noise, tomography
 from threshdet.experiments import (BELL_STATE, BELL_TILTED, JOINT_OBSERVABLES,
                                    LOCAL_PAIRS, LOCAL_SETTINGS,
                                    MAGIC_CONTEXTS, MAGIC_PRODUCTS,
-                                   QUANTUM_TILTED, random_state, replay,
+                                   QUANTUM_TILTED, TWO_DIM_SETUPS,
+                                   random_state, replay,
                                    run_bell_state_checks, run_chsh_joint,
                                    run_chsh_local, run_magic_square,
                                    run_two_dim_examples)
@@ -40,23 +41,23 @@ def test_magic_context_products():
 
 
 def test_two_dim_examples_limits():
-    rows = run_two_dim_examples(TRIALS, seed=31)
-    by_name = {r.name: r for r in rows}
+    by_name = run_two_dim_examples(TRIALS, seed=31)
+    assert list(by_name) == list(TWO_DIM_SETUPS)
     sp = by_name["single-phase basis state"]
     # noise alone can never cross; only the signal component can.
-    assert sp.stats.P_hat[1] == 0.0 and sp.stats.Pinf_hat == 0.0
-    assert sp.stats.P0_hat + sp.stats.P_hat[0] == pytest.approx(1.0)
+    assert sp.P_hat[1] == 0.0 and sp.Pinf_hat == 0.0
+    assert sp.P0_hat + sp.P_hat[0] == pytest.approx(1.0)
     ac = by_name["anti-correlated superposition"]
     # symmetric components: equal single-detection rates near 1/2; the
     # double-detection window shrinks to zero as s approaches sigma
-    assert ac.stats.P0_hat == 0.0
-    assert ac.stats.P_hat[0] == pytest.approx(ac.stats.P_hat[1], abs=0.01)
-    assert ac.stats.P_hat[0] == pytest.approx(0.5, abs=0.01)
-    assert ac.stats.Pinf_hat < 0.002
+    assert ac.P0_hat == 0.0
+    assert ac.P_hat[0] == pytest.approx(ac.P_hat[1], abs=0.01)
+    assert ac.P_hat[0] == pytest.approx(0.5, abs=0.01)
+    assert ac.Pinf_hat < 0.002
     bu = by_name["bloch-uniform basis state"]
-    assert bu.stats.P_hat[0] > bu.stats.P_hat[1]
+    assert bu.P_hat[0] > bu.P_hat[1]
     bs = by_name["bloch-uniform superposition"]
-    assert bs.stats.P_hat[0] == pytest.approx(bs.stats.P_hat[1], abs=0.01)
+    assert bs.P_hat[0] == pytest.approx(bs.P_hat[1], abs=0.01)
 
 
 def test_chsh_joint_sphere_violates_classical_bound():
@@ -80,7 +81,7 @@ def test_chsh_joint_rejects_unsupported_noise():
 def test_chsh_local_game():
     res = run_chsh_local(TRIALS, seed=51)
     assert res.s_d > 2.0 + 10 * res.s_d_err
-    assert [(r.alice, r.bob) for r in res.rows] == list(LOCAL_PAIRS)
+    assert list(res.rows) == list(LOCAL_PAIRS)
     # detection is rare: coincidences are a small fraction of all trials
     assert 0.05 < res.coincidence_fraction < 0.2
     assert 0.0 < res.efficiency < 1.0
@@ -134,20 +135,20 @@ def test_random_state_is_normalized_and_deterministic():
 
 
 def test_bell_state_checks():
-    res = run_bell_state_checks(TRIALS, seed=71)
+    standard, tilted = run_bell_state_checks(TRIALS, seed=71)
     # perfect anti-correlation in the standard basis
-    assert res.standard.counts[0] == 0 and res.standard.counts[3] == 0
-    assert res.standard.p_hat[1] == pytest.approx(0.5, abs=0.02)
+    assert standard.counts[0] == 0 and standard.counts[3] == 0
+    assert standard.p_hat[1] == pytest.approx(0.5, abs=0.02)
     # tilted-basis frequencies differ from the quantum weights but keep the
     # coarse structure: outer components rare, inner components dominant
-    assert res.tilted.p_hat[0] == pytest.approx(res.tilted.p_hat[3], abs=0.01)
-    assert res.tilted.p_hat[0] < 0.1
-    assert 0.4 < res.tilted.p_hat[1] < 0.5
-    assert 0.4 < res.tilted.p_hat[2] < 0.5
+    assert tilted.p_hat[0] == pytest.approx(tilted.p_hat[3], abs=0.01)
+    assert tilted.p_hat[0] < 0.1
+    assert 0.4 < tilted.p_hat[1] < 0.5
+    assert 0.4 < tilted.p_hat[2] < 0.5
     assert QUANTUM_TILTED == pytest.approx(
         [0.0732233, 0.4267767, 0.4267767, 0.0732233], abs=1e-6)
     assert QUANTUM_TILTED.sum() == pytest.approx(1.0, rel=1e-12)
-    assert np.abs(res.tilted.p_hat - QUANTUM_TILTED).max() > 0.02
+    assert np.abs(tilted.p_hat - QUANTUM_TILTED).max() > 0.02
 
 
 def test_local_violation_below_joint():
@@ -168,7 +169,7 @@ def test_worker_invariance_of_experiment_runs():
     l4 = run_chsh_local(1 << 16, seed=91, workers=4)
     assert l1.s_d == l4.s_d
     assert all(np.array_equal(a.counts, b.counts)
-               for a, b in zip(l1.rows, l4.rows))
+               for a, b in zip(l1.rows.values(), l4.rows.values()))
 
 
 def _codes(alpha, stream, seed, trials, table, names):
@@ -187,7 +188,7 @@ def test_chsh_local_recounts_row_by_row(workers):
     trials, seed = CHUNK + 3, 93
     res = run_chsh_local(trials, seed, workers=workers)
     singles = coincidences = 0
-    for i, (row, pair) in enumerate(zip(res.rows, LOCAL_PAIRS)):
+    for i, (pair, row) in enumerate(res.rows.items()):
         counts = [0, 0, 0, 0]
         for ca, cb in zip(*_codes(BELL_STATE, experiments._STREAM_LOCAL_BASE
                                   + i, seed, trials, LOCAL_SETTINGS, pair)):

@@ -109,9 +109,9 @@ REPLAY = {
     "detect-probs": (
         ["--gamma", "0.9"],
         "0.2197,-0.7169\n-0.5290,0.3974\n",
-        ("04bd32f4b3e6b769b96346824a81c7d5a515764825a78b9a63a0e833b3d1c8b5",
-         "9ea72902cb9ec957915efb1e9297eb554146f50f87d04114f2ce91fcd13011fb",
-         "7c9a43b10527b1a8a5dfebf316f75b617234e5e0f2e0d9eba74963855ff8020b")),
+        ("8739a0ff53def2aaaf237147de9a30ad8066d983f1ae95b15a0f3631d79936ff",
+         "98472316528f283f1b4010909e529b5ac8dbcb8ba3992a36028a542c8da4ccbb",
+         "7b65aef07202fdad589866c2aba36c501593a02bcfdf68209a30cf0bcc2ccae4")),
     "magic-square": (
         ["--s", "0"],
         "-0.3151,0.5498\n-0.9092,0.1208\n-0.0581,-0.5120\n0.4560,-0.3460\n",
