@@ -61,11 +61,14 @@ class _Parser(argparse.ArgumentParser):
 def parse_alpha(text: str, normalize: bool = False) -> np.ndarray:
     comps = []
     for token in text.split(","):
+        token = token.strip()
+        # Only a trailing i is the imaginary unit: the i of inf is not.
+        if token.endswith("i"):
+            token = token[:-1] + "j"
         try:
-            comps.append(complex(token.strip().replace("i", "j")))
+            comps.append(complex(token))
         except ValueError:
-            raise ValueError(f"--alpha: bad component {token.strip()!r}") \
-                from None
+            raise ValueError(f"--alpha: bad component {token!r}") from None
     alpha = np.array(comps, dtype=complex)
     if normalize:
         norm = np.linalg.norm(alpha)

@@ -48,16 +48,26 @@ def _codes_from_crossings(cross: np.ndarray) -> np.ndarray:
 
 def crossing_codes(mags: np.ndarray, gamma: float) -> np.ndarray:
     """Detection codes for an array of magnitudes with shape (trials, N)."""
-    cross = mags > gamma
-    dim = cross.shape[1]
+    rows, dim = mags.shape
     if dim > _MASK_BITS:
-        return _codes_from_crossings(cross)
-    # Bit j of a row's mask is set when component j crosses.
-    bits = cross.view(np.uint8)
-    mask = bits[:, 0].copy()
-    for j in range(1, dim):
-        mask |= bits[:, j] << np.uint8(j)
-    return _code_table(dim)[mask]
+        return _codes_from_crossings(mags > gamma)
+    # One byte per crossing flag, in a row as wide as a word: N rounded up
+    # to a power of two, the padding bytes zero.
+    width = 1 << (dim - 1).bit_length()
+    if width == dim:
+        cross = np.empty((rows, width), dtype=bool)
+    else:
+        cross = np.zeros((rows, width), dtype=bool)
+    np.greater(mags, gamma, out=cross[:, :dim])
+    # Read as a little-endian word, byte j of a row is 0 or 1 at bit 8j.  The
+    # multiplier's term 2^(8(w-1)-7j) moves it to bit 8(w-1)+j; every other
+    # product lands below bit 8(w-1) or past the word, each at its own bit,
+    # so nothing carries and the top byte is the row's bitmask.
+    word = cross.view(f"<u{width}").reshape(rows)
+    uint = word.dtype.type
+    word *= uint(sum(1 << (8 * (width - 1) - 7 * j) for j in range(width)))
+    word >>= uint(8 * (width - 1))
+    return np.take(_code_table(dim), word)
 
 
 def detect_standard_block(b: np.ndarray, gamma: float) -> np.ndarray:
@@ -67,9 +77,15 @@ def detect_standard_block(b: np.ndarray, gamma: float) -> np.ndarray:
 
 def group_magnitudes(b: np.ndarray, groups) -> np.ndarray:
     """Subspace amplitudes ||Π_m b|| of each group m, for each row of b."""
-    mags2 = np.abs(b) ** 2
-    return np.sqrt(np.stack([mags2[:, list(g)].sum(axis=1) for g in groups],
-                            axis=1))
+    mags2 = np.abs(b)
+    mags2 *= mags2
+    # Each group's squares are added left to right into its own column.
+    sums = np.empty((len(b), len(groups)))
+    for m, (first, *rest) in enumerate(groups):
+        sums[:, m] = mags2[:, first]
+        for k in rest:
+            sums[:, m] += mags2[:, k]
+    return np.sqrt(sums, out=sums)
 
 
 def detect_projective_block(b: np.ndarray, groups, gamma: float) -> np.ndarray:

@@ -4,9 +4,10 @@ Trials are grouped into fixed chunks of ``CHUNK`` = 2^14 draws, and each
 chunk is generated by its own SFC64 generator keyed by
 ``SeedSequence(seed, spawn_key=(stream, chunk))``.  Trial t of a stream
 therefore always receives the same noise vector, independent of worker
-count or evaluation order.  A chunk is small enough that its arrays stay in
-a core's L2 cache from the draw to the tally, so it is realized in one
-block.
+count or evaluation order.  A chunk is realized in one block.  Its arrays
+peak, by tracemalloc, at about 1.1 MB for a Gaussian d=2 chunk and 3.1 MB
+for a magic-square chunk (six contexts), so on a Xeon with 2 MiB of L2 per
+core the larger kernels spill to L3.
 """
 
 from __future__ import annotations
@@ -93,6 +94,13 @@ def _clamp_magnitude(values: np.ndarray, target: float) -> np.ndarray:
     return values
 
 
+def _unit_phase(phi: np.ndarray, out: np.ndarray) -> None:
+    """Write exp(iφ) into the complex array ``out`` as cos φ and sin φ: the
+    bits the complex ``exp`` gives, without its complex temporaries."""
+    np.cos(phi, out=out.real)
+    np.sin(phi, out=out.imag)
+
+
 def _chunk_noise(model: NoiseModel, seed: int, stream: int, chunk_index: int,
                  rows: int) -> np.ndarray:
     """Noise vectors for the first ``rows`` trials of one chunk, one row per
@@ -114,21 +122,28 @@ def _chunk_noise(model: NoiseModel, seed: int, stream: int, chunk_index: int,
         else:
             x *= sigma / np.sqrt(np.einsum("ij,ij->i", x, x))[:, None]
         return x.view(complex)
+    w = np.empty((rows, 2), dtype=complex)
     if model.kind == BLOCH_UNIFORM:
         # Phases uniform, polar angle with density sin(2θ) on [0, π/2],
         # sampled by inverting the CDF sin²θ.
         u = rng.random((rows, 3))
         theta = np.arcsin(np.sqrt(u[:, 2]))
-        return sigma * np.stack(
-            [np.exp(2j * np.pi * u[:, 0]) * np.cos(theta),
-             np.exp(2j * np.pi * u[:, 1]) * np.sin(theta)], axis=1)
+        _unit_phase(2.0 * np.pi * u[:, :2], w)
+        w[:, 0] *= np.cos(theta)
+        w[:, 1] *= np.sin(theta)
+        w *= sigma
+        return w
     phi = rng.uniform(0.0, 2.0 * np.pi, rows)
     if model.kind == SINGLE_PHASE:
-        w = np.zeros((rows, 2), dtype=complex)
-        w[:, 1] = _clamp_magnitude(sigma * np.exp(1j * phi), sigma)
+        w[:, 0] = 0.0
+        _unit_phase(phi, w[:, 1])
+        w[:, 1] *= sigma
+        _clamp_magnitude(w[:, 1], sigma)
         return w
-    phase = (sigma / np.sqrt(2.0)) * np.exp(1j * phi)  # anti-correlated
-    return np.stack([phase, -phase], axis=1)
+    _unit_phase(phi, w[:, 0])  # anti-correlated
+    w[:, 0] *= sigma / np.sqrt(2.0)
+    np.negative(w[:, 0], out=w[:, 1])
+    return w
 
 
 def draw_noise_block(model: NoiseModel, seed: int, start: int, count: int,
@@ -180,7 +195,10 @@ def realize_block(alpha, s: float, model: NoiseModel, seed: int, start: int,
     if alpha.shape[0] != model.dim:
         raise InvalidModel("state dimension does not match noise model")
     a = draw_noise_block(model, seed, start, count, stream)
-    a += s * alpha
+    # One strided add per component is cheaper than broadcasting a 2- or
+    # 4-wide row, and adds the same numbers.
+    for k, c in enumerate(s * alpha):
+        a[:, k] += c
     return a
 
 

@@ -259,33 +259,37 @@ def estimate(alpha, s: float, model: NoiseModel, gamma: float, trials: int,
     )
 
 
-def marcum_q1(a: float, b: float) -> float:
+def marcum_q1(a, b):
     """Marcum Q-function Q1(a, b), the tail of a noncentral chi-squared
     distribution with 2 degrees of freedom and noncentrality a² at b².
 
     Evaluated by ``_ncx2_sf``, the private Boost ufunc of ``scipy.special``
     that scipy's ``ncx2.sf`` calls: the same bits, without importing scipy's
-    statistics package, which costs most of a cold oracle run.
+    statistics package, which costs most of a cold oracle run.  ``a`` and
+    ``b`` broadcast against each other; scalars give a float.
     """
     # deferred: only the analytic oracle needs scipy
     from scipy.special._ufuncs import _ncx2_sf
 
-    if not (np.isfinite(a) and np.isfinite(b)):
+    a, b = np.broadcast_arrays(np.asarray(a, dtype=float),
+                               np.asarray(b, dtype=float))
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
         raise ValueError("arguments must be finite")
-    if a < 0 or b < 0:
+    if (a < 0).any() or (b < 0).any():
         raise ValueError("arguments must be non-negative")
-    if b == 0.0:
-        return 1.0
-    if a == 0.0:
-        return float(np.exp(-0.5 * b * b))
-    x = b * b
-    if x == np.inf:  # ncx2.sf gives 0 here, the bare ufunc nan
-        return 0.0
-    with np.errstate(over="ignore"):  # as in ncx2._sf
-        q = float(_ncx2_sf(x, 2.0, a * a))
-    if np.isnan(q):  # the ufunc gives up, at a² past about 9.2e18
-        raise ValueError(f"Marcum Q1 is not computable at a={a}, b={b}")
-    return q
+    with np.errstate(over="ignore"):  # b² may overflow, as in ncx2._sf
+        x = b * b
+        q = _ncx2_sf(x, 2.0, a * a)
+        # At b² = inf the ufunc gives nan, ncx2.sf 0.
+        q = np.where(x == np.inf, 0.0, q)
+        q = np.where(a == 0.0, np.exp(-0.5 * b * b), q)
+    q = np.where(b == 0.0, 1.0, q)  # the ufunc gives -0.0
+    bad = np.argwhere(np.isnan(q))
+    if len(bad):  # the ufunc gives up, at a² past about 9.2e18
+        i = tuple(bad[0])
+        raise ValueError(f"Marcum Q1 is not computable at a={a[i]}, "
+                         f"b={b[i]}")
+    return float(q) if q.ndim == 0 else q
 
 
 def _below_threshold_probs(alpha, s: float, sigma: float,
@@ -299,7 +303,7 @@ def _below_threshold_probs(alpha, s: float, sigma: float,
     detection.check_gamma(gamma)
     lam = 2.0 * np.abs(s * alpha / sigma) ** 2
     b = np.sqrt(2.0) * gamma / sigma
-    return np.array([1.0 - marcum_q1(np.sqrt(l), b) for l in lam])
+    return 1.0 - marcum_q1(np.sqrt(lam), b)
 
 
 def single_detection_probs(alpha, s: float, sigma: float,

@@ -53,6 +53,9 @@ def test_parse_alpha():
     assert np.allclose(b, [0.5 + 0.5j, 0.5 - 0.5j])
     c = parse_alpha("3,4", normalize=True)
     assert np.allclose(c, [0.6, 0.8])
+    assert np.array_equal(parse_alpha("0.6,0.8i"), [0.6, 0.8j])
+    assert np.array_equal(parse_alpha("inf,-infi"),
+                          [np.inf, complex(0.0, -np.inf)])
 
 
 def test_detect_probs_runs_and_prints(capsys):
@@ -290,6 +293,14 @@ def test_malformed_alpha_exits_1(capsys):
 
 def test_non_finite_alpha_exits_1(capsys):
     assert run(["detect-probs", "--alpha", "nan,0", "--trials", "10"]) == 1
+    assert "non-finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("alpha", ["inf,0", "0,-inf", "0,infi"])
+def test_infinite_alpha_is_non_finite_not_malformed(alpha, capsys):
+    # The i of inf is not the imaginary unit: inf parses, then is rejected
+    # as a non-finite design state.
+    assert run(["detect-probs", "--alpha", alpha, "--trials", "10"]) == 1
     assert "non-finite" in capsys.readouterr().err
 
 

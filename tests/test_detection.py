@@ -269,3 +269,54 @@ def test_crossing_codes_match_sum_argmax_reference(dim, data, gamma):
     assert codes.dtype == np.intp and codes.shape == (len(mags),)
     assert np.array_equal(codes, _reference_codes(mags, gamma))
 
+
+
+def _layouts(mags):
+    # The same rows as a C-contiguous block, the transpose of a C-contiguous
+    # (N, trials) block, a column slice of a wider block and a reversed-row
+    # view.
+    rows, dim = mags.shape
+    wide = np.zeros((rows, dim + 2))
+    wide[:, 1:-1] = mags
+    yield np.ascontiguousarray(mags)
+    yield np.ascontiguousarray(mags.T).T
+    yield wide[:, 1:-1]
+    yield np.ascontiguousarray(mags[::-1])[::-1]
+
+
+@pytest.mark.parametrize("dim", range(1, 9))
+def test_packed_crossing_codes_match_the_column_rule(dim):
+    # Every bitmask of the dim columns, plus random rows with values on
+    # the threshold, in every memory layout and as an empty block.
+    bits = (np.arange(1 << dim)[:, None] >> np.arange(dim)) & 1
+    rng = np.random.default_rng(dim)
+    mags = np.concatenate([2.0 * bits, rng.choice(_GRID, size=(300, dim))])
+    for gamma in (1.0, 1.5):
+        expected = detection._codes_from_crossings(mags > gamma)
+        for view in _layouts(mags):
+            codes = detection.crossing_codes(view, gamma)
+            assert codes.dtype == np.intp
+            assert np.array_equal(codes, expected)
+        for view in _layouts(np.empty((0, dim))):
+            codes = detection.crossing_codes(view, gamma)
+            assert codes.dtype == np.intp and codes.shape == (0,)
+
+
+def _stacked_group_magnitudes(b, groups):
+    # The fancy-index, sum and stack formula that group_magnitudes replaced.
+    mags2 = np.abs(b) ** 2
+    return np.sqrt(np.stack([mags2[:, list(g)].sum(axis=1) for g in groups],
+                            axis=1))
+
+
+@pytest.mark.parametrize("groups", [((0,), (1,), (2,), (3,)),
+                                    ((0, 1), (2, 3)), ((1, 2), (3, 0)),
+                                    ((0, 2, 3), (1,)), ((3, 1, 0), (2,))])
+def test_group_magnitudes_match_the_stacked_sum_bit_for_bit(groups):
+    model = NoiseModel(noise.GAUSSIAN, 1.3, 4)
+    b = draw_noise_block(model, 9, 0, 2000)
+    b[:3] = 0.0
+    b[3, 1] = -0.0
+    for view in (b, b[::-1], np.asfortranarray(b)):
+        assert (group_magnitudes(view, groups).tobytes()
+                == _stacked_group_magnitudes(view, groups).tobytes())

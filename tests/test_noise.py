@@ -201,6 +201,49 @@ def test_block_equals_slice_of_full_chunk_draws(model, start, count, seed):
     assert np.array_equal(block, reference[start - first:end - first])
 
 
+def _exp_formula_noise(model, seed, stream, chunk_index):
+    # The two-dim families as complex exponentials, as they were first
+    # written: the reference the cos/sin form must match bit for bit.
+    rng = noise._chunk_rng(seed, stream, chunk_index)
+    sigma = model.sigma
+    if model.kind == BLOCH_UNIFORM:
+        u = rng.random((CHUNK, 3))
+        theta = np.arcsin(np.sqrt(u[:, 2]))
+        return sigma * np.stack(
+            [np.exp(2j * np.pi * u[:, 0]) * np.cos(theta),
+             np.exp(2j * np.pi * u[:, 1]) * np.sin(theta)], axis=1)
+    phi = rng.uniform(0.0, 2.0 * np.pi, CHUNK)
+    if model.kind == SINGLE_PHASE:
+        w = np.zeros((CHUNK, 2), dtype=complex)
+        w[:, 1] = noise._clamp_magnitude(sigma * np.exp(1j * phi), sigma)
+        return w
+    phase = (sigma / np.sqrt(2.0)) * np.exp(1j * phi)
+    return np.stack([phase, -phase], axis=1)
+
+
+@pytest.mark.parametrize("kind", [BLOCH_UNIFORM, SINGLE_PHASE,
+                                  ANTICORRELATED_PHASE])
+@pytest.mark.parametrize("sigma", [1.0, 0.7, 2.3])
+def test_two_dim_noise_has_the_bits_of_the_exp_formulas(kind, sigma):
+    # Signed zeros included: the bytes must agree, not just the values.
+    model = NoiseModel(kind, sigma, 2)
+    for stream in range(3):
+        for ci in range(6):
+            drawn = noise._chunk_noise(model, 20140731, stream, ci, CHUNK)
+            reference = _exp_formula_noise(model, 20140731, stream, ci)
+            assert drawn.tobytes() == reference.tobytes(), (stream, ci)
+
+
+@pytest.mark.parametrize("model", PREFIX_MODELS)
+def test_realize_block_adds_the_signal_bit_for_bit(model):
+    # realize_block adds s·alpha one component at a time; a broadcast add
+    # of the whole row must give the same bytes.
+    alpha = np.exp(0.3j * np.arange(model.dim)) / np.sqrt(model.dim)
+    a = realize_block(alpha, 0.7, model, 5, 100, 3000, stream=2)
+    w = draw_noise_block(model, 5, 100, 3000, stream=2)
+    assert a.tobytes() == (w + 0.7 * alpha).tobytes()
+
+
 @pytest.mark.parametrize("seed", [0, 2**64 - 1])
 def test_seed_range_edges_accepted(seed):
     model = NoiseModel(GAUSSIAN, 1.0, 2)
