@@ -4,7 +4,9 @@ Trials are grouped into fixed chunks of ``CHUNK`` = 2^14 draws, and each
 chunk is generated by its own SFC64 generator keyed by
 ``SeedSequence(seed, spawn_key=(stream, chunk))``.  Trial t of a stream
 therefore always receives the same noise vector, independent of worker
-count or evaluation order.  A chunk is realized in one block.  Its arrays
+count or evaluation order.  Standard normals are the only random draw:
+every family is a scaled or normalized block of them, so no family calls a
+trigonometric function.  A chunk is realized in one block.  Its arrays
 peak, by tracemalloc, at about 1.1 MB for a Gaussian d=2 chunk and 3.1 MB
 for a magic-square chunk (six contexts), so on a Xeon with 2 MiB of L2 per
 core the larger kernels spill to L3.
@@ -57,6 +59,9 @@ class NoiseModel:
             raise InvalidModel(f"unknown noise kind {self.kind!r}")
         if not 0 <= self.sigma < np.inf:
             raise InvalidModel("sigma must be non-negative")
+        if 0 < self.sigma < np.finfo(float).tiny:
+            raise InvalidModel(f"sigma must be 0 or a normal float, not the "
+                               f"subnormal {self.sigma!r}")
         if self.dim < 1:
             raise InvalidModel("dim must be positive")
         if self.kind in _TWO_DIM_ONLY and self.dim != 2:
@@ -80,11 +85,12 @@ def _chunk_rng(seed: int, stream: int, chunk_index: int) -> np.random.Generator:
 def _clamp_magnitude(values: np.ndarray, target: float) -> np.ndarray:
     """Nudge entries whose computed magnitude rounds above ``target``.
 
-    A unit phase factor has magnitude exactly ``target`` in exact arithmetic,
+    A normalized draw has magnitude exactly ``target`` in exact arithmetic,
     but rounding can push ``abs`` a few ulps above it, which would break the
     strict threshold comparison at gamma equal to the noise scale.  The
     relative nudge of 2^-50 is orders of magnitude below any statistical
-    resolution used here.
+    resolution used here.  It shrinks any entry of normal magnitude, which
+    is why NoiseModel rejects a subnormal sigma.
     """
     scale = 1.0 - 2.0**-50
     mask = np.abs(values) > target
@@ -94,56 +100,39 @@ def _clamp_magnitude(values: np.ndarray, target: float) -> np.ndarray:
     return values
 
 
-def _unit_phase(phi: np.ndarray, out: np.ndarray) -> None:
-    """Write exp(iφ) into the complex array ``out`` as cos φ and sin φ: the
-    bits the complex ``exp`` gives, without its complex temporaries."""
-    np.cos(phi, out=out.real)
-    np.sin(phi, out=out.imag)
-
-
 def _chunk_noise(model: NoiseModel, seed: int, stream: int, chunk_index: int,
                  rows: int) -> np.ndarray:
     """Noise vectors for the first ``rows`` trials of one chunk, one row per
     trial.
 
-    Every draw fills its array in C order and every transform works row by
-    row, so these are exactly the leading rows of a (CHUNK, ·) draw from the
-    same generator.
+    Standard normals are the only random draw, taken in C order, and every
+    transform works row by row, so these are exactly the leading rows of a
+    (CHUNK, ·) draw from the same generator.
     """
     rng = _chunk_rng(seed, stream, chunk_index)
-    sigma = model.sigma
-    if model.kind in (GAUSSIAN, SPHERE):
-        # Consecutive normals are (re, im) of one component.  E[z z†] = I:
-        # real and imaginary parts i.i.d. with variance 1/2.  The sphere
-        # divides by ||z|| = sqrt(1/2)·||x||, so its sqrt(1/2) cancels.
-        x = rng.standard_normal((rows, 2 * model.dim))
-        if model.kind == GAUSSIAN:
-            x *= sigma * _SQRT_HALF
-        else:
-            x *= sigma / np.sqrt(np.einsum("ij,ij->i", x, x))[:, None]
-        return x.view(complex)
-    w = np.empty((rows, 2), dtype=complex)
-    if model.kind == BLOCH_UNIFORM:
-        # Phases uniform, polar angle with density sin(2θ) on [0, π/2],
-        # sampled by inverting the CDF sin²θ.
-        u = rng.random((rows, 3))
-        theta = np.arcsin(np.sqrt(u[:, 2]))
-        _unit_phase(2.0 * np.pi * u[:, :2], w)
-        w[:, 0] *= np.cos(theta)
-        w[:, 1] *= np.sin(theta)
-        w *= sigma
-        return w
-    phi = rng.uniform(0.0, 2.0 * np.pi, rows)
+    # bloch_uniform is the sphere draw at d = 2: uniform phases, with
+    # |w_0|^2 / sigma^2 uniform on [0, 1].  The phase families take their
+    # one phase factor from the sphere draw at d = 1.
+    sigma, dim = model.sigma, model.dim
     if model.kind == SINGLE_PHASE:
-        w[:, 0] = 0.0
-        _unit_phase(phi, w[:, 1])
-        w[:, 1] *= sigma
-        _clamp_magnitude(w[:, 1], sigma)
-        return w
-    _unit_phase(phi, w[:, 0])  # anti-correlated
-    w[:, 0] *= sigma / np.sqrt(2.0)
-    np.negative(w[:, 0], out=w[:, 1])
-    return w
+        dim = 1
+    elif model.kind == ANTICORRELATED_PHASE:
+        sigma, dim = sigma / np.sqrt(2.0), 1
+    # Consecutive normals are (re, im) of one component.  E[z z†] = I:
+    # real and imaginary parts i.i.d. with variance 1/2.  The sphere
+    # divides by ||z|| = sqrt(1/2)·||x||, so its sqrt(1/2) cancels.
+    x = rng.standard_normal((rows, 2 * dim))
+    if model.kind == GAUSSIAN:
+        x *= sigma * _SQRT_HALF
+    else:
+        x *= sigma / np.sqrt(np.einsum("ij,ij->i", x, x))[:, None]
+    z = x.view(complex)
+    if model.kind == SINGLE_PHASE:
+        return np.concatenate([np.zeros_like(z),
+                               _clamp_magnitude(z, sigma)], axis=1)
+    if model.kind == ANTICORRELATED_PHASE:
+        return np.concatenate([z, -z], axis=1)
+    return z
 
 
 def draw_noise_block(model: NoiseModel, seed: int, start: int, count: int,

@@ -2,12 +2,15 @@
 
 import json
 import shlex
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import threshdet
 from threshdet.cli import DEFAULT_SEED, build_parser, main, parse_alpha
 
 TRIALS = str(1 << 16)
@@ -449,6 +452,21 @@ def test_non_finite_signal_noise_or_threshold_exits_1(command, flag, bad,
     captured = capsys.readouterr()
     assert captured.out == ""
     assert RANGE_ERRORS[flag] in captured.err
+
+
+def test_subnormal_sigma_exits_1_without_hanging():
+    # A subnormal sigma once made the single_phase clamp loop forever; run
+    # the CLI in a child process so that a regression times out and fails.
+    src = Path(threshdet.__file__).resolve().parents[1]
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); "
+            "from threshdet.cli import main; sys.exit(main(sys.argv[2:]))")
+    done = subprocess.run(
+        [sys.executable, "-c", code, str(src), "detect-probs", "--noise",
+         "single_phase", "--sigma", "1e-320", "--trials", "16384"],
+        capture_output=True, text=True, timeout=60)
+    assert done.returncode == 1
+    assert done.stdout == ""
+    assert "1e-320" in done.stderr
 
 
 @pytest.mark.parametrize("command", ["born", "chsh-joint", "chsh-local",

@@ -54,7 +54,7 @@ GOLDEN = {
         "b6488c132b0a367108436b49280993f5161d8061ed1f3ca8a1272bda8b6ecfbb"),
     "two-dim": (
         ["two-dim", "--trials", TRIALS],
-        "e2c3dac3a69de8e0a4bf358cf49aa545e0b39d2bd43b7721d3f6ea811961a8df"),
+        "029201a51d9c4a6663a1d0a6bfa3bd3592335524c2b6331fed33e0de7fbc15d1"),
     "oracle": (
         ["oracle", "--alpha", "0.8,0.6", "--s", "1", "--gamma", "2",
          "--mc-trials", TRIALS],
@@ -98,8 +98,8 @@ JSON_AND_STDOUT = {
         "87233ff0e0685f14c3a0b3f9be6b5a7ec8d42e2f1752abed7fb4bad5f16c9b8c",
         "c71abdaa7e5fe17240dda7b21f857c0584e347ee6dfa5c40d77be0e33c740310"),
     "two-dim": (
-        "3986e9af3c915911521ab89189c525870bd14bb1b5aa084345665733469bad43",
-        "d82277d34a69bd19c0d33a88f81424b3fc658e29696d9cdd09c89fd45bd2f6ea"),
+        "0461529a02c55a24014b7aeb7ccaebde6d700f7f50b31ae4529272a8c2d3581c",
+        "004130a0d7ffe30a5bd2da4ec9a3e8adeaca425df441ad8109799802017b45ec"),
 }
 
 # replay: flags, the realization, (CSV, JSON, stdout) digests.  The

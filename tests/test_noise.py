@@ -11,9 +11,9 @@ from scipy import integrate
 
 from threshdet import linalg, noise
 from threshdet.noise import (ANTICORRELATED_PHASE, BLOCH_UNIFORM, CHUNK,
-                             GAUSSIAN, SINGLE_PHASE, SPHERE, InvalidModel,
-                             NoiseModel, UnnormalizedState, draw_noise_block,
-                             inject, realize_block)
+                             GAUSSIAN, KINDS, SINGLE_PHASE, SPHERE,
+                             InvalidModel, NoiseModel, UnnormalizedState,
+                             draw_noise_block, inject, realize_block)
 
 SQRT2 = np.sqrt(2.0)
 
@@ -26,6 +26,23 @@ def test_invalid_kind_rejected():
 def test_negative_sigma_rejected():
     with pytest.raises(InvalidModel):
         NoiseModel(GAUSSIAN, -0.5, 2)
+
+
+@pytest.mark.parametrize("sigma", [5e-324, 1e-320,
+                                   np.nextafter(np.finfo(float).tiny, 0.0)])
+def test_subnormal_sigma_rejected(sigma):
+    # Scaling a subnormal by 1 - 2^-50 leaves it unchanged, so the
+    # single_phase clamp could never bring its magnitude down to sigma.
+    for kind in KINDS:
+        with pytest.raises(InvalidModel, match="subnormal"):
+            NoiseModel(kind, sigma, 2)
+
+
+def test_smallest_normal_sigma_is_drawn_and_clamped():
+    tiny = np.finfo(float).tiny
+    w = draw_noise_block(NoiseModel(SINGLE_PHASE, tiny, 2), 1, 0, CHUNK)
+    assert np.all(np.abs(w[:, 1]) <= tiny)
+    assert np.all(w[:, 1] != 0)
 
 
 def test_scripted_models_require_dim_two():
@@ -201,37 +218,47 @@ def test_block_equals_slice_of_full_chunk_draws(model, start, count, seed):
     assert np.array_equal(block, reference[start - first:end - first])
 
 
-def _exp_formula_noise(model, seed, stream, chunk_index):
-    # The two-dim families as complex exponentials, as they were first
-    # written: the reference the cos/sin form must match bit for bit.
-    rng = noise._chunk_rng(seed, stream, chunk_index)
-    sigma = model.sigma
-    if model.kind == BLOCH_UNIFORM:
-        u = rng.random((CHUNK, 3))
-        theta = np.arcsin(np.sqrt(u[:, 2]))
-        return sigma * np.stack(
-            [np.exp(2j * np.pi * u[:, 0]) * np.cos(theta),
-             np.exp(2j * np.pi * u[:, 1]) * np.sin(theta)], axis=1)
-    phi = rng.uniform(0.0, 2.0 * np.pi, CHUNK)
-    if model.kind == SINGLE_PHASE:
-        w = np.zeros((CHUNK, 2), dtype=complex)
-        w[:, 1] = noise._clamp_magnitude(sigma * np.exp(1j * phi), sigma)
-        return w
-    phase = (sigma / np.sqrt(2.0)) * np.exp(1j * phi)
-    return np.stack([phase, -phase], axis=1)
+def _sphere_chunk(sigma, dim, seed, stream, chunk_index):
+    model = NoiseModel(SPHERE, sigma, dim)
+    return noise._chunk_noise(model, seed, stream, chunk_index, CHUNK)
 
 
 @pytest.mark.parametrize("kind", [BLOCH_UNIFORM, SINGLE_PHASE,
                                   ANTICORRELATED_PHASE])
 @pytest.mark.parametrize("sigma", [1.0, 0.7, 2.3])
-def test_two_dim_noise_has_the_bits_of_the_exp_formulas(kind, sigma):
-    # Signed zeros included: the bytes must agree, not just the values.
+def test_two_dim_noise_is_the_sphere_draw(kind, sigma):
+    # bloch_uniform is the d=2 sphere draw; the phase families take their
+    # phase factor from the d=1 sphere draw.  Signed zeros included: the
+    # bytes must agree, not just the values.
     model = NoiseModel(kind, sigma, 2)
     for stream in range(3):
         for ci in range(6):
             drawn = noise._chunk_noise(model, 20140731, stream, ci, CHUNK)
-            reference = _exp_formula_noise(model, 20140731, stream, ci)
+            if kind == BLOCH_UNIFORM:
+                reference = _sphere_chunk(sigma, 2, 20140731, stream, ci)
+            elif kind == SINGLE_PHASE:
+                reference = np.zeros((CHUNK, 2), dtype=complex)
+                reference[:, 1] = noise._clamp_magnitude(
+                    _sphere_chunk(sigma, 1, 20140731, stream, ci)[:, 0],
+                    sigma)
+            else:
+                w0 = _sphere_chunk(sigma / np.sqrt(2.0), 1, 20140731, stream,
+                                   ci)[:, 0]
+                reference = np.stack([w0, -w0], axis=1)
             assert drawn.tobytes() == reference.tobytes(), (stream, ci)
+
+
+@pytest.mark.parametrize("kind,column,radius", [
+    (SINGLE_PHASE, 1, 1.0), (ANTICORRELATED_PHASE, 0, 1.0 / SQRT2)])
+def test_phase_families_have_uniform_phases(kind, column, radius):
+    # A phase factor u uniform on the circle has E[u^k] = 0 for k >= 1.
+    n = 1 << 18
+    w = draw_noise_block(NoiseModel(kind, 1.0, 2), seed=8, start=0, count=n)
+    u = w[:, column] / radius
+    for k in (1, 2, 3):
+        uk = u ** k
+        se = np.sqrt(np.mean(np.abs(uk - uk.mean()) ** 2) / n)
+        assert abs(uk.mean()) < 5 * se, k
 
 
 @pytest.mark.parametrize("model", PREFIX_MODELS)
