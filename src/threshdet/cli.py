@@ -132,9 +132,9 @@ def _require(condition: bool, message: str) -> None:
         raise CheckFailure(message)
 
 
-def _require_detections(*n_detected: int) -> None:
+def _require_detections(*stats: probability.DetectionStats) -> None:
     """Refuse a check with nothing to test: an input error, not a failure."""
-    if min(n_detected) == 0:
+    if min(st.n_detected for st in stats) == 0:
         raise ValueError("no detections to check")
 
 
@@ -174,7 +174,7 @@ def _cmd_born(args) -> None:
           s=args.s, sigma=args.sigma, gamma=args.gamma,
           n_detected=stats.n_detected)
     if args.check:
-        _require_detections(stats.n_detected)
+        _require_detections(stats)
         tol = 4.0 / np.sqrt(stats.n_detected)
         for row in rows:
             if row["born"] == 0.0:
@@ -217,14 +217,14 @@ def _cmd_tomography(args) -> None:
 def _cmd_magic_square(args) -> None:
     result = experiments.run_magic_square(args.states, args.trials, args.seed,
                                           workers=args.workers)
-    rows = [{"context": name, "detections": n}
-            for name, n in result.context_detections.items()]
+    rows = [{"context": name, "detections": st.n_detected}
+            for name, st in result.stats.items()]
     summary = [{"states": args.states, "trials_per_state": args.trials,
                 "violation_count": result.violation_count,
                 "six_way_overlap": result.six_way_overlap}]
     _emit(args, {"context_detections": rows, "summary": summary})
     if args.check:
-        _require_detections(*result.context_detections.values())
+        _require_detections(*result.stats.values())
         _require(result.violation_count == 0, "product relation violated")
         _require(result.six_way_overlap == 0,
                  "six-way index intersection is not empty")
@@ -244,7 +244,7 @@ def _cmd_chsh_joint(args) -> None:
     _emit(args, {"correlations": rows, "summary": summary},
           trials=args.trials, noise=args.noise)
     if args.check:
-        _require_detections(*(st.n_detected for st in result.stats.values()))
+        _require_detections(*result.stats.values())
         _require(result.s_d > 2.0, f"S_D = {result.s_d:.4f} <= 2")
         if args.noise == noise.SPHERE:
             _require(result.s_d > experiments.TSIRELSON_BOUND,
@@ -256,10 +256,11 @@ def _cmd_chsh_local(args) -> None:
                                         noise_kind=args.noise,
                                         workers=args.workers)
     rows = [{"alice": alice, "bob": bob,
-             "n_uu": int(r.counts[0]), "n_ud": int(r.counts[1]),
-             "n_du": int(r.counts[2]), "n_dd": int(r.counts[3]),
-             "total": r.total, "mean": r.mean, "stderr": r.stderr}
-            for (alice, bob), r in result.rows.items()]
+             "n_uu": int(st.counts[0]), "n_ud": int(st.counts[1]),
+             "n_du": int(st.counts[2]), "n_dd": int(st.counts[3]),
+             "total": st.n_detected, "mean": result.means[alice, bob],
+             "stderr": st.mean_stderr}
+            for (alice, bob), st in result.stats.items()]
     summary = [{"S_D": result.s_d, "S_D_err": result.s_d_err,
                 "singles_fraction": result.singles_fraction,
                 "coincidence_fraction": result.coincidence_fraction,
@@ -267,7 +268,7 @@ def _cmd_chsh_local(args) -> None:
     _emit(args, {"correlations": rows, "summary": summary},
           trials=args.trials, noise=args.noise)
     if args.check:
-        _require_detections(*(r.total for r in result.rows.values()))
+        _require_detections(*result.stats.values())
         if args.noise == noise.SPHERE:
             _require(result.s_d > 2.0, f"S_D = {result.s_d:.4f} <= 2")
         else:
@@ -290,7 +291,7 @@ def _cmd_bell_state(args) -> None:
     _emit(args, {"standard_basis": std_rows, "tilted_observable": tilt_rows},
           trials=args.trials)
     if args.check:
-        _require_detections(std.n_detected, tilted.n_detected)
+        _require_detections(std, tilted)
         _require(std.counts[0] == 0 and std.counts[3] == 0,
                  "components 1/4 of the Bell state should never detect")
 

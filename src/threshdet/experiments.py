@@ -5,9 +5,10 @@ contextuality Monte Carlo, joint and local CHSH runs, and the Bell-state
 statistics checks, plus exact replay of injected realizations.
 
 Every chunk kernel returns histograms of shifted outcome codes (see
-``detection``); coincidences, singles, context detections and product
-violations are sums of their cells, taken after the map.  Result records
-hold only what a run measured, not its arguments or module constants.
+``detection``).  After the map they become ``DetectionStats`` records, and
+coincidences, singles and product violations are sums of their cells.
+Result records hold only what a run measured, not its arguments or module
+constants.
 """
 
 from __future__ import annotations
@@ -114,16 +115,9 @@ class ChshJointResult:
 
 
 @dataclass
-class PairRow:
-    counts: np.ndarray          # coincidences: (++, +-, -+, --)
-    total: int
-    mean: float
-    stderr: float
-
-
-@dataclass
 class ChshLocalResult:
-    rows: dict[tuple[str, str], PairRow]    # by LOCAL_PAIRS entry
+    stats: dict[tuple[str, str], DetectionStats]    # by LOCAL_PAIRS entry
+    means: dict[tuple[str, str], float]
     s_d: float
     s_d_err: float
     singles_fraction: float
@@ -133,7 +127,7 @@ class ChshLocalResult:
 
 @dataclass
 class MagicSquareResult:
-    context_detections: dict[str, int]
+    stats: dict[str, DetectionStats]    # by MAGIC_CONTEXTS name, all states
     violation_count: int
     six_way_overlap: int
 
@@ -192,23 +186,21 @@ def run_chsh_local(trials: int, seed: int, *, noise_kind: str = noise.SPHERE,
     # h[x, y]: trials where Alice's shifted code is x and Bob's is y.
     joint = probability.tally_chunks(ensembles, kernel,
                                      workers).reshape(-1, 4, 4)
-    rows = {}
+    stats, means = {}, {}
     for pair, h in zip(LOCAL_PAIRS, joint):
-        counts = h[2:, 2:].ravel()  # coincidences: (++, +-, -+, --)
-        total = int(counts.sum())
-        mean = (counts[0] - counts[1] - counts[2] + counts[3]) / total \
-            if total else np.nan
-        stderr = 1.0 / np.sqrt(total) if total else np.inf
-        rows[pair] = PairRow(counts=counts, total=total, mean=float(mean),
-                             stderr=stderr)
-    s_d, s_d_err = _chsh_value([r.mean for r in rows.values()],
-                               [r.stderr for r in rows.values()])
-    n_total = trials * len(rows)
-    coincidences = sum(r.total for r in rows.values())
+        # Coincidences (++, +-, -+, --) are single detections; the rest, none.
+        c = h[2:, 2:].ravel()
+        n = int(c.sum())
+        stats[pair] = DetectionStats(np.r_[0, trials - n, c])
+        means[pair] = float((c[0] - c[1] - c[2] + c[3]) / n) if n else np.nan
+    s_d, s_d_err = _chsh_value(list(means.values()),
+                               [st.mean_stderr for st in stats.values()])
+    n_total = trials * len(stats)
+    coincidences = sum(st.n_detected for st in stats.values())
     # Singles: Alice or Bob detects, so not both shifted codes are below 2.
     singles = int(n_total - joint[:, :2, :2].sum())
     return ChshLocalResult(
-        rows=rows, s_d=s_d, s_d_err=s_d_err,
+        stats=stats, means=means, s_d=s_d, s_d_err=s_d_err,
         singles_fraction=singles / n_total,
         coincidence_fraction=coincidences / n_total,
         efficiency=coincidences / singles if singles else np.nan)
@@ -247,18 +239,14 @@ def run_magic_square(num_states: int, trials_per_state: int, seed: int, *,
         return np.append(hists, np.count_nonzero(detected_all))
 
     total = probability.tally_chunks(ensembles, kernel, workers).sum(axis=0)
-    # Detections of each component, per context.
-    detected = dict(zip(MAGIC_CONTEXTS, total[:-1].reshape(-1, 6)[:, 2:]))
+    stats = {name: DetectionStats(h, m.values) for (name, m), h
+             in zip(MAGIC_CONTEXTS.items(), total[:-1].reshape(-1, 6))}
     # A violation is a detection of a component whose three values multiply
     # to other than the product the context's operators require.
-    violations = 0
-    for name, m in MAGIC_CONTEXTS.items():
-        wrong = m.values.prod(axis=1) != MAGIC_PRODUCTS[name]
-        violations += int(detected[name][wrong].sum())
-    return MagicSquareResult(
-        context_detections={name: int(n.sum())
-                            for name, n in detected.items()},
-        violation_count=violations, six_way_overlap=int(total[-1]))
+    violations = sum(
+        int(st.counts[st.values.prod(axis=1) != MAGIC_PRODUCTS[name]].sum())
+        for name, st in stats.items())
+    return MagicSquareResult(stats, violations, int(total[-1]))
 
 
 def run_bell_state_checks(trials: int, seed: int, *, workers: int = 1

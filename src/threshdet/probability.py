@@ -13,7 +13,7 @@ from __future__ import annotations
 import functools
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,34 +26,43 @@ class DomainTooSmall(ValueError):
     """Closed-form Marcum Q bounds require b > a."""
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class DetectionStats:
-    """Tallies and conditional frequencies for one measurement configuration."""
+    """Shifted-code histogram of one measurement (see ``detection``): cell 0
+    counts multiple detections, cell 1 none, cell 2 + n single detections of
+    group n.  ``values``, a ``Measurement.values``, weights ``mean``."""
 
-    counts: np.ndarray          # per-component single-detection counts
-    no_detection: int
-    multiple_detections: int
-    trials: int
-    eigenvalues: np.ndarray | None = None
-    p_hat: np.ndarray = field(init=False)
-    stderr: np.ndarray = field(init=False)
+    hist: np.ndarray
+    values: np.ndarray | None = None
 
-    def __post_init__(self):
-        self.counts = np.asarray(self.counts, dtype=np.int64)
-        total = int(self.counts.sum()) + self.no_detection + self.multiple_detections
-        if total != self.trials:
-            raise ValueError("outcome counts do not sum to the trial count")
-        n = self.n_detected
-        if n > 0:
-            self.p_hat = self.counts / n
-            self.stderr = np.sqrt(self.p_hat * (1.0 - self.p_hat) / n)
-        else:
-            self.p_hat = np.full(self.counts.shape, np.nan)
-            self.stderr = np.full(self.counts.shape, np.nan)
+    @property
+    def counts(self) -> np.ndarray:
+        return self.hist[2:]
+
+    @property
+    def no_detection(self) -> int:
+        return int(self.hist[1])
+
+    @property
+    def multiple_detections(self) -> int:
+        return int(self.hist[0])
+
+    @property
+    def trials(self) -> int:
+        return int(self.hist.sum())
 
     @property
     def n_detected(self) -> int:
         return int(self.counts.sum())
+
+    @property
+    def p_hat(self) -> np.ndarray:
+        """Frequencies conditioned on a single detection; NaN without one."""
+        return self.counts / (self.n_detected or np.nan)
+
+    @property
+    def stderr(self) -> np.ndarray:
+        return np.sqrt(self.p_hat * (1.0 - self.p_hat) / self.n_detected)
 
     @property
     def detection_fraction(self) -> float:
@@ -74,14 +83,14 @@ class DetectionStats:
 
     @property
     def mean(self) -> float:
-        """Eigenvalue-weighted conditional mean (requires eigenvalues)."""
-        if self.eigenvalues is None:
-            raise ValueError("no eigenvalues attached to these statistics")
-        return float(np.dot(self.eigenvalues, self.p_hat))
+        """Value-weighted conditional mean (requires values)."""
+        if self.values is None:
+            raise ValueError("no values attached to these statistics")
+        return float(np.dot(self.values, self.p_hat))
 
     @property
     def mean_stderr(self) -> float:
-        # 1/sqrt(n) convention for the uncertainty of a +-1-valued mean.
+        """Upper bound 1/sqrt(n), not the standard error, of a +-1 mean."""
         return 1.0 / np.sqrt(self.n_detected) if self.n_detected else np.inf
 
 
@@ -250,13 +259,7 @@ def estimate(alpha, s: float, model: NoiseModel, gamma: float, trials: int,
 
     (total,) = tally_chunks([(alpha, s, model, seed, stream, trials)], kernel,
                             workers)
-    return DetectionStats(
-        counts=total[2:],
-        no_detection=int(total[1]),
-        multiple_detections=int(total[0]),
-        trials=trials,
-        eigenvalues=m.values,
-    )
+    return DetectionStats(total, m.values)
 
 
 def marcum_q1(a, b):
@@ -301,8 +304,12 @@ def _below_threshold_probs(alpha, s: float, sigma: float,
     if not 0 < sigma < np.inf:
         raise ValueError("sigma must be positive")
     detection.check_gamma(gamma)
-    lam = 2.0 * np.abs(s * alpha / sigma) ** 2
-    b = np.sqrt(2.0) * gamma / sigma
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        lam = 2.0 * np.abs(s * alpha / sigma) ** 2
+        b = np.sqrt(2.0) * gamma / sigma
+    if not (np.isfinite(lam).all() and np.isfinite(b)):
+        raise ValueError(f"sigma={sigma} is too small for the analytic "
+                         "oracle: s/sigma or gamma/sigma overflows")
     return 1.0 - marcum_q1(np.sqrt(lam), b)
 
 

@@ -33,10 +33,6 @@ class InferredState:
     stats: dict[str, DetectionStats]    # by linalg.PAULI_SPECS name
     rho_tilde: np.ndarray
 
-    @property
-    def expectations(self) -> dict[str, float]:
-        return {p: self.stats[p].mean for p in ("X", "Y", "Z")}
-
 
 def infer_state(alpha, s: float, model: NoiseModel, gamma: float, trials: int,
                 seed: int, *, workers: int = 1) -> InferredState:

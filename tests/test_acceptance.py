@@ -112,8 +112,8 @@ def test_criterion_07_chsh_joint_gaussian():
 
 def test_criterion_08_chsh_local():
     res = run_chsh_local(TRIALS, SEED, workers=WORKERS)
-    means_ok = all(abs(abs(r.mean) - 0.583) < 0.01
-                   for r in res.rows.values())
+    means_ok = all(abs(abs(mean) - 0.583) < 0.01
+                   for mean in res.means.values())
     ok = (abs(res.s_d - 2.34) < 0.02
           and abs(res.coincidence_fraction - 0.10) < 0.02
           and abs(res.efficiency - 0.33) < 0.05

@@ -469,6 +469,19 @@ def test_subnormal_sigma_exits_1_without_hanging():
     assert "1e-320" in done.stderr
 
 
+@pytest.mark.parametrize("sigma", ["1e-300", "1e-320"])
+def test_oracle_tiny_sigma_exits_1_naming_sigma(sigma, capsys):
+    # s/sigma or gamma/sigma overflows: the error names sigma, and numpy's
+    # overflow warnings stay inside the oracle.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["oracle", "--alpha", "0.8,0.6", "--sigma", sigma]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert (f"sigma={sigma} is too small for the analytic oracle"
+            in captured.err)
+
+
 @pytest.mark.parametrize("command", ["born", "chsh-joint", "chsh-local",
                                      "bell-state"])
 def test_check_without_detections_exits_1(command, capsys):

@@ -81,7 +81,7 @@ def test_chsh_joint_rejects_unsupported_noise():
 def test_chsh_local_game():
     res = run_chsh_local(TRIALS, seed=51)
     assert res.s_d > 2.0 + 10 * res.s_d_err
-    assert list(res.rows) == list(LOCAL_PAIRS)
+    assert list(res.stats) == list(LOCAL_PAIRS)
     # detection is rare: coincidences are a small fraction of all trials
     assert 0.05 < res.coincidence_fraction < 0.2
     assert 0.0 < res.efficiency < 1.0
@@ -110,7 +110,7 @@ def test_magic_square_no_violations_and_empty_overlap():
     res = run_magic_square(num_states=8, trials_per_state=1 << 12, seed=61)
     assert res.violation_count == 0
     assert res.six_way_overlap == 0
-    assert all(v > 0 for v in res.context_detections.values())
+    assert all(stat.n_detected > 0 for stat in res.stats.values())
 
 
 def test_magic_square_violation_counter_counts(monkeypatch):
@@ -118,7 +118,7 @@ def test_magic_square_violation_counter_counts(monkeypatch):
     # makes every C3 detection a violation, and no other context's.
     monkeypatch.setitem(experiments.MAGIC_PRODUCTS, "C3", +1)
     res = run_magic_square(num_states=2, trials_per_state=1 << 12, seed=61)
-    assert res.violation_count == res.context_detections["C3"] > 0
+    assert res.violation_count == res.stats["C3"].n_detected > 0
 
 
 def test_magic_square_rejects_zero_states():
@@ -164,12 +164,15 @@ def test_bell_state_is_normalized():
 def test_worker_invariance_of_experiment_runs():
     one = run_magic_square(2, 1 << 12, seed=91, workers=1)
     four = run_magic_square(2, 1 << 12, seed=91, workers=4)
-    assert one == four
+    assert (one.violation_count, one.six_way_overlap) \
+        == (four.violation_count, four.six_way_overlap)
+    assert all(np.array_equal(a.hist, b.hist)
+               for a, b in zip(one.stats.values(), four.stats.values()))
     l1 = run_chsh_local(1 << 16, seed=91, workers=1)
     l4 = run_chsh_local(1 << 16, seed=91, workers=4)
     assert l1.s_d == l4.s_d
-    assert all(np.array_equal(a.counts, b.counts)
-               for a, b in zip(l1.rows.values(), l4.rows.values()))
+    assert all(np.array_equal(a.hist, b.hist)
+               for a, b in zip(l1.stats.values(), l4.stats.values()))
 
 
 def _codes(alpha, stream, seed, trials, table, names):
@@ -188,16 +191,21 @@ def test_chsh_local_recounts_row_by_row(workers):
     trials, seed = CHUNK + 3, 93
     res = run_chsh_local(trials, seed, workers=workers)
     singles = coincidences = 0
-    for i, (pair, row) in enumerate(res.rows.items()):
+    for i, (pair, stat) in enumerate(res.stats.items()):
         counts = [0, 0, 0, 0]
         for ca, cb in zip(*_codes(BELL_STATE, experiments._STREAM_LOCAL_BASE
                                   + i, seed, trials, LOCAL_SETTINGS, pair)):
             singles += ca >= 0 or cb >= 0
             if ca >= 0 and cb >= 0:
                 counts[2 * ca + cb] += 1
-        assert row.counts.tolist() == counts
-        assert row.total == sum(counts)
-        coincidences += sum(counts)
+        n = sum(counts)
+        assert stat.counts.tolist() == counts
+        assert stat.n_detected == n
+        assert stat.no_detection == trials - n
+        # Bit for bit: the exact integer numerator over n.
+        assert res.means[pair] == \
+            (counts[0] - counts[1] - counts[2] + counts[3]) / n
+        coincidences += n
     n_total = trials * len(LOCAL_PAIRS)
     assert res.singles_fraction == singles / n_total
     assert res.coincidence_fraction == coincidences / n_total
@@ -209,6 +217,7 @@ def test_magic_square_recounts_row_by_row(workers):
     states, trials, seed = 2, CHUNK + 3, 95
     res = run_magic_square(states, trials, seed, workers=workers)
     detections = dict.fromkeys(MAGIC_CONTEXTS, 0)
+    counts = {name: [0, 0, 0, 0] for name in MAGIC_CONTEXTS}
     overlap = 0
     for i in range(states):
         codes = _codes(random_state(seed, i),
@@ -217,8 +226,14 @@ def test_magic_square_recounts_row_by_row(workers):
         for row in zip(*codes):
             for name, code in zip(MAGIC_CONTEXTS, row):
                 detections[name] += code >= 0
+                if code >= 0:
+                    counts[name][code] += 1
             overlap += all(code >= 0 for code in row)
-    assert res.context_detections == detections
+    assert {name: stat.n_detected for name, stat in res.stats.items()} \
+        == detections
+    for name, stat in res.stats.items():
+        assert stat.counts.tolist() == counts[name]
+        assert stat.hist.sum() == states * trials
     assert res.six_way_overlap == overlap
 
 

@@ -127,33 +127,26 @@ def test_marcum_rejects_a_past_the_ufunc_range():
 
 
 def test_stats_outcome_accounting():
-    stats = DetectionStats(counts=[30, 20], no_detection=40,
-                           multiple_detections=10, trials=100)
+    # hist: multiple, none, then one cell per group.
+    stats = DetectionStats(np.array([10, 40, 30, 20]))
     assert stats.n_detected == 50
     assert stats.detection_fraction == 0.5
     assert stats.p_hat == pytest.approx([0.6, 0.4])
     assert stats.P_hat == pytest.approx([0.3, 0.2])
     assert stats.P0_hat == 0.4 and stats.Pinf_hat == 0.1
-    with pytest.raises(ValueError):
-        DetectionStats(counts=[1, 1], no_detection=0,
-                       multiple_detections=0, trials=5)
 
 
-def test_stats_mean_requires_eigenvalues():
-    stats = DetectionStats(counts=[3, 1], no_detection=0,
-                           multiple_detections=0, trials=4,
-                           eigenvalues=[1.0, -1.0])
+def test_stats_mean_requires_values():
+    stats = DetectionStats(np.array([0, 0, 3, 1]), values=[1.0, -1.0])
     assert stats.mean == pytest.approx(0.5)
     assert stats.mean_stderr == pytest.approx(0.5)
-    bare = DetectionStats(counts=[1, 0], no_detection=0,
-                          multiple_detections=0, trials=1)
+    bare = DetectionStats(np.array([0, 0, 1, 0]))
     with pytest.raises(ValueError):
         bare.mean
 
 
 def test_no_detections_yields_nan_frequencies():
-    stats = DetectionStats(counts=[0, 0], no_detection=10,
-                           multiple_detections=0, trials=10)
+    stats = DetectionStats(np.array([0, 10, 0, 0]))
     assert np.all(np.isnan(stats.p_hat))
     assert stats.mean_stderr == np.inf
 
@@ -187,8 +180,8 @@ def test_estimate_tallies_the_measurement_it_is_given():
     assert stats.counts.shape == (2,)
     assert stats.mean == pytest.approx(stats.p_hat[0] - stats.p_hat[1])
     standard = estimate(alpha, SQRT2 - 1.0, model, 1.0, 20_000, 3)
-    assert standard.counts.shape == (4,) and standard.eigenvalues is None
-    with pytest.raises(ValueError, match="no eigenvalues"):
+    assert standard.counts.shape == (4,) and standard.values is None
+    with pytest.raises(ValueError, match="no values"):
         standard.mean
 
 
