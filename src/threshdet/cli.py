@@ -258,7 +258,7 @@ def _cmd_chsh_local(args) -> None:
     rows = [{"alice": alice, "bob": bob,
              "n_uu": int(st.counts[0]), "n_ud": int(st.counts[1]),
              "n_du": int(st.counts[2]), "n_dd": int(st.counts[3]),
-             "total": st.n_detected, "mean": result.means[alice, bob],
+             "total": st.n_detected, "mean": st.mean,
              "stderr": st.mean_stderr}
             for (alice, bob), st in result.stats.items()]
     summary = [{"S_D": result.s_d, "S_D_err": result.s_d_err,

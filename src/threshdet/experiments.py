@@ -108,18 +108,24 @@ TWO_DIM_SETUPS = {
 
 
 @dataclass
-class ChshJointResult:
-    stats: dict[str, DetectionStats]    # by JOINT_OBSERVABLES name
-    s_d: float
-    s_d_err: float
+class ChshResult:
+    """The four CHSH records, in the order AB, AB', A'B, A'B'."""
+
+    stats: dict    # by JOINT_OBSERVABLES name or LOCAL_PAIRS entry
+
+    @property
+    def s_d(self) -> float:
+        """S_D = |E(AB) + E(AB')| + |E(A'B) - E(A'B')|."""
+        m = [st.mean for st in self.stats.values()]
+        return abs(m[0] + m[1]) + abs(m[2] - m[3])
+
+    @property
+    def s_d_err(self) -> float:
+        return sum(st.mean_stderr for st in self.stats.values())
 
 
 @dataclass
-class ChshLocalResult:
-    stats: dict[tuple[str, str], DetectionStats]    # by LOCAL_PAIRS entry
-    means: dict[tuple[str, str], float]
-    s_d: float
-    s_d_err: float
+class ChshLocalResult(ChshResult):
     singles_fraction: float
     coincidence_fraction: float
     efficiency: float
@@ -130,12 +136,6 @@ class MagicSquareResult:
     stats: dict[str, DetectionStats]    # by MAGIC_CONTEXTS name, all states
     violation_count: int
     six_way_overlap: int
-
-
-def _chsh_value(means, stderrs) -> tuple[float, float]:
-    """S_D = |E(AB) + E(AB')| + |E(A'B) - E(A'B')| and its summed stderr,
-    from means and stderrs in the order AB, AB', A'B, A'B'."""
-    return abs(means[0] + means[1]) + abs(means[2] - means[3]), sum(stderrs)
 
 
 def run_two_dim_examples(trials: int, seed: int, *,
@@ -150,7 +150,7 @@ def run_two_dim_examples(trials: int, seed: int, *,
 
 
 def run_chsh_joint(noise_kind: str, trials: int, seed: int, *,
-                   workers: int = 1) -> ChshJointResult:
+                   workers: int = 1) -> ChshResult:
     """Joint four-dimensional CHSH run with independent ensembles per observable."""
     if noise_kind not in CHSH_JOINT_PARAMS:
         raise ValueError(f"unsupported noise kind for this run: {noise_kind}")
@@ -161,9 +161,7 @@ def run_chsh_joint(noise_kind: str, trials: int, seed: int, *,
                                         stream=_STREAM_JOINT_BASE + i,
                                         workers=workers)
              for i, (name, obs) in enumerate(JOINT_OBSERVABLES.items())}
-    s_d, s_d_err = _chsh_value([st.mean for st in stats.values()],
-                               [st.mean_stderr for st in stats.values()])
-    return ChshJointResult(stats=stats, s_d=s_d, s_d_err=s_d_err)
+    return ChshResult(stats)
 
 
 def run_chsh_local(trials: int, seed: int, *, noise_kind: str = noise.SPHERE,
@@ -186,22 +184,21 @@ def run_chsh_local(trials: int, seed: int, *, noise_kind: str = noise.SPHERE,
     # h[x, y]: trials where Alice's shifted code is x and Bob's is y.
     joint = probability.tally_chunks(ensembles, kernel,
                                      workers).reshape(-1, 4, 4)
-    stats, means = {}, {}
-    for pair, h in zip(LOCAL_PAIRS, joint):
-        # Coincidences (++, +-, -+, --) are single detections; the rest, none.
+    stats = {}
+    for (alice, bob), h in zip(LOCAL_PAIRS, joint):
+        # Coincidences (++, +-, -+, --) are single detections, valued by the
+        # product of the two parties' values; the rest count as none.
         c = h[2:, 2:].ravel()
-        n = int(c.sum())
-        stats[pair] = DetectionStats(np.r_[0, trials - n, c])
-        means[pair] = float((c[0] - c[1] - c[2] + c[3]) / n) if n else np.nan
-    s_d, s_d_err = _chsh_value(list(means.values()),
-                               [st.mean_stderr for st in stats.values()])
+        stats[alice, bob] = DetectionStats(
+            np.r_[0, trials - c.sum(), c],
+            np.outer(LOCAL_SETTINGS[alice].values,
+                     LOCAL_SETTINGS[bob].values).ravel())
     n_total = trials * len(stats)
     coincidences = sum(st.n_detected for st in stats.values())
     # Singles: Alice or Bob detects, so not both shifted codes are below 2.
     singles = int(n_total - joint[:, :2, :2].sum())
     return ChshLocalResult(
-        stats=stats, means=means, s_d=s_d, s_d_err=s_d_err,
-        singles_fraction=singles / n_total,
+        stats=stats, singles_fraction=singles / n_total,
         coincidence_fraction=coincidences / n_total,
         efficiency=coincidences / singles if singles else np.nan)
 
@@ -221,7 +218,7 @@ def run_magic_square(num_states: int, trials_per_state: int, seed: int, *,
     and the six-way detection overlap (always empty)."""
     if num_states < 1:
         raise ValueError("num_states must be at least 1")
-    sigma = 1.0
+    sigma = gamma = 1.0
     model = NoiseModel(noise.SPHERE, sigma, 4)
     ensembles = [(random_state(seed, i), noise.S_BOUNDED, model, seed,
                   _STREAM_MAGIC_NOISE_BASE + i, trials_per_state)
@@ -233,7 +230,7 @@ def run_magic_square(num_states: int, trials_per_state: int, seed: int, *,
         hists = []
         detected_all = np.ones(len(a), dtype=bool)
         for m in MAGIC_CONTEXTS.values():
-            codes = detection.detect_observable_block(a, m, sigma)
+            codes = detection.detect_observable_block(a, m, gamma)
             hists.append(np.bincount(codes + 2, minlength=6))
             detected_all &= codes >= 0
         return np.append(hists, np.count_nonzero(detected_all))
@@ -254,11 +251,12 @@ def run_bell_state_checks(trials: int, seed: int, *, workers: int = 1
     """Bell-state statistics, standard then tilted: perfect
     anti-correlation in the standard basis and the four-outcome conditional
     distribution of the tilted observable."""
-    sigma, s = 1.0, noise.S_BOUNDED
+    sigma = gamma = 1.0
+    s = noise.S_BOUNDED
     model = NoiseModel(noise.SPHERE, sigma, 4)
-    std = probability.estimate(BELL_STATE, s, model, sigma, trials, seed,
+    std = probability.estimate(BELL_STATE, s, model, gamma, trials, seed,
                                stream=_STREAM_BELL_STANDARD, workers=workers)
-    tilted = probability.estimate(BELL_STATE, s, model, sigma, trials, seed,
+    tilted = probability.estimate(BELL_STATE, s, model, gamma, trials, seed,
                                   measurement=BELL_TILTED,
                                   stream=_STREAM_BELL_TILTED, workers=workers)
     return std, tilted

@@ -64,8 +64,8 @@ def bplus_counterexample(trials: int, seed: int, *,
     conditional statistics of this observable do not match Tr(rho B+),
     whose value is ``QUANTUM_BPLUS_EXPECTATION``.
     """
-    sigma = 1.0
+    sigma = gamma = 1.0
     model = NoiseModel(noise.SPHERE, sigma, 2)
     return probability.estimate(np.array([1.0, 0.0]), noise.S_BOUNDED, model,
-                                sigma, trials, seed, measurement=BPLUS,
+                                gamma, trials, seed, measurement=BPLUS,
                                 stream=_STREAM_BPLUS, workers=workers)

@@ -60,8 +60,17 @@ def test_two_dim_examples_limits():
     assert bs.P_hat[0] == pytest.approx(bs.P_hat[1], abs=0.01)
 
 
+def _assert_s_d_from_records(res):
+    # S_D and its error, recomputed from the four records AB, AB', A'B, A'B'.
+    m = [st.mean for st in res.stats.values()]
+    assert res.s_d == abs(m[0] + m[1]) + abs(m[2] - m[3])
+    assert res.s_d_err == sum(1 / np.sqrt(st.n_detected)
+                              for st in res.stats.values())
+
+
 def test_chsh_joint_sphere_violates_classical_bound():
     res = run_chsh_joint(noise.SPHERE, TRIALS, seed=41)
+    _assert_s_d_from_records(res)
     assert res.s_d > 2.0 + 10 * res.s_d_err
     assert res.s_d < 4.0
     signs = [np.sign(st.mean) for st in res.stats.values()]
@@ -202,13 +211,19 @@ def test_chsh_local_recounts_row_by_row(workers):
         assert stat.counts.tolist() == counts
         assert stat.n_detected == n
         assert stat.no_detection == trials - n
-        # Bit for bit: the exact integer numerator over n.
-        assert res.means[pair] == \
-            (counts[0] - counts[1] - counts[2] + counts[3]) / n
+        # Pair values are the product of the parties' values; the mean is
+        # their dot product with the frequencies, bit for bit, and within
+        # 4 ulp of the exact integer numerator over n.
+        assert stat.values.tolist() == [1, -1, -1, 1]
+        assert stat.mean == float(np.dot([1, -1, -1, 1],
+                                         np.array(counts) / n))
+        exact = (counts[0] - counts[1] - counts[2] + counts[3]) / n
+        assert abs(stat.mean - exact) <= 4 * np.spacing(abs(exact))
         coincidences += n
     n_total = trials * len(LOCAL_PAIRS)
     assert res.singles_fraction == singles / n_total
     assert res.coincidence_fraction == coincidences / n_total
+    _assert_s_d_from_records(res)
 
 
 @pytest.mark.parametrize("workers", [1, 2])

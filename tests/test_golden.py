@@ -45,10 +45,10 @@ GOLDEN = {
         "274038a7a0e3a8cc154305a7e51fbd0b5b69e1b6e3ff339e4c3f2b515827c9f7"),
     "chsh-local": (
         ["chsh-local", "--trials", TRIALS],
-        "d73fb687e8bb413402ddbf7c291a40e7b7287786d6e769026610188bfed1c871"),
+        "acd1ac31a3bbf679ad0d49c84639bdaaf26730d893d4ad5cb7e2bb89cdf8ba6b"),
     "chsh-local-gaussian": (
         ["chsh-local", "--noise", "gaussian", "--trials", TRIALS],
-        "3819305c315ad782f171b8c3ebeacdfd45db51d48e1bbfb416d1cb20916fe0b2"),
+        "f22fafe77cab7be932538d81e459a616578d864c31c3606cdafe528efe64189f"),
     "bell-state": (
         ["bell-state", "--trials", TRIALS],
         "b6488c132b0a367108436b49280993f5161d8061ed1f3ca8a1272bda8b6ecfbb"),
@@ -77,10 +77,10 @@ JSON_AND_STDOUT = {
         "05590a923cffbe3c090ee9e96af79ae97ff23a1663ec022e0ddf3ea00de51293",
         "a6b16583126ba76a453ee339fda2e333e3ff85e75d73022a698edf9a9afc5c6f"),
     "chsh-local": (
-        "c08b2b928da0b49b420d521d70b7aae9d33ab95946799c35cafcff11180b7906",
+        "60c91133f086862fbedffed0fd054d89cd5797fb41052559afaa942489986355",
         "e725b080c369fb5c82549acd89a9fe753c9350075b051818b77bd191a3beea8c"),
     "chsh-local-gaussian": (
-        "efe4fe22e13bc1a2a6dae1b07ae09cca577faa0a5a755459f1f01d7870146b0f",
+        "8f060ac9745e8ac0d09d51d34c5946cf3d6bedc90323000588221a8f0bae5ad4",
         "c1e411a67b78b4f209c31c85c3a99df8cef69ed0a6460b9397a08018e2660a2c"),
     "detect-probs": (
         "df33822a9c5c5590a1c94a1eb9751644db6c8e2a50615160e4fe2d43ab868324",
