@@ -8,10 +8,12 @@ one block kernel, ``detect_observable_block``; all functions are pure in
 under any measurement always agrees with itself.
 
 Kernels return integer codes per trial: the detected group index,
-``NO_DETECTION`` (-1), or ``MULTIPLE_DETECTIONS`` (-2).  Every Monte Carlo
-chunk kernel tallies them as a histogram of shifted codes, code + 2: cell 0
-counts multiple detections, cell 1 no detection and cell 2 + n single
-detections of group n.  Every statistic of a run is a sum of such cells.
+``NO_DETECTION`` (-1), or ``MULTIPLE_DETECTIONS`` (-2).  The one Monte
+Carlo chunk kernel, in ``probability.tally_chunks``, tallies the codes of a
+tuple of measurements as their joint histogram of shifted codes, code + 2:
+along each measurement's axis, cell 0 counts multiple detections, cell 1 no
+detection and cell 2 + n single detections of group n.  Every statistic of
+a run is a sum of such cells.
 """
 
 from __future__ import annotations

@@ -4,9 +4,11 @@ Covers the two-dimensional warm-up configurations, the magic-square
 contextuality Monte Carlo, joint and local CHSH runs, and the Bell-state
 statistics checks, plus exact replay of injected realizations.
 
-Every chunk kernel returns histograms of shifted outcome codes (see
-``detection``).  After the map they become ``DetectionStats`` records, and
-coincidences, singles and product violations are sums of their cells.
+Every Monte Carlo tally is ``probability.tally_chunks``: the joint
+histogram of the shifted outcome codes (see ``detection``) of the
+measurements made on each realization.  Its cells and marginals become
+``DetectionStats`` records, and coincidences, singles, product violations
+and the six-way overlap are sums of its cells.
 Result records hold only what a run measured, not its arguments or module
 constants.
 """
@@ -170,22 +172,13 @@ def run_chsh_local(trials: int, seed: int, *, noise_kind: str = noise.SPHERE,
     separately through subspace partitions; only coincidences are scored."""
     gamma = 1.0
     model = NoiseModel(noise_kind, 1.0, 4)
-    ensembles = [(BELL_STATE, noise.S_BOUNDED, model, seed,
-                  _STREAM_LOCAL_BASE + i, trials)
-                 for i in range(len(LOCAL_PAIRS))]
-
-    def kernel(i, a):
-        # Joint histogram of Alice's and Bob's shifted codes (see detection).
-        alice, bob = LOCAL_PAIRS[i]
-        ca = detection.detect_observable_block(a, LOCAL_SETTINGS[alice], gamma)
-        cb = detection.detect_observable_block(a, LOCAL_SETTINGS[bob], gamma)
-        return np.bincount(4 * (ca + 2) + cb + 2, minlength=16)
-
-    # h[x, y]: trials where Alice's shifted code is x and Bob's is y.
-    joint = probability.tally_chunks(ensembles, kernel,
-                                     workers).reshape(-1, 4, 4)
-    stats = {}
-    for (alice, bob), h in zip(LOCAL_PAIRS, joint):
+    stats, singles = {}, 0
+    for i, (alice, bob) in enumerate(LOCAL_PAIRS):
+        # h[x, y]: trials where Alice's shifted code is x and Bob's is y.
+        h = probability.tally_chunks(
+            [(BELL_STATE, noise.S_BOUNDED, model, seed,
+              _STREAM_LOCAL_BASE + i, trials)],
+            (LOCAL_SETTINGS[alice], LOCAL_SETTINGS[bob]), gamma, workers)
         # Coincidences (++, +-, -+, --) are single detections, valued by the
         # product of the two parties' values; the rest count as none.
         c = h[2:, 2:].ravel()
@@ -193,10 +186,10 @@ def run_chsh_local(trials: int, seed: int, *, noise_kind: str = noise.SPHERE,
             np.r_[0, trials - c.sum(), c],
             np.outer(LOCAL_SETTINGS[alice].values,
                      LOCAL_SETTINGS[bob].values).ravel())
+        # Singles: Alice or Bob detects, so not both shifted codes are below 2.
+        singles += trials - int(h[:2, :2].sum())
     n_total = trials * len(stats)
     coincidences = sum(st.n_detected for st in stats.values())
-    # Singles: Alice or Bob detects, so not both shifted codes are below 2.
-    singles = int(n_total - joint[:, :2, :2].sum())
     return ChshLocalResult(
         stats=stats, singles_fraction=singles / n_total,
         coincidence_fraction=coincidences / n_total,
@@ -223,27 +216,21 @@ def run_magic_square(num_states: int, trials_per_state: int, seed: int, *,
     ensembles = [(random_state(seed, i), noise.S_BOUNDED, model, seed,
                   _STREAM_MAGIC_NOISE_BASE + i, trials_per_state)
                  for i in range(num_states)]
-
-    def kernel(_, a):
-        # Per context, the histogram of its shifted codes (see detection);
-        # then the rows where all six contexts detect.
-        hists = []
-        detected_all = np.ones(len(a), dtype=bool)
-        for m in MAGIC_CONTEXTS.values():
-            codes = detection.detect_observable_block(a, m, gamma)
-            hists.append(np.bincount(codes + 2, minlength=6))
-            detected_all &= codes >= 0
-        return np.append(hists, np.count_nonzero(detected_all))
-
-    total = probability.tally_chunks(ensembles, kernel, workers).sum(axis=0)
-    stats = {name: DetectionStats(h, m.values) for (name, m), h
-             in zip(MAGIC_CONTEXTS.items(), total[:-1].reshape(-1, 6))}
+    # joint[x_1, ..., x_6]: trials where context k's shifted code is x_k.
+    joint = probability.tally_chunks(ensembles, MAGIC_CONTEXTS.values(),
+                                     gamma, workers)
+    stats = {}
+    for k, (name, m) in enumerate(MAGIC_CONTEXTS.items()):
+        others = tuple(j for j in range(joint.ndim) if j != k)
+        stats[name] = DetectionStats(joint.sum(axis=others), m.values)
     # A violation is a detection of a component whose three values multiply
     # to other than the product the context's operators require.
     violations = sum(
         int(st.counts[st.values.prod(axis=1) != MAGIC_PRODUCTS[name]].sum())
         for name, st in stats.items())
-    return MagicSquareResult(stats, violations, int(total[-1]))
+    # The six-way overlap: every context detects, every shifted code >= 2.
+    overlap = int(joint[(slice(2, None),) * joint.ndim].sum())
+    return MagicSquareResult(stats, violations, overlap)
 
 
 def run_bell_state_checks(trials: int, seed: int, *, workers: int = 1

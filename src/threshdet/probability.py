@@ -197,12 +197,13 @@ def _reuse_freed_memory() -> None:
 def map_chunks(fn, jobs, workers: int = 1) -> list:
     """Apply a chunk worker to all jobs, optionally on a shared thread pool.
 
-    The chunk kernels spend their time in numpy's random fills, ufuncs and
+    The chunk kernel spends its time in numpy's random fills, ufuncs and
     BLAS calls, which release the GIL, so chunks run concurrently on threads;
     BLAS itself runs single-threaded (see ``_single_thread_blas``), and
     freed memory stays in the heap (see ``_reuse_freed_memory``).
-    Results come back in job order and ``tally_chunks`` sums them as
-    integers, so the result is identical for any worker count.
+    Results come back in job order; ``tally_chunks``' jobs return nothing
+    and add their integer histograms into one total instead, so its result
+    is identical for any worker count.
     """
     _single_thread_blas()
     _reuse_freed_memory()
@@ -212,32 +213,51 @@ def map_chunks(fn, jobs, workers: int = 1) -> list:
     return list(_pool(workers).map(fn, jobs))
 
 
-def tally_chunks(ensembles, kernel, workers: int = 1) -> np.ndarray:
-    """Integer tallies of ``kernel`` summed over the chunks of each ensemble.
+def tally_chunks(ensembles, measurements, gamma: float,
+                 workers: int = 1) -> np.ndarray:
+    """Joint histogram of the shifted codes of ``measurements`` (see
+    ``detection``), summed over every trial of every ensemble.
 
     An ensemble is ``(alpha, s, model, seed, stream, trials)``.  Its trials
     are cut into chunks of ``CHUNK``, one pool job each.  A job realizes its
-    chunk in one block and passes it to ``kernel(i, a)``, where i is the
-    ensemble's index; the kernel returns a fixed-length integer tally that
-    adds over rows.  Row i of the result is the sum of ensemble i's chunk
-    tallies.
+    chunk in one block, detects every measurement on it and bincounts each
+    row's cell.  Cell (x_1, ..., x_K) counts the trials where measurement k
+    gave shifted code x_k, so the result has shape (G_1 + 2, ..., G_K + 2)
+    for measurements of G_k groups.
     """
-    ensembles = list(ensembles)
+    ensembles, measurements = list(ensembles), tuple(measurements)
+    detection.check_gamma(gamma)
     if not ensembles or min(trials for *_, trials in ensembles) < 1:
         raise ValueError("every ensemble needs at least 1 trial")
+    for _, _, model, *_ in ensembles:
+        for m in measurements:
+            if m.dim != model.dim:
+                raise ValueError(f"measurement of dimension {m.dim} on a "
+                                 f"noise model of dimension {model.dim}")
+    shape = tuple(len(m.groups) + 2 for m in measurements)
+    # Row-major place of cell (2, ..., 2): adding it shifts every code by 2.
+    shift = int(np.ravel_multi_index((2,) * len(shape), shape))
+    total = np.zeros(shape, dtype=np.int64)
+    lock = threading.Lock()
     jobs = [(i, start, count) for i, (*_, trials) in enumerate(ensembles)
             for start, count in _chunk_ranges(trials)]
 
     def run(job):
         i, start, count = job
         alpha, s, model, seed, stream, _ = ensembles[i]
-        return kernel(i, noise.realize_block(alpha, s, model, seed, start,
-                                             count, stream))
+        a = noise.realize_block(alpha, s, model, seed, start, count, stream)
+        # Each row's row-major cell by Horner's rule, in place, so only the
+        # index and one measurement's codes are alive at a time.
+        cell = detection.detect_observable_block(a, measurements[0], gamma)
+        for m, n in zip(measurements[1:], shape[1:]):
+            cell *= n
+            cell += detection.detect_observable_block(a, m, gamma)
+        cell += shift
+        hist = np.bincount(cell, minlength=total.size).reshape(shape)
+        with lock:  # integer sums: the same total in any order
+            np.add(total, hist, out=total)
 
-    tallies = map_chunks(run, jobs, workers)
-    total = np.zeros((len(ensembles), len(tallies[0])), dtype=np.int64)
-    for (i, _, _), tally in zip(jobs, tallies):
-        total[i] += tally
+    map_chunks(run, jobs, workers)
     return total
 
 
@@ -246,20 +266,10 @@ def estimate(alpha, s: float, model: NoiseModel, gamma: float, trials: int,
              stream: int = 0, workers: int = 1) -> DetectionStats:
     """Monte Carlo detection statistics of one measurement, by default the
     standard basis of ``model.dim``; its values, if any, weight the mean."""
-    detection.check_gamma(gamma)
     m = Measurement(np.eye(model.dim)) if measurement is None else measurement
-    if m.dim != model.dim:
-        raise ValueError(f"measurement of dimension {m.dim} on a noise model "
-                         f"of dimension {model.dim}")
-
-    def kernel(_, a):
-        # Histogram of the shifted codes (see detection).
-        codes = detection.detect_observable_block(a, m, gamma)
-        return np.bincount(codes + 2, minlength=len(m.groups) + 2)
-
-    (total,) = tally_chunks([(alpha, s, model, seed, stream, trials)], kernel,
-                            workers)
-    return DetectionStats(total, m.values)
+    hist = tally_chunks([(alpha, s, model, seed, stream, trials)], (m,),
+                        gamma, workers)
+    return DetectionStats(hist, m.values)
 
 
 def marcum_q1(a, b):

@@ -1,5 +1,7 @@
 """End-to-end experiment runs at reduced trial counts."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -128,6 +130,23 @@ def test_magic_square_violation_counter_counts(monkeypatch):
     monkeypatch.setitem(experiments.MAGIC_PRODUCTS, "C3", +1)
     res = run_magic_square(num_states=2, trials_per_state=1 << 12, seed=61)
     assert res.violation_count == res.stats["C3"].n_detected > 0
+
+
+def test_magic_square_memory_does_not_grow_with_states():
+    # All states share one 46 656-cell total, added into as each job ends:
+    # 32 states peak within 2 MB of 2.  A total per state, or every job's
+    # histogram kept until the map ends, would add about 11.9 MB.
+    run_magic_square(2, 1 << 14, 7, workers=2)  # warm: pool and tables
+    peaks = []
+    tracemalloc.start()
+    try:
+        for states in (2, 32):
+            tracemalloc.reset_peak()
+            run_magic_square(states, 1 << 14, 7, workers=2)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+    finally:
+        tracemalloc.stop()
+    assert peaks[1] - peaks[0] <= 2 << 20, peaks
 
 
 def test_magic_square_rejects_zero_states():

@@ -1,5 +1,6 @@
 """Estimator accounting identities and the analytic Gaussian oracle."""
 
+import contextlib
 import ctypes
 import platform
 import subprocess
@@ -8,15 +9,17 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate, special
 
 import threshdet
 from threshdet import detection, noise, probability
+from threshdet.experiments import LOCAL_PAIRS, LOCAL_SETTINGS, MAGIC_CONTEXTS
 from threshdet.linalg import H, Measurement
 from threshdet.noise import CHUNK, GAUSSIAN, SPHERE, NoiseModel
 from threshdet.probability import (DetectionStats, DomainTooSmall, estimate,
@@ -296,6 +299,53 @@ def test_estimate_input_validation(trials, gamma):
                  gamma, trials=trials, seed=0)
 
 
+@contextlib.contextmanager
+def _realize_calls():
+    """The (seed, stream, start, count) of every ``noise.realize_block``
+    call made inside the block."""
+    calls = []
+    realize = noise.realize_block
+
+    def spy(alpha, s, model, seed, start, count, stream):
+        calls.append((seed, stream, start, count))
+        return realize(alpha, s, model, seed, start, count, stream)
+
+    with mock.patch.object(noise, "realize_block", spy):
+        yield calls
+
+
+def _chunk_calls(ensembles):
+    """The calls that tile each ensemble's trials with chunks of CHUNK."""
+    return sorted((seed, stream, start, min(CHUNK, trials - start))
+                  for _, _, _, seed, stream, trials in ensembles
+                  for start in range(0, trials, CHUNK))
+
+
+def _recount(ensembles, measurements, gamma):
+    # Independent of the driver: one chunk at a time, one row at a time.
+    shape = tuple(len(m.groups) + 2 for m in measurements)
+    hist = np.zeros(shape, dtype=np.int64)
+    for alpha, s, model, seed, stream, trials in ensembles:
+        for start in range(0, trials, CHUNK):
+            a = noise.realize_block(alpha, s, model, seed, start,
+                                    min(CHUNK, trials - start), stream)
+            codes = [detection.detect_observable_block(a, m, gamma)
+                     for m in measurements]
+            np.add.at(hist, tuple(c + 2 for c in codes), 1)
+    return hist
+
+
+def _measurement_tuples(dim):
+    """Tuples of K = 1, 2 and 6 measurements on ``dim`` components."""
+    if dim != 4:
+        # Axes of 4 and 3 cells: the second has one group, |a| itself.
+        return [(Measurement(np.eye(dim)),),
+                (Measurement(np.eye(dim)), Measurement(H, ((0, 1),)))]
+    return [(Measurement(np.eye(4)),),
+            *((LOCAL_SETTINGS[a], LOCAL_SETTINGS[b]) for a, b in LOCAL_PAIRS),
+            tuple(MAGIC_CONTEXTS.values())]
+
+
 def test_tally_chunks_sums_chunks_per_ensemble():
     # Uneven ensembles crossing chunk boundaries, one smaller than a chunk.
     model = NoiseModel(SPHERE, 1.0, 2)
@@ -303,43 +353,31 @@ def test_tally_chunks_sums_chunks_per_ensemble():
     ensembles = [(alpha, 0.4, model, 3, 7, CHUNK + 5),
                  (alpha, 0.4, model, 3, 8, 17),
                  (alpha, 0.4, model, 4, 7, 2 * CHUNK + 1)]
-
-    def kernel(i, a):
-        # Every column adds over rows, as tallies must: the driver sums
-        # chunk tallies.  Column 0 checks that rows land at their ensemble.
-        crossed = np.abs(a) > 0.9
-        return np.array([i * len(a), len(a), *crossed.sum(axis=0)])
-
-    expected = np.zeros((len(ensembles), 4), dtype=np.int64)
-    for i, (alpha, s, model, seed, stream, trials) in enumerate(ensembles):
-        for start in range(0, trials, CHUNK):
-            a = noise.realize_block(alpha, s, model, seed, start,
-                                    min(CHUNK, trials - start), stream)
-            expected[i] += kernel(i, a)
-    assert expected[:, 1].tolist() == [CHUNK + 5, 17, 2 * CHUNK + 1]
-    for workers in (1, 3):
-        assert np.array_equal(
-            probability.tally_chunks(ensembles, kernel, workers), expected)
+    measurements = _measurement_tuples(2)[1]
+    expected = _recount(ensembles, measurements, 0.9)
+    assert expected.sum() == 3 * CHUNK + 23
+    for workers in (1, 2, 3):
+        with _realize_calls() as calls:
+            total = probability.tally_chunks(ensembles, measurements, 0.9,
+                                             workers)
+        assert np.array_equal(total, expected)
+        # Every row lands in the total once, read from its own ensemble.
+        assert sorted(calls) == _chunk_calls(ensembles)
 
 
 def test_tally_chunks_sees_at_most_chunk_rows_per_call():
-    # One job, and one kernel call, per chunk: no call sees more than
-    # CHUNK rows, which is what keeps a call's arrays in cache.
+    # One job, and one realized block, per chunk: no block has more than
+    # CHUNK rows, which is what keeps a job's arrays in cache.
     model = NoiseModel(SPHERE, 1.0, 4)
     alpha = np.array([0.5, 0.5, 0.5, 0.5])
-    trials = 3 * CHUNK + 7
+    ensemble = (alpha, 0.5, model, 1, 0, 3 * CHUNK + 7)
     for workers in (1, 2):
-        rows = []
-
-        def kernel(_, a):
-            rows.append(len(a))
-            return np.array([len(a)])
-
-        (total,) = probability.tally_chunks(
-            [(alpha, 0.5, model, 1, 0, trials)], kernel, workers)
-        assert total.tolist() == [trials]
-        assert len(rows) == -(-trials // CHUNK)
-        assert max(rows) == CHUNK
+        with _realize_calls() as calls:
+            total = probability.tally_chunks(
+                [ensemble], (Measurement(np.eye(4)),), 1.0, workers)
+        assert total.sum() == 3 * CHUNK + 7
+        assert sorted(calls) == _chunk_calls([ensemble])
+        assert max(count for *_, count in calls) == CHUNK
 
 
 # Every noise family, at each dimension the workloads use.
@@ -352,34 +390,36 @@ TALLY_MODELS = (
 )
 
 
-def _bits_and_codes(_, a):
-    # Column sums of the raw bits wrap mod 2^64, so they add exactly over
-    # chunks, and one changed bit in any row changes them; the codes are
-    # the estimator's tally.
-    codes = detection.detect_standard_block(a, 1.0)
-    return np.concatenate([a.view(np.int64).sum(axis=0),
-                           np.bincount(codes + 2, minlength=a.shape[1] + 2)])
-
-
 @settings(max_examples=25, deadline=None)
-@given(model=st.sampled_from(TALLY_MODELS),
+@example(setup=(TALLY_MODELS[1], _measurement_tuples(4)[1]),
+         trials=CHUNK + 1, seed=11, stream=2)
+@example(setup=(TALLY_MODELS[1], _measurement_tuples(4)[-1]),
+         trials=2 * CHUNK + 3, seed=2**64 - 1, stream=50)
+@given(setup=st.sampled_from(TALLY_MODELS).flatmap(
+           lambda model: st.tuples(
+               st.just(model),
+               st.sampled_from(_measurement_tuples(model.dim)))),
        trials=st.sampled_from([1, CHUNK - 1, CHUNK + 1, 70000])
        | st.integers(min_value=1, max_value=2 * CHUNK + 3),
        seed=st.integers(min_value=0, max_value=2**64 - 1),
        stream=st.integers(min_value=0, max_value=50))
-def test_tallies_equal_per_chunk_tallies(model, trials, seed, stream):
+def test_tallies_equal_per_chunk_tallies(setup, trials, seed, stream):
+    model, measurements = setup
     alpha = np.ones(model.dim) / np.sqrt(model.dim)
     ensemble = (alpha, 0.5, model, seed, stream, trials)
-    expected = np.zeros(3 * model.dim + 2, dtype=np.int64)
-    for start in range(0, trials, CHUNK):
-        expected += _bits_and_codes(0, noise.realize_block(
-            alpha, 0.5, model, seed, start, min(CHUNK, trials - start),
-            stream))
-    assert expected[-model.dim - 2:].sum() == trials
+    expected = _recount([ensemble], measurements, 1.0)
+    assert expected.sum() == trials
     for workers in (1, 2):
-        (total,) = probability.tally_chunks([ensemble], _bits_and_codes,
-                                            workers)
+        with _realize_calls() as calls:
+            total = probability.tally_chunks([ensemble], measurements, 1.0,
+                                             workers)
+        assert sorted(calls) == _chunk_calls([ensemble])
         assert np.array_equal(total, expected)
+    # Axis k's marginal is the tally of measurement k alone.
+    for k, m in enumerate(measurements):
+        others = tuple(j for j in range(total.ndim) if j != k)
+        assert np.array_equal(total.sum(axis=others),
+                              probability.tally_chunks([ensemble], (m,), 1.0))
 
 
 def test_tally_chunks_rejects_empty_ensembles():
@@ -388,7 +428,40 @@ def test_tally_chunks_rejects_empty_ensembles():
     for ensembles in ([], [(alpha, 0.4, model, 3, 7, 10),
                            (alpha, 0.4, model, 3, 8, 0)]):
         with pytest.raises(ValueError):
-            probability.tally_chunks(ensembles, lambda i, a: [len(a)])
+            probability.tally_chunks(ensembles, (Measurement(np.eye(2)),),
+                                     1.0)
+
+
+def test_tally_chunks_rejects_a_measurement_of_another_dimension():
+    # Every measurement of the tuple must match every ensemble's model,
+    # not only the first: a 2-dim one would read 2 of 4 columns.
+    ensemble = (np.array([0.5, 0.5, 0.5, 0.5]), 0.5,
+                NoiseModel(SPHERE, 1.0, 4), 1, 0, 100)
+    with pytest.raises(ValueError, match="measurement of dimension 2 on a "
+                                         "noise model of dimension 4"):
+        probability.tally_chunks(
+            [ensemble], (LOCAL_SETTINGS["A"], Measurement(np.eye(2))), 1.3)
+
+
+def test_tally_chunks_loses_no_job_under_thread_switches():
+    # 96 one-trial jobs on 5 threads, more than the cores, with frequent
+    # thread switches: each adds its 46 656-cell histogram into the shared
+    # total, so a lost update would leave the total short of 96 trials.
+    model = NoiseModel(SPHERE, 1.0, 4)
+    ensembles = [(np.array([0.5, 0.5, 0.5, 0.5]), 0.5, model, 9, stream, 1)
+                 for stream in range(96)]
+    contexts = tuple(MAGIC_CONTEXTS.values())
+    expected = probability.tally_chunks(ensembles, contexts, 1.0)
+    assert expected.sum() == 96
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(10):
+            assert np.array_equal(
+                probability.tally_chunks(ensembles, contexts, 1.0, 5),
+                expected)
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def _slow_square(x):
@@ -473,9 +546,9 @@ def test_tally_chunks_runs_openblas_on_one_thread(workers, monkeypatch):
     alpha = np.array([0.5, 0.5, 0.5, 0.5])
     u = np.linalg.qr(np.arange(16.0).reshape(4, 4) + np.eye(4))[0]
     total = probability.tally_chunks(
-        [(alpha, 0.5, model, 3, 0, 2 * CHUNK)],
-        lambda _, a: np.array([len(a @ u)]), workers)
-    assert total.tolist() == [[2 * CHUNK]]
+        [(alpha, 0.5, model, 3, 0, 2 * CHUNK)], (Measurement(u),), 1.0,
+        workers)
+    assert total.sum() == 2 * CHUNK
     assert [getter() for _, getter in libs] == [1] * len(libs)
 
 
