@@ -4,11 +4,11 @@ Covers the two-dimensional warm-up configurations, the magic-square
 contextuality Monte Carlo, joint and local CHSH runs, and the Bell-state
 statistics checks, plus exact replay of injected realizations.
 
-Every Monte Carlo tally is ``probability.tally_chunks``: the joint
-histogram of the shifted outcome codes (see ``detection``) of the
-measurements made on each realization.  Its cells and marginals become
-``DetectionStats`` records, and coincidences, singles, product violations
-and the six-way overlap are sums of its cells.
+Every Monte Carlo run makes one ``probability.tally_chunks`` call, so one
+pool map, for all its tallies: joint histograms of the shifted outcome
+codes (see ``detection``) of measurements made on each realization.  Their
+cells and marginals become ``DetectionStats`` records, and coincidences,
+singles, product violations and the six-way overlap are sums of cells.
 Result records hold only what a run measured, not its arguments or module
 constants.
 """
@@ -34,8 +34,7 @@ TSIRELSON_BOUND = 2.0 * SQRT2
 # while staying reproducible from a single seed.
 _STREAM_JOINT_BASE = 100
 _STREAM_LOCAL_BASE = 200
-_STREAM_BELL_STANDARD = 300
-_STREAM_BELL_TILTED = 301
+_STREAM_BELL_BASE = 300     # standard basis, then tilted
 _STREAM_TWODIM_BASE = 400
 _STREAM_MAGIC_STATES = 500
 _STREAM_MAGIC_NOISE_BASE = 1000
@@ -143,12 +142,12 @@ class MagicSquareResult:
 def run_two_dim_examples(trials: int, seed: int, *,
                          workers: int = 1) -> dict[str, DetectionStats]:
     """Detection statistics for each of TWO_DIM_SETUPS, by name."""
-    return {name: probability.estimate(alpha, s, NoiseModel(kind, 1.0, 2),
-                                       1.0, trials, seed,
-                                       stream=_STREAM_TWODIM_BASE + i,
-                                       workers=workers)
-            for i, (name, (kind, alpha, s))
-            in enumerate(TWO_DIM_SETUPS.items())}
+    hists = probability.tally_chunks(
+        [([(alpha, s, NoiseModel(kind, 1.0, 2), seed,
+            _STREAM_TWODIM_BASE + i, trials)], (Measurement(np.eye(2)),))
+         for i, (kind, alpha, s) in enumerate(TWO_DIM_SETUPS.values())],
+        1.0, workers)
+    return {name: DetectionStats(h) for name, h in zip(TWO_DIM_SETUPS, hists)}
 
 
 def run_chsh_joint(noise_kind: str, trials: int, seed: int, *,
@@ -158,12 +157,12 @@ def run_chsh_joint(noise_kind: str, trials: int, seed: int, *,
         raise ValueError(f"unsupported noise kind for this run: {noise_kind}")
     sigma, s, gamma = CHSH_JOINT_PARAMS[noise_kind]
     model = NoiseModel(noise_kind, sigma, 4)
-    stats = {name: probability.estimate(BELL_STATE, s, model, gamma, trials,
-                                        seed, measurement=obs,
-                                        stream=_STREAM_JOINT_BASE + i,
-                                        workers=workers)
-             for i, (name, obs) in enumerate(JOINT_OBSERVABLES.items())}
-    return ChshResult(stats)
+    hists = probability.tally_chunks(
+        [([(BELL_STATE, s, model, seed, _STREAM_JOINT_BASE + i, trials)],
+          (obs,)) for i, obs in enumerate(JOINT_OBSERVABLES.values())],
+        gamma, workers)
+    return ChshResult({name: DetectionStats(h, obs.values) for (name, obs), h
+                       in zip(JOINT_OBSERVABLES.items(), hists)})
 
 
 def run_chsh_local(trials: int, seed: int, *, noise_kind: str = noise.SPHERE,
@@ -172,13 +171,13 @@ def run_chsh_local(trials: int, seed: int, *, noise_kind: str = noise.SPHERE,
     separately through subspace partitions; only coincidences are scored."""
     gamma = 1.0
     model = NoiseModel(noise_kind, 1.0, 4)
+    # h[x, y] of a pair: trials where Alice's shifted code is x and Bob's y.
+    hists = probability.tally_chunks(
+        [([(BELL_STATE, noise.S_BOUNDED, model, seed, _STREAM_LOCAL_BASE + i,
+            trials)], (LOCAL_SETTINGS[alice], LOCAL_SETTINGS[bob]))
+         for i, (alice, bob) in enumerate(LOCAL_PAIRS)], gamma, workers)
     stats, singles = {}, 0
-    for i, (alice, bob) in enumerate(LOCAL_PAIRS):
-        # h[x, y]: trials where Alice's shifted code is x and Bob's is y.
-        h = probability.tally_chunks(
-            [(BELL_STATE, noise.S_BOUNDED, model, seed,
-              _STREAM_LOCAL_BASE + i, trials)],
-            (LOCAL_SETTINGS[alice], LOCAL_SETTINGS[bob]), gamma, workers)
+    for (alice, bob), h in zip(LOCAL_PAIRS, hists):
         # Coincidences (++, +-, -+, --) are single detections, valued by the
         # product of the two parties' values; the rest count as none.
         c = h[2:, 2:].ravel()
@@ -217,8 +216,8 @@ def run_magic_square(num_states: int, trials_per_state: int, seed: int, *,
                   _STREAM_MAGIC_NOISE_BASE + i, trials_per_state)
                  for i in range(num_states)]
     # joint[x_1, ..., x_6]: trials where context k's shifted code is x_k.
-    joint = probability.tally_chunks(ensembles, MAGIC_CONTEXTS.values(),
-                                     gamma, workers)
+    [joint] = probability.tally_chunks([(ensembles, MAGIC_CONTEXTS.values())],
+                                       gamma, workers)
     stats = {}
     for k, (name, m) in enumerate(MAGIC_CONTEXTS.items()):
         others = tuple(j for j in range(joint.ndim) if j != k)
@@ -241,12 +240,11 @@ def run_bell_state_checks(trials: int, seed: int, *, workers: int = 1
     sigma = gamma = 1.0
     s = noise.S_BOUNDED
     model = NoiseModel(noise.SPHERE, sigma, 4)
-    std = probability.estimate(BELL_STATE, s, model, gamma, trials, seed,
-                               stream=_STREAM_BELL_STANDARD, workers=workers)
-    tilted = probability.estimate(BELL_STATE, s, model, gamma, trials, seed,
-                                  measurement=BELL_TILTED,
-                                  stream=_STREAM_BELL_TILTED, workers=workers)
-    return std, tilted
+    ms = (Measurement(np.eye(4)), BELL_TILTED)
+    hists = probability.tally_chunks(
+        [([(BELL_STATE, s, model, seed, _STREAM_BELL_BASE + i, trials)], (m,))
+         for i, m in enumerate(ms)], gamma, workers)
+    return tuple(DetectionStats(h, m.values) for m, h in zip(ms, hists))
 
 
 def replay(a, table: dict[str, Measurement], *,

@@ -201,9 +201,9 @@ def map_chunks(fn, jobs, workers: int = 1) -> list:
     BLAS calls, which release the GIL, so chunks run concurrently on threads;
     BLAS itself runs single-threaded (see ``_single_thread_blas``), and
     freed memory stays in the heap (see ``_reuse_freed_memory``).
-    Results come back in job order; ``tally_chunks``' jobs return nothing
-    and add their integer histograms into one total instead, so its result
-    is identical for any worker count.
+    Results come back in job order.  ``tally_chunks`` maps every job of a
+    run in one call; its jobs return nothing and add their integer histograms
+    into their tally's total, so its result is the same for any worker count.
     """
     _single_thread_blas()
     _reuse_freed_memory()
@@ -213,52 +213,58 @@ def map_chunks(fn, jobs, workers: int = 1) -> list:
     return list(_pool(workers).map(fn, jobs))
 
 
-def tally_chunks(ensembles, measurements, gamma: float,
-                 workers: int = 1) -> np.ndarray:
-    """Joint histogram of the shifted codes of ``measurements`` (see
-    ``detection``), summed over every trial of every ensemble.
+def tally_chunks(tallies, gamma: float, workers: int = 1) -> list[np.ndarray]:
+    """Per tally ``(ensembles, measurements)``, in order, the joint histogram
+    of the measurements' shifted codes (see ``detection``), from one pool map.
 
     An ensemble is ``(alpha, s, model, seed, stream, trials)``.  Its trials
     are cut into chunks of ``CHUNK``, one pool job each.  A job realizes its
-    chunk in one block, detects every measurement on it and bincounts each
-    row's cell.  Cell (x_1, ..., x_K) counts the trials where measurement k
-    gave shifted code x_k, so the result has shape (G_1 + 2, ..., G_K + 2)
-    for measurements of G_k groups.
+    chunk in one block, detects every measurement of its tally on it and
+    bincounts each row's cell.  Cell (x_1, ..., x_K) counts the trials of
+    all the tally's ensembles where measurement k gave shifted code x_k, so
+    the shape is (G_1 + 2, ..., G_K + 2) for measurements of G_k groups.
     """
-    ensembles, measurements = list(ensembles), tuple(measurements)
+    tallies = [(list(ensembles), tuple(measurements))
+               for ensembles, measurements in tallies]
     detection.check_gamma(gamma)
-    if not ensembles or min(trials for *_, trials in ensembles) < 1:
-        raise ValueError("every ensemble needs at least 1 trial")
-    for _, _, model, *_ in ensembles:
-        for m in measurements:
-            if m.dim != model.dim:
-                raise ValueError(f"measurement of dimension {m.dim} on a "
-                                 f"noise model of dimension {model.dim}")
-    shape = tuple(len(m.groups) + 2 for m in measurements)
-    # Row-major place of cell (2, ..., 2): adding it shifts every code by 2.
-    shift = int(np.ravel_multi_index((2,) * len(shape), shape))
-    total = np.zeros(shape, dtype=np.int64)
+    if not tallies:
+        raise ValueError("no tally to make")
+    for ensembles, measurements in tallies:
+        if not measurements:
+            raise ValueError("every tally needs at least 1 measurement")
+        if not ensembles or min(trials for *_, trials in ensembles) < 1:
+            raise ValueError("every ensemble needs at least 1 trial")
+        for _, _, model, *_ in ensembles:
+            for m in measurements:
+                if m.dim != model.dim:
+                    raise ValueError(f"measurement of dimension {m.dim} on a "
+                                     f"noise model of dimension {model.dim}")
+    totals = [np.zeros([len(m.groups) + 2 for m in measurements], np.int64)
+              for _, measurements in tallies]
     lock = threading.Lock()
-    jobs = [(i, start, count) for i, (*_, trials) in enumerate(ensembles)
+    jobs = [(t, i, start, count) for t, (ensembles, _) in enumerate(tallies)
+            for i, (*_, trials) in enumerate(ensembles)
             for start, count in _chunk_ranges(trials)]
 
     def run(job):
-        i, start, count = job
+        t, i, start, count = job
+        (ensembles, measurements), total = tallies[t], totals[t]
         alpha, s, model, seed, stream, _ = ensembles[i]
         a = noise.realize_block(alpha, s, model, seed, start, count, stream)
         # Each row's row-major cell by Horner's rule, in place, so only the
         # index and one measurement's codes are alive at a time.
         cell = detection.detect_observable_block(a, measurements[0], gamma)
-        for m, n in zip(measurements[1:], shape[1:]):
+        for m, n in zip(measurements[1:], total.shape[1:]):
             cell *= n
             cell += detection.detect_observable_block(a, m, gamma)
-        cell += shift
-        hist = np.bincount(cell, minlength=total.size).reshape(shape)
+        # Adding the row-major place of cell (2, ..., 2) shifts each code by 2.
+        cell += int(np.ravel_multi_index((2,) * total.ndim, total.shape))
+        hist = np.bincount(cell, minlength=total.size).reshape(total.shape)
         with lock:  # integer sums: the same total in any order
             np.add(total, hist, out=total)
 
     map_chunks(run, jobs, workers)
-    return total
+    return totals
 
 
 def estimate(alpha, s: float, model: NoiseModel, gamma: float, trials: int,
@@ -267,8 +273,8 @@ def estimate(alpha, s: float, model: NoiseModel, gamma: float, trials: int,
     """Monte Carlo detection statistics of one measurement, by default the
     standard basis of ``model.dim``; its values, if any, weight the mean."""
     m = Measurement(np.eye(model.dim)) if measurement is None else measurement
-    hist = tally_chunks([(alpha, s, model, seed, stream, trials)], (m,),
-                        gamma, workers)
+    [hist] = tally_chunks([([(alpha, s, model, seed, stream, trials)], (m,))],
+                          gamma, workers)
     return DetectionStats(hist, m.values)
 
 

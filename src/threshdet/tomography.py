@@ -41,15 +41,15 @@ def infer_state(alpha, s: float, model: NoiseModel, gamma: float, trials: int,
     alpha = noise.check_normalized(alpha)
     if alpha.shape[0] != 2 or model.dim != 2:
         raise ValueError("state inference is defined for dimension 2 only")
-    stats = {}
-    for name, spec in linalg.PAULI_SPECS.items():
-        stats[name] = probability.estimate(
-            alpha, s, model, gamma, trials, seed, measurement=spec,
-            stream=_STREAMS[name], workers=workers)
-        if stats[name].n_detected < MIN_DETECTIONS:
+    hists = probability.tally_chunks(
+        [([(alpha, s, model, seed, _STREAMS[name], trials)], (spec,))
+         for name, spec in linalg.PAULI_SPECS.items()], gamma, workers)
+    stats = {name: DetectionStats(h, spec.values) for (name, spec), h
+             in zip(linalg.PAULI_SPECS.items(), hists)}
+    for st in stats.values():
+        if st.n_detected < MIN_DETECTIONS:
             raise InsufficientDetections(
-                f"only {stats[name].n_detected} detections "
-                f"(need {MIN_DETECTIONS})")
+                f"only {st.n_detected} detections (need {MIN_DETECTIONS})")
     e = {name: st.mean for name, st in stats.items()}
     rho = 0.5 * (linalg.I2 + e["X"] * linalg.X + e["Y"] * linalg.Y
                  + e["Z"] * linalg.Z)

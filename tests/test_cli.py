@@ -1,9 +1,12 @@
 """Command-line interface: exit codes, precedence, output formats."""
 
 import json
+import os
 import shlex
+import shutil
 import subprocess
 import sys
+import textwrap
 import warnings
 from pathlib import Path
 
@@ -529,3 +532,52 @@ def test_readme_cli_lines_parse():
     parser = build_parser()
     for line in lines:
         parser.parse_args(shlex.split(line)[1:])
+
+
+WORKFLOW = Path(__file__).resolve().parents[1] / ".github/workflows/tests.yml"
+
+
+def _workflow_step_script(name: str) -> str:
+    """The ``run: |`` block of the workflow step ``name``, dedented.
+
+    Read without a YAML parser: the block is every line after ``run: |``
+    that is blank or indented deeper than ``run:``.
+    """
+    lines = WORKFLOW.read_text().splitlines()
+    step = next(i for i, line in enumerate(lines)
+                if line.strip() == f"- name: {name}")
+    key = next(i for i in range(step + 1, len(lines))
+               if lines[i].strip() == "run: |")
+    indent = len(lines[key]) - len(lines[key].lstrip())
+    body = []
+    for line in lines[key + 1:]:
+        if line.strip() and len(line) - len(line.lstrip()) <= indent:
+            break
+        body.append(line)
+    return textwrap.dedent("\n".join(body)) + "\n"
+
+
+@pytest.mark.skipif(shutil.which("bash") is None, reason="runs a bash step")
+def test_ci_console_script_step_passes(tmp_path):
+    # CI's "Console script" step, run as GitHub runs a bash step (bash -e)
+    # through a `threshdet` on PATH, so its exit codes come from real
+    # processes.
+    script = _workflow_step_script("Console script")
+    assert "threshdet " in script
+    bin_dir, work = tmp_path / "bin", tmp_path / "work"
+    bin_dir.mkdir()
+    work.mkdir()
+    for name, argv in (("threshdet", "-m threshdet.cli"), ("python", "")):
+        shim = bin_dir / name
+        shim.write_text(f'#!/bin/sh\nexec "{sys.executable}" {argv} "$@"\n')
+        shim.chmod(0o755)
+    (tmp_path / "step.sh").write_text(script)
+    src = str(Path(threshdet.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PATH": os.pathsep.join([str(bin_dir), os.environ["PATH"]]),
+           "PYTHONPATH": os.pathsep.join(
+               filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run(["bash", "-e", str(tmp_path / "step.sh")],
+                          cwd=work, env=env, capture_output=True, text=True,
+                          timeout=300)
+    assert done.returncode == 0, done.stdout[-3000:] + done.stderr[-3000:]

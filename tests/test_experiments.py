@@ -1,13 +1,15 @@
 """End-to-end experiment runs at reduced trial counts."""
 
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from threshdet import detection, experiments, linalg, noise, tomography
+from threshdet import (detection, experiments, linalg, noise, probability,
+                       tomography)
 from threshdet.experiments import (BELL_STATE, BELL_TILTED, JOINT_OBSERVABLES,
                                    LOCAL_PAIRS, LOCAL_SETTINGS,
                                    MAGIC_CONTEXTS, MAGIC_PRODUCTS,
@@ -328,3 +330,42 @@ def test_replay_of_a_drawn_trial_matches_the_simulation(table, data, seed,
         a = noise.inject(alpha, s, w)
         assert replay(a, measurements, gamma=gamma) == \
             {name: int(c[row]) for name, c in codes.items()}
+
+
+# Each run and its pool jobs, at two chunks per ensemble.
+_TWO_CHUNKS = CHUNK + 1
+_MAP_RUNS = {
+    "chsh-joint sphere": (lambda: run_chsh_joint(
+        noise.SPHERE, _TWO_CHUNKS, 3, workers=2), 4 * 2),
+    "chsh-joint gaussian": (lambda: run_chsh_joint(
+        noise.GAUSSIAN, _TWO_CHUNKS, 3, workers=2), 4 * 2),
+    "chsh-local": (lambda: run_chsh_local(_TWO_CHUNKS, 3, workers=2), 4 * 2),
+    "magic-square": (lambda: run_magic_square(3, _TWO_CHUNKS, 3, workers=2),
+                     3 * 2),
+    "two-dim": (lambda: run_two_dim_examples(_TWO_CHUNKS, 3, workers=2),
+                4 * 2),
+    "bell-state": (lambda: run_bell_state_checks(_TWO_CHUNKS, 3, workers=2),
+                   2 * 2),
+    "tomography": (lambda: tomography.infer_state(
+        np.array([0.6, 0.8]), np.sqrt(2.0) - 1.0,
+        NoiseModel(noise.SPHERE, 1.0, 2), 1.0, _TWO_CHUNKS, 3, workers=2),
+        3 * 2),
+}
+
+
+@pytest.mark.parametrize("name", _MAP_RUNS)
+def test_each_run_makes_one_pool_map(name):
+    # All of a run's tallies go through one tally_chunks call, so one map
+    # and one barrier, however many ensembles and measurements it has.
+    run, jobs = _MAP_RUNS[name]
+    calls = []
+    real = probability.map_chunks
+
+    def spy(fn, chunk_jobs, workers=1):
+        chunk_jobs = list(chunk_jobs)
+        calls.append(len(chunk_jobs))
+        return real(fn, chunk_jobs, workers)
+
+    with mock.patch.object(probability, "map_chunks", spy):
+        run()
+    assert calls == [jobs]

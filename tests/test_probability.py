@@ -321,10 +321,13 @@ def _chunk_calls(ensembles):
                   for start in range(0, trials, CHUNK))
 
 
+def _shape(measurements):
+    return tuple(len(m.groups) + 2 for m in measurements)
+
+
 def _recount(ensembles, measurements, gamma):
     # Independent of the driver: one chunk at a time, one row at a time.
-    shape = tuple(len(m.groups) + 2 for m in measurements)
-    hist = np.zeros(shape, dtype=np.int64)
+    hist = np.zeros(_shape(measurements), dtype=np.int64)
     for alpha, s, model, seed, stream, trials in ensembles:
         for start in range(0, trials, CHUNK):
             a = noise.realize_block(alpha, s, model, seed, start,
@@ -358,11 +361,27 @@ def test_tally_chunks_sums_chunks_per_ensemble():
     assert expected.sum() == 3 * CHUNK + 23
     for workers in (1, 2, 3):
         with _realize_calls() as calls:
-            total = probability.tally_chunks(ensembles, measurements, 0.9,
-                                             workers)
+            [total] = probability.tally_chunks([(ensembles, measurements)],
+                                               0.9, workers)
         assert np.array_equal(total, expected)
         # Every row lands in the total once, read from its own ensemble.
         assert sorted(calls) == _chunk_calls(ensembles)
+    # In one call beside tallies of other shapes and dimensions, each
+    # histogram is its tally's alone, and each tally reads its rows once.
+    d4 = (np.array([0.5, 0.5, 0.5, 0.5]), 0.4, NoiseModel(SPHERE, 1.0, 4))
+    tallies = [(ensembles, measurements),
+               (ensembles[:2], _measurement_tuples(2)[0]),
+               ([(*d4, 3, 9, CHUNK + 2)], _measurement_tuples(4)[1])]
+    assert len({_shape(ms) for _, ms in tallies}) == 3
+    alone = [probability.tally_chunks([t], 0.9)[0] for t in tallies]
+    assert np.array_equal(alone[0], expected)
+    for workers in (1, 2, 3):
+        with _realize_calls() as calls:
+            hists = probability.tally_chunks(tallies, 0.9, workers)
+        assert len(hists) == 3
+        assert all(np.array_equal(h, a) for h, a in zip(hists, alone))
+        assert sorted(calls) == sorted(
+            c for ens, _ in tallies for c in _chunk_calls(ens))
 
 
 def test_tally_chunks_sees_at_most_chunk_rows_per_call():
@@ -373,8 +392,8 @@ def test_tally_chunks_sees_at_most_chunk_rows_per_call():
     ensemble = (alpha, 0.5, model, 1, 0, 3 * CHUNK + 7)
     for workers in (1, 2):
         with _realize_calls() as calls:
-            total = probability.tally_chunks(
-                [ensemble], (Measurement(np.eye(4)),), 1.0, workers)
+            [total] = probability.tally_chunks(
+                [([ensemble], (Measurement(np.eye(4)),))], 1.0, workers)
         assert total.sum() == 3 * CHUNK + 7
         assert sorted(calls) == _chunk_calls([ensemble])
         assert max(count for *_, count in calls) == CHUNK
@@ -390,20 +409,24 @@ TALLY_MODELS = (
 )
 
 
+_SETUPS = st.sampled_from(TALLY_MODELS).flatmap(
+    lambda model: st.tuples(st.just(model),
+                            st.sampled_from(_measurement_tuples(model.dim))))
+
+
 @settings(max_examples=25, deadline=None)
 @example(setup=(TALLY_MODELS[1], _measurement_tuples(4)[1]),
+         other=(TALLY_MODELS[0], _measurement_tuples(2)[0]),
          trials=CHUNK + 1, seed=11, stream=2)
 @example(setup=(TALLY_MODELS[1], _measurement_tuples(4)[-1]),
+         other=(TALLY_MODELS[1], _measurement_tuples(4)[-1]),
          trials=2 * CHUNK + 3, seed=2**64 - 1, stream=50)
-@given(setup=st.sampled_from(TALLY_MODELS).flatmap(
-           lambda model: st.tuples(
-               st.just(model),
-               st.sampled_from(_measurement_tuples(model.dim)))),
+@given(setup=_SETUPS, other=_SETUPS,
        trials=st.sampled_from([1, CHUNK - 1, CHUNK + 1, 70000])
        | st.integers(min_value=1, max_value=2 * CHUNK + 3),
        seed=st.integers(min_value=0, max_value=2**64 - 1),
        stream=st.integers(min_value=0, max_value=50))
-def test_tallies_equal_per_chunk_tallies(setup, trials, seed, stream):
+def test_tallies_equal_per_chunk_tallies(setup, other, trials, seed, stream):
     model, measurements = setup
     alpha = np.ones(model.dim) / np.sqrt(model.dim)
     ensemble = (alpha, 0.5, model, seed, stream, trials)
@@ -411,15 +434,29 @@ def test_tallies_equal_per_chunk_tallies(setup, trials, seed, stream):
     assert expected.sum() == trials
     for workers in (1, 2):
         with _realize_calls() as calls:
-            total = probability.tally_chunks([ensemble], measurements, 1.0,
-                                             workers)
+            [total] = probability.tally_chunks([([ensemble], measurements)],
+                                               1.0, workers)
         assert sorted(calls) == _chunk_calls([ensemble])
         assert np.array_equal(total, expected)
     # Axis k's marginal is the tally of measurement k alone.
     for k, m in enumerate(measurements):
         others = tuple(j for j in range(total.ndim) if j != k)
-        assert np.array_equal(total.sum(axis=others),
-                              probability.tally_chunks([ensemble], (m,), 1.0))
+        [alone] = probability.tally_chunks([([ensemble], (m,))], 1.0)
+        assert np.array_equal(total.sum(axis=others), alone)
+    # Beside a tally of another shape, on the next stream, in one call: each
+    # histogram is its tally's alone.
+    other_model, other_ms = other
+    if _shape(other_ms) == _shape(measurements):
+        other_ms += (Measurement(np.eye(other_model.dim)),)
+    beside = ([(np.ones(other_model.dim) / np.sqrt(other_model.dim), 0.5,
+                other_model, seed, stream + 1, CHUNK + 1)], other_ms)
+    [beside_alone] = probability.tally_chunks([beside], 1.0)
+    for workers in (1, 2, 3):
+        hists = probability.tally_chunks([([ensemble], measurements), beside],
+                                         1.0, workers)
+        assert len(hists) == 2
+        assert np.array_equal(hists[0], expected)
+        assert np.array_equal(hists[1], beside_alone)
 
 
 def test_tally_chunks_rejects_empty_ensembles():
@@ -428,8 +465,24 @@ def test_tally_chunks_rejects_empty_ensembles():
     for ensembles in ([], [(alpha, 0.4, model, 3, 7, 10),
                            (alpha, 0.4, model, 3, 8, 0)]):
         with pytest.raises(ValueError):
-            probability.tally_chunks(ensembles, (Measurement(np.eye(2)),),
-                                     1.0)
+            probability.tally_chunks(
+                [(ensembles, (Measurement(np.eye(2)),))], 1.0)
+
+
+def test_tally_chunks_rejects_no_tally_or_no_measurement_before_drawing():
+    # Checked before any job: a pool job would draw noise, then fail on a
+    # tuple with no measurement to index.
+    ensemble = (np.array([1.0, 0.0]), 1.0, NoiseModel(GAUSSIAN, 1.0, 2), 1,
+                0, 10)
+    good = ([ensemble], (Measurement(np.eye(2)),))
+    cases = [([], "no tally"), ([([ensemble], ())], "1 measurement"),
+             ([good, ([ensemble], ())], "1 measurement")]
+    for tallies, message in cases:
+        for workers in (1, 2):
+            with _realize_calls() as calls:
+                with pytest.raises(ValueError, match=message):
+                    probability.tally_chunks(tallies, 1.0, workers)
+            assert calls == []
 
 
 def test_tally_chunks_rejects_a_measurement_of_another_dimension():
@@ -440,26 +493,29 @@ def test_tally_chunks_rejects_a_measurement_of_another_dimension():
     with pytest.raises(ValueError, match="measurement of dimension 2 on a "
                                          "noise model of dimension 4"):
         probability.tally_chunks(
-            [ensemble], (LOCAL_SETTINGS["A"], Measurement(np.eye(2))), 1.3)
+            [([ensemble], (LOCAL_SETTINGS["A"], Measurement(np.eye(2))))],
+            1.3)
 
 
 def test_tally_chunks_loses_no_job_under_thread_switches():
-    # 96 one-trial jobs on 5 threads, more than the cores, with frequent
-    # thread switches: each adds its 46 656-cell histogram into the shared
-    # total, so a lost update would leave the total short of 96 trials.
+    # 96 one-trial jobs over three tallies on 5 threads, more than the
+    # cores, with frequent thread switches: each adds its histogram (up to
+    # 46 656 cells) into its tally's shared total, so a lost update would
+    # leave a total short of its trials.
     model = NoiseModel(SPHERE, 1.0, 4)
     ensembles = [(np.array([0.5, 0.5, 0.5, 0.5]), 0.5, model, 9, stream, 1)
                  for stream in range(96)]
     contexts = tuple(MAGIC_CONTEXTS.values())
-    expected = probability.tally_chunks(ensembles, contexts, 1.0)
-    assert expected.sum() == 96
+    tallies = [(ensembles[:48], contexts), (ensembles[48:80], contexts[:5]),
+               (ensembles[80:], contexts[5:])]
+    expected = probability.tally_chunks(tallies, 1.0)
+    assert [h.sum() for h in expected] == [48, 32, 16]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         for _ in range(10):
-            assert np.array_equal(
-                probability.tally_chunks(ensembles, contexts, 1.0, 5),
-                expected)
+            hists = probability.tally_chunks(tallies, 1.0, 5)
+            assert all(np.array_equal(h, e) for h, e in zip(hists, expected))
     finally:
         sys.setswitchinterval(interval)
 
@@ -545,8 +601,8 @@ def test_tally_chunks_runs_openblas_on_one_thread(workers, monkeypatch):
     model = NoiseModel(SPHERE, 1.0, 4)
     alpha = np.array([0.5, 0.5, 0.5, 0.5])
     u = np.linalg.qr(np.arange(16.0).reshape(4, 4) + np.eye(4))[0]
-    total = probability.tally_chunks(
-        [(alpha, 0.5, model, 3, 0, 2 * CHUNK)], (Measurement(u),), 1.0,
+    [total] = probability.tally_chunks(
+        [([(alpha, 0.5, model, 3, 0, 2 * CHUNK)], (Measurement(u),))], 1.0,
         workers)
     assert total.sum() == 2 * CHUNK
     assert [getter() for _, getter in libs] == [1] * len(libs)

@@ -61,7 +61,8 @@ def test_dimension_guard():
 
 def test_insufficient_detections():
     # A huge threshold yields no detections at all.
-    with pytest.raises(InsufficientDetections):
+    with pytest.raises(InsufficientDetections,
+                       match=r"^only 0 detections \(need 100\)$"):
         infer_state(np.array([1.0, 0.0]), S, _model(), 50.0, 1 << 12, seed=0)
 
 
