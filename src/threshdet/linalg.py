@@ -38,10 +38,15 @@ def tensor(a, b) -> np.ndarray:
     return np.kron(_as_matrix(a), _as_matrix(b))
 
 
-def is_unitary(u) -> bool:
+def check_unitary(u) -> np.ndarray:
+    """``u`` as a complex matrix, after checking that max |U†U - I| is at
+    most ``UNITARY_TOL`` (NotUnitary otherwise)."""
     u = _as_matrix(u)
     err = np.abs(u.conj().T @ u - np.eye(u.shape[0])).max()
-    return bool(err <= UNITARY_TOL)
+    if err > UNITARY_TOL:
+        raise NotUnitary(f"U fails the unitarity check: max |U†U - I| = "
+                         f"{err:.3e} > {UNITARY_TOL:g}")
+    return u
 
 
 def verify_diagonalization(u, a) -> np.ndarray:
@@ -51,13 +56,10 @@ def verify_diagonalization(u, a) -> np.ndarray:
     U†AU has off-diagonal magnitudes above ``DIAG_TOL``.  No sorting is
     applied: downstream sign patterns depend on the column order of U.
     """
-    u = _as_matrix(u)
+    u = check_unitary(u)
     a = _as_matrix(a)
     if u.shape != a.shape:
         raise ValueError(f"dimension mismatch: {u.shape} vs {a.shape}")
-    err = np.abs(u.conj().T @ u - np.eye(u.shape[0])).max()
-    if err > UNITARY_TOL:
-        raise NotUnitary(f"max |U†U - I| = {err:.3e} > {UNITARY_TOL:g}")
     m = u.conj().T @ a @ u
     off = m - np.diag(np.diag(m))
     if np.abs(off).max() > DIAG_TOL:
@@ -125,9 +127,7 @@ class Measurement:
     singletons: bool = field(init=False)
 
     def __post_init__(self):
-        u = np.array(_as_matrix(self.unitary))
-        if not is_unitary(u):
-            raise NotUnitary("measurement unitary fails the unitarity check")
+        u = np.array(check_unitary(self.unitary))
         dim = u.shape[0]
         basis = tuple((i,) for i in range(dim))
         groups = basis if self.groups is None else tuple(

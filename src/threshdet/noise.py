@@ -164,7 +164,9 @@ def _check_finite(v: np.ndarray, what: str) -> np.ndarray:
     return v
 
 
-def check_normalized(alpha) -> np.ndarray:
+def signal(alpha, s: float) -> np.ndarray:
+    """The signal s·alpha, after checking that alpha is a finite unit vector
+    and that 0 <= s < inf."""
     alpha = np.asarray(alpha, dtype=complex)
     if alpha.ndim != 1:
         raise UnnormalizedState("design state must be a vector")
@@ -172,35 +174,33 @@ def check_normalized(alpha) -> np.ndarray:
     norm = np.linalg.norm(alpha)
     if abs(norm - 1.0) > _NORM_TOL:
         raise UnnormalizedState(f"|alpha| = {norm:.12g}, expected 1")
-    return alpha
+    if not 0 <= s < np.inf:
+        raise ValueError("signal strength must be non-negative")
+    return s * alpha
 
 
 def realize_block(alpha, s: float, model: NoiseModel, seed: int, start: int,
                   count: int, stream: int = 0) -> np.ndarray:
     """Amplitude vectors s·alpha + w for a block of trials."""
-    alpha = check_normalized(alpha)
-    if not 0 <= s < np.inf:
-        raise ValueError("signal strength must be non-negative")
-    if alpha.shape[0] != model.dim:
+    sa = signal(alpha, s)
+    if sa.shape[0] != model.dim:
         raise InvalidModel("state dimension does not match noise model")
     a = draw_noise_block(model, seed, start, count, stream)
     # One strided add per component is cheaper than broadcasting a 2- or
     # 4-wide row, and adds the same numbers.
-    for k, c in enumerate(s * alpha):
+    for k, c in enumerate(sa):
         a[:, k] += c
     return a
 
 
 def inject(alpha, s: float, w) -> np.ndarray:
     """Amplitude vector for an externally supplied noise realization."""
-    alpha = check_normalized(alpha)
-    if not 0 <= s < np.inf:
-        raise ValueError("signal strength must be non-negative")
+    sa = signal(alpha, s)
     w = np.asarray(w, dtype=complex)
-    if w.shape != alpha.shape:
+    if w.shape != sa.shape:
         raise ValueError("noise vector shape does not match state")
     _check_finite(w, "noise vector")
-    return s * alpha + w
+    return sa + w
 
 
 def load_vector(path) -> np.ndarray:

@@ -18,12 +18,14 @@ def _is_float(v) -> bool:
     return isinstance(v, (float, np.floating))
 
 
-def _expand_row(row: dict) -> dict:
+def _expand_row(row: dict, num=str) -> dict:
+    """Each float of ``row`` as its 6-digit field and ``_raw`` twin, both
+    of type ``num`` (``str`` for CSV and text, ``float`` for JSON)."""
     out = {}
     for k, v in row.items():
         if _is_float(v):
-            out[k] = format(float(v), ".6g")
-            out[f"{k}_raw"] = repr(float(v))
+            out[k] = num(format(float(v), ".6g"))
+            out[f"{k}_raw"] = num(repr(float(v)))
         elif isinstance(v, (int, np.integer)):
             out[k] = int(v)
         else:
@@ -57,25 +59,11 @@ def render_csv(report: dict) -> str:
 
 
 def render_json(report: dict) -> str:
-    def convert(obj):
-        if isinstance(obj, dict):
-            out = {}
-            for k, v in obj.items():
-                if _is_float(v):
-                    out[k] = float(format(float(v), ".6g"))
-                    out[f"{k}_raw"] = float(v)
-                else:
-                    out[k] = convert(v)
-            return out
-        if isinstance(obj, (list, tuple)):
-            return [convert(v) for v in obj]
-        if isinstance(obj, (int, np.integer)):
-            return int(obj)
-        if _is_float(obj):
-            return float(obj)
-        return obj
-
-    return json.dumps(convert(report), indent=2, sort_keys=False) + "\n"
+    doc = {"meta": _expand_row(report.get("meta", {}), float),
+           "tables": [{**table, "rows": [_expand_row(r, float)
+                                        for r in table["rows"]]}
+                      for table in report["tables"]]}
+    return json.dumps(doc, indent=2, sort_keys=False) + "\n"
 
 
 def render(report: dict, fmt: str) -> str:

@@ -314,14 +314,12 @@ def marcum_q1(a, b):
 def _below_threshold_probs(alpha, s: float, sigma: float,
                            gamma: float) -> np.ndarray:
     """F_i = P(|a_i| <= gamma) for each component under Gaussian noise."""
-    alpha = noise.check_normalized(alpha)
-    if not 0 <= s < np.inf:
-        raise ValueError("signal strength must be non-negative")
+    sa = noise.signal(alpha, s)
     if not 0 < sigma < np.inf:
         raise ValueError("sigma must be positive")
     detection.check_gamma(gamma)
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
-        lam = 2.0 * np.abs(s * alpha / sigma) ** 2
+        lam = 2.0 * np.abs(sa / sigma) ** 2
         b = np.sqrt(2.0) * gamma / sigma
     if not (np.isfinite(lam).all() and np.isfinite(b)):
         raise ValueError(f"sigma={sigma} is too small for the analytic "

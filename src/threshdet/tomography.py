@@ -38,8 +38,7 @@ def infer_state(alpha, s: float, model: NoiseModel, gamma: float, trials: int,
                 seed: int, *, workers: int = 1) -> InferredState:
     """Estimate E[X], E[Y], E[Z] from three independent ensembles and
     assemble the inferred density operator (I + ExX + EyY + EzZ)/2."""
-    alpha = noise.check_normalized(alpha)
-    if alpha.shape[0] != 2 or model.dim != 2:
+    if noise.signal(alpha, s).shape != (2,) or model.dim != 2:
         raise ValueError("state inference is defined for dimension 2 only")
     hists = probability.tally_chunks(
         [([(alpha, s, model, seed, _STREAMS[name], trials)], (spec,))

@@ -14,7 +14,9 @@ import numpy as np
 import pytest
 
 import threshdet
-from threshdet.cli import DEFAULT_SEED, build_parser, main, parse_alpha
+from threshdet.cli import (DEFAULT_SEED, _expected_p, build_parser, main,
+                           parse_alpha)
+from threshdet.linalg import PAULI_SPECS
 
 TRIALS = str(1 << 16)
 
@@ -81,6 +83,30 @@ def test_born_check_fails_for_unequal_magnitudes(capsys):
                 "--alpha", "0.6,0.8"])
     assert code == 2
     assert "check failed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["born", "tomography"])
+def test_gaussian_check_passes_over_seeds(command, capsys):
+    # Gaussian noise reaches the Born rule only approximately, so these
+    # checks compare against the oracle; against the Born value both
+    # exited 2 on working code, at the default seed too.
+    failed = [seed for seed in (DEFAULT_SEED, *range(1, 24))
+              if run([command, "--noise", "gaussian", "--trials", TRIALS,
+                      "--seed", str(seed), "--check"]) != 0]
+    assert failed == []
+
+
+def test_checks_expect_the_oracle_under_gaussian_noise_and_born_otherwise():
+    args = build_parser().parse_args(["born", "--noise", "gaussian"])
+    beta = parse_alpha(args.alpha, normalize=True)
+    assert _expected_p(beta, args) == pytest.approx(
+        [0.23368, 0.26632, 0.26632, 0.23368], abs=5e-6)
+    # tomography's E[Z] on (1, 0) at the defaults.
+    z = PAULI_SPECS["Z"]
+    assert z.values @ _expected_p(np.array([1.0, 0.0]), args) == \
+        pytest.approx(0.125685, abs=5e-7)
+    args.noise = "sphere"
+    assert np.array_equal(_expected_p(beta, args), np.abs(beta) ** 2)
 
 
 def test_two_dim_check(capsys):

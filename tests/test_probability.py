@@ -651,18 +651,23 @@ def test_cli_import_defers_scipy_stats():
     assert done.stdout.strip() == "False"
 
 
-@pytest.mark.parametrize("extra", [[], ["--mc-trials", "4096", "--check"]])
-def test_oracle_never_imports_scipy_stats(extra):
+ORACLE_ARGV = ["oracle", "--alpha", "0.8,0.6", "--s", "1", "--gamma", "3"]
+
+
+@pytest.mark.parametrize("argv", [
+    ORACLE_ARGV, [*ORACLE_ARGV, "--mc-trials", "4096", "--check"],
+    ["born", "--noise", "gaussian", "--trials", "65536", "--check"],
+    ["tomography", "--noise", "gaussian", "--trials", "65536", "--check"]])
+def test_oracle_never_imports_scipy_stats(argv):
     # The oracle's Marcum Q comes from scipy.special alone: importing
-    # scipy.stats took 1.1 s and 73 MB, most of a cold oracle run.
+    # scipy.stats took 1.1 s and 73 MB, most of a cold oracle run.  The
+    # Gaussian checks of born and tomography reach the oracle too.
     src = Path(threshdet.__file__).resolve().parents[1]
     code = ("import sys; sys.path.insert(0, sys.argv[1]); "
-            "from threshdet import cli; "
-            "code = cli.main(['oracle', '--alpha', '0.8,0.6', '--s', '1', "
-            "'--gamma', '3', *sys.argv[2:]]); "
+            "from threshdet import cli; code = cli.main(sys.argv[2:]); "
             "print(code, 'scipy.stats' in sys.modules, "
             "'scipy.special' in sys.modules)")
-    done = subprocess.run([sys.executable, "-c", code, str(src), *extra],
+    done = subprocess.run([sys.executable, "-c", code, str(src), *argv],
                           capture_output=True, text=True, check=True,
                           timeout=120)
     assert done.stdout.splitlines()[-1] == "0 False True"
