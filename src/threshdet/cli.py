@@ -14,6 +14,8 @@ from . import (detection, experiments, linalg, noise, output, probability,
 from .noise import NoiseModel
 
 DEFAULT_SEED = 12345
+# A statistical --check rejects its claim beyond Z standard errors.
+Z = 5.0
 
 # argparse keywords of every flag.  A subcommand takes the flags listed next
 # to its handler in _COMMANDS plus _COMMON_FLAGS; its --config file is parsed
@@ -138,10 +140,33 @@ def _require_detections(*stats: probability.DetectionStats) -> None:
         raise ValueError("no detections to check")
 
 
+def _check_mean(name: str, observed, expected, n: int, low=0.0) -> None:
+    """Two-sided test that ``observed``, a mean of ``n`` draws of ``low`` or
+    1 (a frequency, or a +-1 mean with ``low`` -1), has mean ``expected``.
+    Its standard error is taken under ``expected``, so 0 demands equality."""
+    se = np.sqrt(max((expected - low) * (1.0 - expected), 0.0) / n)
+    _require(abs(observed - expected) <= Z * se, f"{name} = {observed:.4g}, "
+             f"expected {expected:.4g} +- {Z:g} x {se:.3g}")
+
+
+def _check_chsh(result, bound: float, above: bool = True) -> None:
+    """Test the claim S_D > ``bound`` (<= if not ``above``).  S_D sums four
+    independent +-1 means of n_i detections; where S_D = bound, Cauchy-Schwarz
+    caps its standard error at sqrt(sum 1/n_i - bound^2 / sum n_i)."""
+    _require_detections(*result.stats.values())
+    n = np.array([st.n_detected for st in result.stats.values()], float)
+    se = np.sqrt((1.0 / n).sum() - bound ** 2 / n.sum())  # > 0: bound < 4
+    z = (result.s_d - bound) / se * (1 if above else -1)
+    claim = (f"S_D {'>' if above else '<='} {bound:.4f} (S_D = "
+             f"{result.s_d:.4f}, z = {z:+.2f} at standard error {se:.3g})")
+    _require(z > -Z, f"{claim} is false")
+    if z <= Z:
+        raise ValueError(f"too few trials to check {claim}")
+
+
 def _expected_p(beta, args) -> np.ndarray:
-    """The conditional single-detection probabilities a check expects of
-    the state ``beta``: the Gaussian oracle's P / P.sum() under Gaussian
-    noise, the Born rule |beta|^2 under bounded noise."""
+    """The conditional single-detection probabilities of the state ``beta``:
+    the Gaussian oracle's P / P.sum(), or the Born rule |beta|^2 otherwise."""
     if args.noise == noise.GAUSSIAN:
         p = probability.single_detection_probs(beta, args.s, args.sigma,
                                                args.gamma)
@@ -160,10 +185,9 @@ def _cmd_detect_probs(args) -> None:
              "conditional": float(stats.p_hat[n]),
              "stderr": float(stats.stderr[n])}
             for n in range(model.dim)]
-    rows.append({"outcome": "P0", "frequency": stats.P0_hat,
-                 "conditional": float("nan"), "stderr": float("nan")})
-    rows.append({"outcome": "Pinf", "frequency": stats.Pinf_hat,
-                 "conditional": float("nan"), "stderr": float("nan")})
+    rows += [{"outcome": name, "frequency": f, "conditional": float("nan"),
+              "stderr": float("nan")}
+             for name, f in (("P0", stats.P0_hat), ("Pinf", stats.Pinf_hat))]
     _emit(args, {"detection_probabilities": rows}, trials=args.trials,
           noise=args.noise, s=args.s, sigma=args.sigma, gamma=args.gamma)
     if args.check:
@@ -186,15 +210,9 @@ def _cmd_born(args) -> None:
           n_detected=stats.n_detected)
     if args.check:
         _require_detections(stats)
-        tol = 4.0 / np.sqrt(stats.n_detected)
         expected = _expected_p(alpha, args)
         for n, (p_hat, p) in enumerate(zip(stats.p_hat, expected), 1):
-            if p == 0.0:
-                _require(p_hat == 0.0, f"component {n}: expected exact zero")
-            else:
-                err = abs(p_hat - p)
-                _require(err <= tol,
-                         f"component {n}: off by {err:.4g} > {tol:.4g}")
+            _check_mean(f"component {n}: p_hat", p_hat, p, stats.n_detected)
 
 
 def _cmd_tomography(args) -> None:
@@ -221,10 +239,8 @@ def _cmd_tomography(args) -> None:
             # U†w is again i.i.d. Gaussian, so the oracle applies to U†alpha.
             target = spec.values @ _expected_p(alpha @ np.conj(spec.unitary),
                                                args)
-            est = inferred.stats[p].mean
-            err = inferred.stats[p].mean_stderr
-            _require(abs(est - target) <= 5 * err,
-                     f"E[{p}] = {est:.4f} vs expected {target:.4f}")
+            st = inferred.stats[p]
+            _check_mean(f"E[{p}]", st.mean, target, st.n_detected, low=-1.0)
 
 
 def _cmd_magic_square(args) -> None:
@@ -257,11 +273,9 @@ def _cmd_chsh_joint(args) -> None:
     _emit(args, {"correlations": rows, "summary": summary},
           trials=args.trials, noise=args.noise)
     if args.check:
-        _require_detections(*result.stats.values())
-        _require(result.s_d > 2.0, f"S_D = {result.s_d:.4f} <= 2")
-        if args.noise == noise.SPHERE:
-            _require(result.s_d > experiments.TSIRELSON_BOUND,
-                     f"S_D = {result.s_d:.4f} below the Tsirelson value")
+        # Clearing the Tsirelson value by Z standard errors clears 2 too.
+        _check_chsh(result, experiments.TSIRELSON_BOUND
+                    if args.noise == noise.SPHERE else 2.0)
 
 
 def _cmd_chsh_local(args) -> None:
@@ -281,13 +295,8 @@ def _cmd_chsh_local(args) -> None:
     _emit(args, {"correlations": rows, "summary": summary},
           trials=args.trials, noise=args.noise)
     if args.check:
-        _require_detections(*result.stats.values())
-        if args.noise == noise.SPHERE:
-            _require(result.s_d > 2.0, f"S_D = {result.s_d:.4f} <= 2")
-        else:
-            bound = 2.0 + 3.0 * result.s_d_err
-            _require(result.s_d <= bound,
-                     f"S_D = {result.s_d:.4f} unexpectedly above {bound:.4f}")
+        # Bounded noise violates the classical bound; Gaussian noise does not.
+        _check_chsh(result, 2.0, above=args.noise == noise.SPHERE)
 
 
 def _cmd_bell_state(args) -> None:
@@ -319,8 +328,7 @@ def _cmd_two_dim(args) -> None:
             in zip(experiments.TWO_DIM_SETUPS.items(), stats.values())]
     _emit(args, {"two_dim_examples": rows}, trials=args.trials)
     if args.check:
-        by_name = {r["name"]: r for r in rows}
-        _require(by_name["single-phase basis state"]["P1"] == 1.0,
+        _require(stats["single-phase basis state"].P_hat[0] == 1.0,
                  "single-phase config should always detect component 1")
         _require(all(r["Pinf"] == 0.0 for r in rows
                      if r["noise"] != noise.ANTICORRELATED_PHASE),
@@ -338,21 +346,15 @@ def _cmd_oracle(args) -> None:
         mc_stats = probability.estimate(alpha, args.s, model, args.gamma,
                                         args.mc_trials, args.seed,
                                         workers=args.workers or 1)
-        for n, row in enumerate(rows):
-            p = float(mc_stats.P_hat[n])
+        for row, p in zip(rows, mc_stats.P_hat.tolist()):
             row["monte_carlo"] = p
             row["mc_stderr"] = float(np.sqrt(p * (1 - p) / args.mc_trials))
     _emit(args, {"single_detection_probs": rows}, s=args.s, sigma=args.sigma,
           gamma=args.gamma)
     if args.check:
         for row in rows:
-            # Standard error under the analytic p being tested, as in
-            # acceptance criterion 10: the Monte Carlo frequency can be 0.
-            p = row["analytic"]
-            se = max(float(np.sqrt(p * (1 - p) / args.mc_trials)), 1e-12)
-            _require(abs(row["analytic"] - row["monte_carlo"]) <= 5 * se,
-                     f"component {row['component']}: analytic vs Monte Carlo"
-                     " disagreement beyond 5 standard errors")
+            _check_mean(f"component {row['component']}: Monte Carlo P",
+                        row["monte_carlo"], row["analytic"], args.mc_trials)
 
 
 # Tags of the codes that are not a detection, as replay prints them.
@@ -386,13 +388,10 @@ def _cmd_replay(args) -> None:
         contexts = experiments.MAGIC_CONTEXTS
         codes = experiments.replay(a, contexts, gamma=args.gamma)
         for name, code in codes.items():
-            if code < 0:
-                rows.append({"context": name, "g1": "NaN", "g2": "NaN",
-                             "g3": "NaN", "product": "NaN"})
-            else:
-                g = [int(v) for v in contexts[name].values[code]]
-                rows.append({"context": name, "g1": g[0], "g2": g[1],
-                             "g3": g[2], "product": g[0] * g[1] * g[2]})
+            g = ([int(v) for v in contexts[name].values[code]] if code >= 0
+                 else ["NaN"] * 3)
+            rows.append({"context": name, "g1": g[0], "g2": g[1], "g3": g[2],
+                         "product": "NaN" if code < 0 else g[0] * g[1] * g[2]})
         tables["context_outcomes"] = rows
         tables["local_outcomes"] = _outcome_rows(a, experiments.LOCAL_SETTINGS,
                                                  args.gamma)

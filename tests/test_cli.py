@@ -14,9 +14,12 @@ import numpy as np
 import pytest
 
 import threshdet
-from threshdet.cli import (DEFAULT_SEED, _expected_p, build_parser, main,
+from threshdet.cli import (DEFAULT_SEED, CheckFailure, _check_chsh,
+                           _check_mean, _expected_p, build_parser, main,
                            parse_alpha)
+from threshdet.experiments import ChshResult
 from threshdet.linalg import PAULI_SPECS
+from threshdet.probability import DetectionStats
 
 TRIALS = str(1 << 16)
 
@@ -85,15 +88,90 @@ def test_born_check_fails_for_unequal_magnitudes(capsys):
     assert "check failed" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command", ["born", "tomography"])
-def test_gaussian_check_passes_over_seeds(command, capsys):
+SWEEP_SEEDS = (DEFAULT_SEED, *range(1, 24))
+# Each statistical --check at a size that resolves its claim: Z standard
+# errors of S_D no longer reach across a CHSH bound, and the frequencies the
+# other checks compare are well populated.
+RESOLVING_RUNS = {
     # Gaussian noise reaches the Born rule only approximately, so these
     # checks compare against the oracle; against the Born value both
     # exited 2 on working code, at the default seed too.
-    failed = [seed for seed in (DEFAULT_SEED, *range(1, 24))
-              if run([command, "--noise", "gaussian", "--trials", TRIALS,
-                      "--seed", str(seed), "--check"]) != 0]
-    assert failed == []
+    "born-gaussian": ["born", "--noise", "gaussian", "--trials", TRIALS],
+    "tomography-gaussian": ["tomography", "--noise", "gaussian",
+                            "--trials", TRIALS],
+    "born-sphere": ["born", "--trials", "4096"],
+    "tomography-sphere": ["tomography", "--alpha", "1,0", "--trials", "4096"],
+    "chsh-joint-sphere": ["chsh-joint", "--noise", "sphere",
+                          "--trials", str(1 << 14)],
+    # About 650 detections per observable against S_D = 2.62: at 2^16
+    # trials most seeds cannot tell S_D > 2 (exit 1).
+    "chsh-joint-gaussian": ["chsh-joint", "--noise", "gaussian",
+                            "--trials", str(1 << 18), "--workers", "2"],
+    "chsh-local-sphere": ["chsh-local", "--trials", str(1 << 14)],
+    "chsh-local-gaussian": ["chsh-local", "--noise", "gaussian",
+                            "--trials", "4096"],
+    "oracle": ["oracle", "--alpha", "0.8,0.6", "--s", "1", "--gamma", "3",
+               "--mc-trials", TRIALS],
+}
+
+
+@pytest.mark.parametrize("name", RESOLVING_RUNS)
+def test_check_passes_over_seeds(name, capsys):
+    codes = {seed: run([*RESOLVING_RUNS[name], "--seed", str(seed),
+                        "--check"]) for seed in SWEEP_SEEDS}
+    assert codes == dict.fromkeys(SWEEP_SEEDS, 0), capsys.readouterr().err
+
+
+def test_chsh_joint_gaussian_check_with_too_few_trials_exits_1(capsys):
+    # About 10 detections per observable put S_D = 2.62 +- 0.55 either
+    # side of 2.  The check used to exit 2 at seeds 1, 19, 27 and 42 (S_D
+    # = 1.68, 1.82, 1.93, 1.48) and pass the rest without testing anything.
+    for seed in (*SWEEP_SEEDS, 27, 42):
+        assert run(["chsh-joint", "--noise", "gaussian", "--trials", "4096",
+                    "--seed", str(seed), "--check"]) == 1
+        assert "too few trials to check S_D > 2" in capsys.readouterr().err
+
+
+def test_few_agreeing_detections_keep_a_standard_error():
+    # Three detections per observable, all agreeing: S_D = 4, and every
+    # observed +-1 mean has sample variance 0.  The claim's standard error
+    # still spans both bounds, so the run shows nothing.
+    agree = DetectionStats(np.array([0, 0, 3, 0]), np.array([1, -1]))
+    disagree = DetectionStats(np.array([0, 0, 0, 3]), np.array([1, -1]))
+    result = ChshResult({"AB": agree, "AB'": agree, "A'B": agree,
+                         "A'B'": disagree})
+    assert result.s_d == 4.0
+    for bound in (2.0, 2.0 * np.sqrt(2.0)):
+        with pytest.raises(ValueError, match="too few trials"):
+            _check_chsh(result, bound)
+    # A frequency of 1 in 3 detections is consistent with p = 0.5; an exact
+    # claim (p = 0 or a mean of +-1) demands equality.
+    _check_mean("p", 1.0, 0.5, 3)
+    _check_mean("E", 1.0, 1.0, 3, low=-1.0)
+    with pytest.raises(CheckFailure):
+        _check_mean("p", 1e-9, 0.0, 1 << 30)
+    with pytest.raises(CheckFailure):
+        _check_mean("E", 1.0 - 1e-9, 1.0, 1 << 30, low=-1.0)
+
+
+def test_chsh_check_fails_beyond_z_standard_errors_on_the_wrong_side():
+    # 1000 detections per observable: the standard error at the bound 2
+    # is sqrt(4/1000 - 4/4000) = 0.0548, so 5 of them span 0.27.
+    def result(s_d):
+        stats = [DetectionStats(np.array([0, 0, c, 1000 - c]),
+                                np.array([1, -1]))
+                 for c in [round(500 * (1 + s_d / 4))] * 3
+                 + [round(500 * (1 - s_d / 4))]]
+        return ChshResult(dict(zip(("AB", "AB'", "A'B", "A'B'"), stats)))
+
+    _check_chsh(result(2.4), 2.0)
+    _check_chsh(result(1.6), 2.0, above=False)
+    with pytest.raises(ValueError, match="too few trials"):
+        _check_chsh(result(2.2), 2.0)
+    with pytest.raises(CheckFailure, match="S_D > 2.0000"):
+        _check_chsh(result(1.6), 2.0)
+    with pytest.raises(CheckFailure, match="S_D <= 2.0000"):
+        _check_chsh(result(2.4), 2.0, above=False)
 
 
 def test_checks_expect_the_oracle_under_gaussian_noise_and_born_otherwise():
@@ -372,6 +450,10 @@ IGNORED_FLAGS = {
     "oracle": "--trials --noise --inject",
     "replay a.txt": "--seed --workers --trials --check",
 }
+# The sizes each subcommand reads, kept small: a flag accepted by mistake
+# then runs for a moment, not at the default size, before the test fails.
+SMALL_SIZES = {"magic-square": ["--states", "1", "--trials", "16"],
+               "oracle": [], "replay a.txt": []}
 FLAG_VALUES = {"--sigma": ["2"], "--gamma": ["3"], "--s": ["0.5"],
                "--noise": ["gaussian"], "--alpha": ["1,0"], "--normalize": [],
                "--inject": ["a.txt"], "--trials": ["5"], "--seed": ["1"],
@@ -382,7 +464,8 @@ FLAG_VALUES = {"--sigma": ["2"], "--gamma": ["3"], "--s": ["0.5"],
     (command, flag) for command, flags in IGNORED_FLAGS.items()
     for flag in flags.split()])
 def test_flag_the_subcommand_does_not_read_exits_1(command, flag, capsys):
-    assert run([*command.split(), flag, *FLAG_VALUES[flag]]) == 1
+    assert run([*command.split(), *SMALL_SIZES.get(command, ["--trials", "16"]),
+                flag, *FLAG_VALUES[flag]]) == 1
     assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
 

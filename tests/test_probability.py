@@ -626,8 +626,9 @@ def test_single_thread_blas_without_openblas(monkeypatch):
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
                     reason="sets glibc's malloc thresholds")
 def test_chunk_blocks_reuse_freed_pages():
-    # Returning each chunk's freed temporaries to the kernel cost about
-    # 5600 page faults per 65 536 sphere d=4 rows, a third of their time.
+    # Returning each chunk's freed temporaries to the kernel cost these four
+    # 16 384-row chunks about 370 page faults in a fresh process (about 90
+    # a chunk), against 0 with _reuse_freed_memory's settings.
     import resource  # POSIX only
 
     model = NoiseModel(SPHERE, 1.0, 4)
@@ -636,7 +637,7 @@ def test_chunk_blocks_reuse_freed_pages():
     before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     estimate(alpha, 0.5, model, 1.0, 4 * CHUNK, seed=1, stream=1)
     faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
-    assert faults < 4 * 200
+    assert faults < 4 * 25, faults
 
 
 def test_cli_import_defers_scipy_stats():
