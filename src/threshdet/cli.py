@@ -143,8 +143,11 @@ def _require_detections(*stats: probability.DetectionStats) -> None:
 def _check_mean(name: str, observed, expected, n: int, low=0.0) -> None:
     """Two-sided test that ``observed``, a mean of ``n`` draws of ``low`` or
     1 (a frequency, or a +-1 mean with ``low`` -1), has mean ``expected``.
-    Its standard error is taken under ``expected``, so 0 demands equality."""
-    se = np.sqrt(max((expected - low) * (1.0 - expected), 0.0) / n)
+    Its standard error is taken under ``expected``, so 0 demands equality.
+    ``expected`` is first clipped to [low, 1]: alpha need only be unit to
+    1e-10, so rounding can put an expected 1 or -1 just past it."""
+    expected = min(max(expected, low), 1.0)
+    se = np.sqrt((expected - low) * (1.0 - expected) / n)
     _require(abs(observed - expected) <= Z * se, f"{name} = {observed:.4g}, "
              f"expected {expected:.4g} +- {Z:g} x {se:.3g}")
 
@@ -165,8 +168,9 @@ def _check_chsh(result, bound: float, above: bool = True) -> None:
 
 
 def _expected_p(beta, args) -> np.ndarray:
-    """The conditional single-detection probabilities of the state ``beta``:
-    the Gaussian oracle's P / P.sum(), or the Born rule |beta|^2 otherwise."""
+    """The conditional single-detection probabilities a check expects of
+    the state ``beta``: the Gaussian oracle's P / P.sum() under Gaussian
+    noise, the Born rule |beta|^2 under bounded noise."""
     if args.noise == noise.GAUSSIAN:
         p = probability.single_detection_probs(beta, args.s, args.sigma,
                                                args.gamma)
@@ -185,9 +189,10 @@ def _cmd_detect_probs(args) -> None:
              "conditional": float(stats.p_hat[n]),
              "stderr": float(stats.stderr[n])}
             for n in range(model.dim)]
-    rows += [{"outcome": name, "frequency": f, "conditional": float("nan"),
-              "stderr": float("nan")}
-             for name, f in (("P0", stats.P0_hat), ("Pinf", stats.Pinf_hat))]
+    rows.append({"outcome": "P0", "frequency": stats.P0_hat,
+                 "conditional": float("nan"), "stderr": float("nan")})
+    rows.append({"outcome": "Pinf", "frequency": stats.Pinf_hat,
+                 "conditional": float("nan"), "stderr": float("nan")})
     _emit(args, {"detection_probabilities": rows}, trials=args.trials,
           noise=args.noise, s=args.s, sigma=args.sigma, gamma=args.gamma)
     if args.check:
@@ -328,7 +333,8 @@ def _cmd_two_dim(args) -> None:
             in zip(experiments.TWO_DIM_SETUPS.items(), stats.values())]
     _emit(args, {"two_dim_examples": rows}, trials=args.trials)
     if args.check:
-        _require(stats["single-phase basis state"].P_hat[0] == 1.0,
+        by_name = {r["name"]: r for r in rows}
+        _require(by_name["single-phase basis state"]["P1"] == 1.0,
                  "single-phase config should always detect component 1")
         _require(all(r["Pinf"] == 0.0 for r in rows
                      if r["noise"] != noise.ANTICORRELATED_PHASE),
@@ -346,7 +352,8 @@ def _cmd_oracle(args) -> None:
         mc_stats = probability.estimate(alpha, args.s, model, args.gamma,
                                         args.mc_trials, args.seed,
                                         workers=args.workers or 1)
-        for row, p in zip(rows, mc_stats.P_hat.tolist()):
+        for n, row in enumerate(rows):
+            p = float(mc_stats.P_hat[n])
             row["monte_carlo"] = p
             row["mc_stderr"] = float(np.sqrt(p * (1 - p) / args.mc_trials))
     _emit(args, {"single_detection_probs": rows}, s=args.s, sigma=args.sigma,
@@ -388,10 +395,13 @@ def _cmd_replay(args) -> None:
         contexts = experiments.MAGIC_CONTEXTS
         codes = experiments.replay(a, contexts, gamma=args.gamma)
         for name, code in codes.items():
-            g = ([int(v) for v in contexts[name].values[code]] if code >= 0
-                 else ["NaN"] * 3)
-            rows.append({"context": name, "g1": g[0], "g2": g[1], "g3": g[2],
-                         "product": "NaN" if code < 0 else g[0] * g[1] * g[2]})
+            if code < 0:
+                rows.append({"context": name, "g1": "NaN", "g2": "NaN",
+                             "g3": "NaN", "product": "NaN"})
+            else:
+                g = [int(v) for v in contexts[name].values[code]]
+                rows.append({"context": name, "g1": g[0], "g2": g[1],
+                             "g3": g[2], "product": g[0] * g[1] * g[2]})
         tables["context_outcomes"] = rows
         tables["local_outcomes"] = _outcome_rows(a, experiments.LOCAL_SETTINGS,
                                                  args.gamma)

@@ -152,6 +152,20 @@ def test_few_agreeing_detections_keep_a_standard_error():
         _check_mean("p", 1e-9, 0.0, 1 << 30)
     with pytest.raises(CheckFailure):
         _check_mean("E", 1.0 - 1e-9, 1.0, 1 << 30, low=-1.0)
+    # An expected value rounded just past an end still demands that end.
+    _check_mean("E", -1.0, -1.0 - 1e-12, 3, low=-1.0)
+    with pytest.raises(CheckFailure):
+        _check_mean("p", 1.0 - 1e-9, 1.0 + 1e-12, 1 << 30)
+
+
+@pytest.mark.parametrize("alpha", ["0.707106781187,0.707106781187",
+                                   "1.00000000005,0"])
+def test_tomography_check_of_alpha_just_past_unit_norm(alpha, capsys):
+    # alpha is accepted within 1e-10 of unit norm, so the bounded-noise
+    # E[X] (first) or E[Z] (second) rounds just past 1, while every
+    # detection reads +1 and the observed mean is exactly 1.
+    assert run(["tomography", "--alpha", alpha, "--trials", "4096",
+                "--check"]) == 0
 
 
 def test_chsh_check_fails_beyond_z_standard_errors_on_the_wrong_side():
