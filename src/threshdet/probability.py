@@ -312,9 +312,20 @@ def marcum_q1(a, b):
     return float(q) if q.ndim == 0 else q
 
 
-def _below_threshold_probs(alpha, s: float, sigma: float,
-                           gamma: float) -> np.ndarray:
-    """F_i = P(|a_i| <= gamma) for each component under Gaussian noise."""
+def detection_probs(alpha, s: float, sigma: float,
+                    gamma: float) -> np.ndarray:
+    """Analytic standard-basis cells for independent Gaussian noise, in
+    ``DetectionStats.hist`` order: P_inf, P_0, then P_1 ... P_N.
+
+    With E[z z†] = I each real quadrature of a_i has variance sigma²/2, so
+    2|a_i/sigma|² is noncentral chi-squared with two degrees of freedom and
+    noncentrality 2|s·alpha_i/sigma|².  Component i stays below gamma with
+    probability F_i = 1 - Q1(sqrt(2)·|s·alpha_i|/sigma, sqrt(2)·gamma/sigma);
+    the sqrt(2) rescaling makes the formula agree with the Monte Carlo
+    estimator.  Independent components give P_0 = prod_i F_i and
+    P_n = (1 - F_n) * prod_{i != n} F_i; P_inf is the rest, clipped at 0.
+    Measuring through U is measuring U†alpha: U†w is again i.i.d. Gaussian.
+    """
     sa = noise.signal(alpha, s)
     if not 0 < sigma < np.inf:
         raise ValueError("sigma must be positive")
@@ -325,31 +336,19 @@ def _below_threshold_probs(alpha, s: float, sigma: float,
     if not (np.isfinite(lam).all() and np.isfinite(b)):
         raise ValueError(f"sigma={sigma} is too small for the analytic "
                          "oracle: s/sigma or gamma/sigma overflows")
-    return 1.0 - marcum_q1(np.sqrt(lam), b)
+    f = 1.0 - marcum_q1(np.sqrt(lam), b)
+    cells = np.empty(f.shape[0] + 2)
+    for n in range(f.shape[0]):
+        cells[2 + n] = (1.0 - f[n]) * np.prod(np.delete(f, n))
+    cells[1] = np.prod(f)
+    cells[0] = max(1.0 - cells[1] - cells[2:].sum(), 0.0)
+    return cells
 
 
 def single_detection_probs(alpha, s: float, sigma: float,
                            gamma: float) -> np.ndarray:
-    """Analytic single-detection probabilities P_n for independent Gaussian noise.
-
-    With E[z z†] = I each real quadrature of a_i has variance sigma²/2, so
-    2|a_i/sigma|² is noncentral chi-squared with two degrees of freedom and
-    noncentrality 2|s·alpha_i/sigma|².  Independence across components gives
-    P_n = (1 - F_n) * prod_{i != n} F_i with
-    F_i = 1 - Q1(sqrt(2)·|s·alpha_i|/sigma, sqrt(2)·gamma/sigma); the sqrt(2)
-    rescaling makes the formula agree with the Monte Carlo estimator.
-    """
-    f = _below_threshold_probs(alpha, s, sigma, gamma)
-    probs = np.empty(f.shape[0])
-    for n in range(f.shape[0]):
-        others = np.prod(np.delete(f, n))
-        probs[n] = (1.0 - f[n]) * others
-    return probs
-
-
-def no_detection_prob(alpha, s: float, sigma: float, gamma: float) -> float:
-    """Analytic P_0 for independent Gaussian noise."""
-    return float(np.prod(_below_threshold_probs(alpha, s, sigma, gamma)))
+    """The single-detection cells P_1 ... P_N of ``detection_probs``."""
+    return detection_probs(alpha, s, sigma, gamma)[2:]
 
 
 def q1_bounds(a: float, b: float) -> tuple[float, float]:
