@@ -12,7 +12,7 @@ from . import (detection, experiments, linalg, noise, probability,
 from .detection import measure
 from .linalg import Measurement, tensor, verify_diagonalization
 from .noise import NoiseModel
-from .probability import (DetectionStats, estimate, marcum_q1, q1_bounds,
+from .probability import (DetectionStats, estimate, marcum_q1,
                           single_detection_probs)
 from .tomography import bplus_counterexample, infer_state
 
@@ -21,7 +21,6 @@ __version__ = "0.1.0"
 __all__ = [
     "DetectionStats", "Measurement", "NoiseModel", "bplus_counterexample",
     "detection", "estimate", "experiments", "infer_state", "linalg",
-    "marcum_q1", "measure", "noise", "probability", "q1_bounds",
-    "single_detection_probs", "tensor", "tomography",
-    "verify_diagonalization",
+    "marcum_q1", "measure", "noise", "probability", "single_detection_probs",
+    "tensor", "tomography", "verify_diagonalization",
 ]

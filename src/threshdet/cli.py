@@ -140,14 +140,17 @@ def _require_detections(*stats: probability.DetectionStats) -> None:
         raise ValueError("no detections to check")
 
 
+def _stderr(p: float, n: int, low=0.0) -> float:
+    """Standard error of a mean of ``n`` draws of ``low`` or 1 with mean p."""
+    return float(np.sqrt((p - low) * (1.0 - p) / n))
+
+
 def _check_mean(name: str, observed, expected, n: int, low=0.0) -> None:
-    """Two-sided test that ``observed``, a mean of ``n`` draws of ``low`` or
-    1 (a frequency, or a +-1 mean with ``low`` -1), has mean ``expected``.
-    Its standard error is taken under ``expected``, so 0 demands equality.
-    ``expected`` is first clipped to [low, 1]: alpha need only be unit to
-    1e-10, so rounding can put an expected 1 or -1 just past it."""
+    """Two-sided test that ``observed``, a frequency (``low`` 0) or +-1 mean
+    (``low`` -1) of ``n`` draws, has mean ``expected``, clipped to [low, 1]
+    as alpha is unit only to 1e-10.  A ``_stderr`` of 0 demands equality."""
     expected = min(max(expected, low), 1.0)
-    se = np.sqrt((expected - low) * (1.0 - expected) / n)
+    se = _stderr(expected, n, low)
     _require(abs(observed - expected) <= Z * se, f"{name} = {observed:.4g}, "
              f"expected {expected:.4g} +- {Z:g} x {se:.3g}")
 
@@ -353,9 +356,8 @@ def _cmd_oracle(args) -> None:
                                         args.mc_trials, args.seed,
                                         workers=args.workers or 1)
         for n, row in enumerate(rows):
-            p = float(mc_stats.P_hat[n])
-            row["monte_carlo"] = p
-            row["mc_stderr"] = float(np.sqrt(p * (1 - p) / args.mc_trials))
+            row["monte_carlo"] = float(mc_stats.P_hat[n])
+            row["mc_stderr"] = _stderr(row["analytic"], args.mc_trials)
     _emit(args, {"single_detection_probs": rows}, s=args.s, sigma=args.sigma,
           gamma=args.gamma)
     if args.check:

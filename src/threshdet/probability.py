@@ -2,15 +2,16 @@
 
 The Monte Carlo estimator tallies single-detection frequencies over noise
 chunks addressed by (seed, stream, chunk), so results are independent of
-worker count.  The analytic side expresses per-component crossing
-probabilities for independent Gaussian noise through the Marcum Q-function
-(equivalently the tail of a noncentral chi-squared distribution with two
-degrees of freedom), evaluated by ``scipy.special``'s ``_ncx2_sf`` ufunc.
+worker count.  The analytic side takes per-component crossing
+probabilities under independent Gaussian noise from the Marcum Q-function,
+summed as positive Poisson series with ``math``'s exp and log, so that it
+prints the same bits on any CPU.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -20,10 +21,6 @@ import numpy as np
 from . import detection, noise
 from .linalg import Measurement
 from .noise import CHUNK, NoiseModel
-
-
-class DomainTooSmall(ValueError):
-    """Closed-form Marcum Q bounds require b > a."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -279,90 +276,91 @@ def estimate(alpha, s: float, model: NoiseModel, gamma: float, trials: int,
     return DetectionStats(hist, m.values)
 
 
+# Poisson terms below e**_LOG_TINY underflow; Q1 refuses a or b past 1196.41.
+_LOG_TINY = math.log(math.ulp(0.0))
+_MAX_TERMS = 1 << 16
+
+
+def _poisson_weights(lam: float, lo: int, hi: int) -> np.ndarray:
+    """P(X = k), X ~ Poisson(lam), for k = lo ... hi up to a common factor:
+    sums of log(lam / k) out from the mode, so no log is a difference."""
+    if lam < 1e-300:  # P(X > 0) < 1e-300, and lam / k could underflow
+        return np.eye(1, hi - lo + 1)[0]  # lo is 0
+    up = np.cumsum([math.log(lam / k) for k in range(int(lam) + 1, hi + 1)])
+    down = np.cumsum([math.log(k / lam) for k in range(int(lam), lo, -1)])
+    return np.array([math.exp(x) for x in [*down[::-1], 0.0, *up]])
+
+
+def _marcum(a: float, b: float) -> tuple[float, float]:
+    """``(Q, F)``: Q1(a, b) and 1 - Q1(a, b), each a sum of positive terms.
+
+    For independent M ~ Poisson(a²/2) and N ~ Poisson(b²/2), Q1(a, b) =
+    P(N <= M) (Shnidman, IEEE Trans. Inf. Theory 35(2), 1989; Gil, Segura &
+    Temme, ACM TOMS 40(3), 2014): Q sums P(M = k) P(N <= k), F sums P(M = k)
+    P(N > k).  log P(X = lam + t) < -t²/(2(lam + t/3)) and log P(X = lam - t)
+    < -t²/(2 lam) bound each window; disjoint ones give (1, 0) or (0, 1)."""
+    t, lams = -_LOG_TINY, (a * a / 2.0, b * b / 2.0)
+    (lo_m, hi_m), (lo_n, hi_n) = spans = [
+        (x - math.sqrt(2.0 * t * x),
+         x + t / 3.0 + math.sqrt(t * t / 9.0 + 2.0 * t * x)) for x in lams]
+    if not all(hi - lo < _MAX_TERMS for lo, hi in spans):  # nan at inf
+        raise ValueError(f"Marcum Q1 is not computable at a={a}, b={b}: "
+                         f"its Poisson sums pass {_MAX_TERMS} terms")
+    if hi_n < lo_m or hi_m < lo_n:
+        return (1.0, 0.0) if hi_n < lo_m else (0.0, 1.0)
+    lo = max(0, math.floor(min(lo_m, lo_n)))
+    m, n = (_poisson_weights(x, lo, math.ceil(max(hi_m, hi_n))) for x in lams)
+    at_most = np.cumsum(n)  # P(N <= k), up to the factor of the weights
+    above = np.append(np.cumsum(n[::-1])[-2::-1], 0.0)  # P(N > k), likewise
+    q, f = (math.fsum((m * c).tolist()) for c in (at_most, above))
+    return q / (q + f), f / (q + f)
+
+
 def marcum_q1(a, b):
     """Marcum Q-function Q1(a, b), the tail of a noncentral chi-squared
-    distribution with 2 degrees of freedom and noncentrality a² at b².
-
-    Evaluated by ``_ncx2_sf``, the private Boost ufunc of ``scipy.special``
-    that scipy's ``ncx2.sf`` calls: the same bits, without importing scipy's
-    statistics package, which costs most of a cold oracle run.  ``a`` and
-    ``b`` broadcast against each other; scalars give a float.
-    """
-    # deferred: only the analytic oracle needs scipy
-    from scipy.special._ufuncs import _ncx2_sf
-
-    a, b = np.broadcast_arrays(np.asarray(a, dtype=float),
-                               np.asarray(b, dtype=float))
+    distribution with 2 degrees of freedom and noncentrality a² at b²: the Q
+    of ``_marcum``, within about 3e-13 relative in both tails until it
+    underflows.  ``a`` and ``b`` broadcast; scalars give a float."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     if not (np.isfinite(a).all() and np.isfinite(b).all()):
         raise ValueError("arguments must be finite")
     if (a < 0).any() or (b < 0).any():
         raise ValueError("arguments must be non-negative")
-    with np.errstate(over="ignore"):  # b² may overflow, as in ncx2._sf
-        x = b * b
-        q = _ncx2_sf(x, 2.0, a * a)
-        # At b² = inf the ufunc gives nan, ncx2.sf 0.
-        q = np.where(x == np.inf, 0.0, q)
-        q = np.where(a == 0.0, np.exp(-0.5 * b * b), q)
-    q = np.where(b == 0.0, 1.0, q)  # the ufunc gives -0.0
-    bad = np.argwhere(np.isnan(q))
-    if len(bad):  # the ufunc gives up, at a² past about 9.2e18
-        i = tuple(bad[0])
-        raise ValueError(f"Marcum Q1 is not computable at a={a[i]}, "
-                         f"b={b[i]}")
-    return float(q) if q.ndim == 0 else q
+    q = np.frompyfunc(lambda x, y: _marcum(float(x), float(y))[0], 2, 1)(a, b)
+    return float(q) if np.ndim(q) == 0 else q.astype(float)
 
 
-def detection_probs(alpha, s: float, sigma: float,
-                    gamma: float) -> np.ndarray:
+def detection_probs(alpha, s: float, sigma: float, gamma: float) -> np.ndarray:
     """Analytic standard-basis cells for independent Gaussian noise, in
     ``DetectionStats.hist`` order: P_inf, P_0, then P_1 ... P_N.
 
-    With E[z z†] = I each real quadrature of a_i has variance sigma²/2, so
-    2|a_i/sigma|² is noncentral chi-squared with two degrees of freedom and
-    noncentrality 2|s·alpha_i/sigma|².  Component i stays below gamma with
-    probability F_i = 1 - Q1(sqrt(2)·|s·alpha_i|/sigma, sqrt(2)·gamma/sigma);
-    the sqrt(2) rescaling makes the formula agree with the Monte Carlo
-    estimator.  Independent components give P_0 = prod_i F_i and
-    P_n = (1 - F_n) * prod_{i != n} F_i; P_inf is the rest, clipped at 0.
-    Measuring through U is measuring U†alpha: U†w is again i.i.d. Gaussian.
+    Each real quadrature of a_i has variance sigma²/2, so component i
+    crosses gamma with probability Q_i = Q1(sqrt(2)·|s·alpha_i|/sigma,
+    sqrt(2)·gamma/sigma) and stays below with F_i, both from ``_marcum``.
+    Then P_n = Q_n * prod_{i != n} F_i, and the Poisson-binomial recurrence
+    gives P(exactly k cross): P_0 at k = 0, P_inf summed over k >= 2.  No
+    cell is a difference.  Measuring through U is measuring U†alpha: U†w is
+    again i.i.d. Gaussian.
     """
     sa = noise.signal(alpha, s)
     if not 0 < sigma < np.inf:
         raise ValueError("sigma must be positive")
     detection.check_gamma(gamma)
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
-        lam = 2.0 * np.abs(sa / sigma) ** 2
-        b = np.sqrt(2.0) * gamma / sigma
-    if not (np.isfinite(lam).all() and np.isfinite(b)):
+        x, y = sa.real / sigma, sa.imag / sigma
+        a, b = np.sqrt(2.0 * (x * x + y * y)), np.sqrt(2.0) * gamma / sigma
+    if not (np.isfinite(a).all() and np.isfinite(b)):
         raise ValueError(f"sigma={sigma} is too small for the analytic "
                          "oracle: s/sigma or gamma/sigma overflows")
-    f = 1.0 - marcum_q1(np.sqrt(lam), b)
-    cells = np.empty(f.shape[0] + 2)
-    for n in range(f.shape[0]):
-        cells[2 + n] = (1.0 - f[n]) * np.prod(np.delete(f, n))
-    cells[1] = np.prod(f)
-    cells[0] = max(1.0 - cells[1] - cells[2:].sum(), 0.0)
-    return cells
+    q, f = zip(*(_marcum(ai, float(b)) for ai in a.tolist()))
+    exactly = np.ones(1)  # exactly[k]: k of the components so far cross
+    for fi, qi in zip(f, q):
+        exactly = np.append(exactly, 0.0) * fi + np.append(0.0, exactly) * qi
+    single = [qn * math.prod(f[:n] + f[n + 1:]) for n, qn in enumerate(q)]
+    return np.array([math.fsum(exactly[2:].tolist()), exactly[0], *single])
 
 
 def single_detection_probs(alpha, s: float, sigma: float,
                            gamma: float) -> np.ndarray:
     """The single-detection cells P_1 ... P_N of ``detection_probs``."""
     return detection_probs(alpha, s, sigma, gamma)[2:]
-
-
-def q1_bounds(a: float, b: float) -> tuple[float, float]:
-    """Closed-form lower/upper envelopes of Q1(a, b), valid for b > a."""
-    from scipy import special
-
-    if not (np.isfinite(a) and np.isfinite(b)):
-        raise ValueError("arguments must be finite")
-    if a <= 0:
-        raise ValueError("a must be positive")
-    if b <= a:
-        raise DomainTooSmall(f"bounds require b > a (got a={a}, b={b})")
-    erfc = special.erfc((b - a) / np.sqrt(2.0))
-    lower = erfc / np.sqrt(4.0 * a)
-    upper = (np.exp(-0.5 * (b - a) ** 2) / np.sqrt(2.0 * np.pi * a)
-             + np.sqrt(a / 4.0) * erfc)
-    return float(lower), float(upper)

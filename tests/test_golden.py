@@ -58,7 +58,7 @@ GOLDEN = {
     "oracle": (
         ["oracle", "--alpha", "0.8,0.6", "--s", "1", "--gamma", "2",
          "--mc-trials", TRIALS],
-        "a33d0332cc56e4e8e50fa0567b9841469c08b4400a1769a0a8d2fef3a77c63d1"),
+        "70083db5e3260b9eaa8c888be4cbc8fac9c62d299249f918f15036c82e1fb5a8"),
 }
 
 
@@ -92,8 +92,8 @@ JSON_AND_STDOUT = {
         "2d791dda611fd261e55a3d6a1e56a022d3f4906fadddf8f40f1d75410902e06e",
         "8c3498f010e72a4606412517dfab10901ff1c0ae8e3d9bf24ccd4db4bb7bf3c6"),
     "oracle": (
-        "6c34e576859335d988073eaad02ad7bbccc2a9e675ff670f33819212d84f6fd9",
-        "222ecaa3b356af6646d13ec1e9ac0e50a656b266c9ff50ab13bb88e1a1f86a17"),
+        "5a616b9c148b09821db5bd471d6ac479374ce0ed229342f6bbd3d87e6292fc05",
+        "be6693c44ef45eb1208e6c10e2911c9420855a59711fba7a93eaa7302a55fa88"),
     "tomography": (
         "87233ff0e0685f14c3a0b3f9be6b5a7ec8d42e2f1752abed7fb4bad5f16c9b8c",
         "c71abdaa7e5fe17240dda7b21f857c0584e347ee6dfa5c40d77be0e33c740310"),
