@@ -1,10 +1,12 @@
 """Seedable generation of the hidden-variable noise vector w.
 
-Trials are grouped into fixed chunks of ``CHUNK`` = 2^14 draws, and each
-chunk is generated by its own SFC64 generator keyed by
-``SeedSequence(seed, spawn_key=(stream, chunk))``.  Trial t of a stream
-therefore always receives the same noise vector, independent of worker
-count or evaluation order.  Standard normals are the only random draw:
+Every draw is addressed by ``(seed, stream, chunk)`` and a row count.
+Chunk c of a stream holds its trials [c·CHUNK, (c + 1)·CHUNK), ``CHUNK`` =
+2^14, drawn by its own SFC64 generator keyed by
+``SeedSequence(seed, spawn_key=(stream, chunk))``.  A draw of fewer rows,
+such as a run's partial last chunk, is the leading rows of the full draw, so
+trial t of a stream always receives the same noise vector, independent of
+worker count or evaluation order.  Standard normals are the only random draw:
 every family is a scaled or normalized block of them, so no family calls a
 trigonometric function.  A chunk is realized in one block.  Its arrays
 peak, by tracemalloc, at about 1.1 MB for a Gaussian d=2 chunk and 3.1 MB
@@ -100,16 +102,16 @@ def _clamp_magnitude(values: np.ndarray, target: float) -> np.ndarray:
     return values
 
 
-def _chunk_noise(model: NoiseModel, seed: int, stream: int, chunk_index: int,
-                 rows: int) -> np.ndarray:
-    """Noise vectors for the first ``rows`` trials of one chunk, one row per
-    trial.
+def draw_noise_block(model: NoiseModel, seed: int, stream: int, chunk: int,
+                     rows: int) -> np.ndarray:
+    """Noise vectors for the first ``rows`` trials of chunk ``chunk`` of a
+    stream, one row per trial.
 
     Standard normals are the only random draw, taken in C order, and every
     transform works row by row, so these are exactly the leading rows of a
     (CHUNK, ·) draw from the same generator.
     """
-    rng = _chunk_rng(seed, stream, chunk_index)
+    rng = _chunk_rng(seed, stream, chunk)
     # bloch_uniform is the sphere draw at d = 2: uniform phases, with
     # |w_0|^2 / sigma^2 uniform on [0, 1].  The phase families take their
     # one phase factor from the sphere draw at d = 1.
@@ -135,29 +137,6 @@ def _chunk_noise(model: NoiseModel, seed: int, stream: int, chunk_index: int,
     return z
 
 
-def draw_noise_block(model: NoiseModel, seed: int, start: int, count: int,
-                     stream: int = 0) -> np.ndarray:
-    """Noise vectors for trials [start, start+count) of one stream."""
-    if start < 0 or count < 0:
-        raise ValueError("start and count must be non-negative")
-    parts = []
-    t = start
-    end = start + count
-    while t < end:
-        ci, offset = divmod(t, CHUNK)
-        take = min(CHUNK - offset, end - t)
-        # A later row cannot be reached without drawing the rows before it
-        # (the ziggurat normal sampler consumes a variable number of random
-        # words per value), so an unaligned start draws the chunk's prefix
-        # and drops its first ``offset`` rows.
-        parts.append(_chunk_noise(model, seed, stream, ci,
-                                  offset + take)[offset:])
-        t += take
-    if not parts:
-        return np.empty((0, model.dim), dtype=complex)
-    return np.concatenate(parts) if len(parts) > 1 else parts[0]
-
-
 def _check_finite(v: np.ndarray, what: str) -> np.ndarray:
     if not np.all(np.isfinite(v)):
         raise ValueError(f"{what} has non-finite components")
@@ -179,13 +158,11 @@ def signal(alpha, s: float) -> np.ndarray:
     return s * alpha
 
 
-def realize_block(alpha, s: float, model: NoiseModel, seed: int, start: int,
-                  count: int, stream: int = 0) -> np.ndarray:
-    """Amplitude vectors s·alpha + w for a block of trials."""
-    sa = signal(alpha, s)
-    if sa.shape[0] != model.dim:
-        raise InvalidModel("state dimension does not match noise model")
-    a = draw_noise_block(model, seed, start, count, stream)
+def realize_block(sa: np.ndarray, model: NoiseModel, seed: int, stream: int,
+                  chunk: int, rows: int) -> np.ndarray:
+    """Amplitude vectors s·alpha + w for the first ``rows`` trials of one
+    chunk, where ``sa`` is a ``signal`` already checked against ``model``."""
+    a = draw_noise_block(model, seed, stream, chunk, rows)
     # One strided add per component is cheaper than broadcasting a 2- or
     # 4-wide row, and adds the same numbers.
     for k, c in enumerate(sa):

@@ -91,12 +91,6 @@ class DetectionStats:
         return 1.0 / np.sqrt(self.n_detected) if self.n_detected else np.inf
 
 
-def _chunk_ranges(trials: int):
-    for ci in range((trials + CHUNK - 1) // CHUNK):
-        start = ci * CHUNK
-        yield start, min(CHUNK, trials - start)
-
-
 # One thread pool per worker count, created on first use and kept for the
 # life of the process, so repeated runs do not start threads again.
 _POOLS: dict[int, ThreadPoolExecutor] = {}
@@ -216,11 +210,13 @@ def tally_chunks(tallies, gamma: float, workers: int = 1) -> list[np.ndarray]:
     of the measurements' shifted codes (see ``detection``), from one pool map.
 
     An ensemble is ``(alpha, s, model, seed, stream, trials)``.  Its trials
-    are cut into chunks of ``CHUNK``, one pool job each.  A job realizes its
-    chunk in one block, detects every measurement of its tally on it and
-    bincounts each row's cell.  Cell (x_1, ..., x_K) counts the trials of
-    all the tally's ensembles where measurement k gave shifted code x_k, so
-    the shape is (G_1 + 2, ..., G_K + 2) for measurements of G_k groups.
+    are cut into chunks of ``CHUNK``, one pool job each.  Every ensemble's
+    signal, seed and dimension are checked once, before any job runs.  A job
+    realizes its chunk in one block, detects every measurement of its tally
+    on it and bincounts each row's cell.  Cell (x_1, ..., x_K) counts the
+    trials of all the tally's ensembles where measurement k gave shifted
+    code x_k, so the shape is (G_1 + 2, ..., G_K + 2) for measurements of
+    G_k groups.
     """
     tallies = [(list(ensembles), tuple(measurements))
                for ensembles, measurements in tallies]
@@ -232,23 +228,30 @@ def tally_chunks(tallies, gamma: float, workers: int = 1) -> list[np.ndarray]:
             raise ValueError("every tally needs at least 1 measurement")
         if not ensembles or min(trials for *_, trials in ensembles) < 1:
             raise ValueError("every ensemble needs at least 1 trial")
-        for _, _, model, *_ in ensembles:
+        for i, (alpha, s, model, seed, *rest) in enumerate(ensembles):
+            sa = noise.signal(alpha, s)
+            if sa.shape[0] != model.dim:
+                raise noise.InvalidModel("state dimension does not match "
+                                         "noise model")
             for m in measurements:
                 if m.dim != model.dim:
                     raise ValueError(f"measurement of dimension {m.dim} on a "
                                      f"noise model of dimension {model.dim}")
+            # The copied list now holds the checked signal in place of alpha.
+            ensembles[i] = (sa, model, noise.check_seed(seed), *rest)
     totals = [np.zeros([len(m.groups) + 2 for m in measurements], np.int64)
               for _, measurements in tallies]
     lock = threading.Lock()
-    jobs = [(t, i, start, count) for t, (ensembles, _) in enumerate(tallies)
+    jobs = [(t, i, chunk, min(CHUNK, trials - chunk * CHUNK))
+            for t, (ensembles, _) in enumerate(tallies)
             for i, (*_, trials) in enumerate(ensembles)
-            for start, count in _chunk_ranges(trials)]
+            for chunk in range(-(-trials // CHUNK))]
 
     def run(job):
-        t, i, start, count = job
+        t, i, chunk, rows = job
         (ensembles, measurements), total = tallies[t], totals[t]
-        alpha, s, model, seed, stream, _ = ensembles[i]
-        a = noise.realize_block(alpha, s, model, seed, start, count, stream)
+        sa, model, seed, stream, _ = ensembles[i]
+        a = noise.realize_block(sa, model, seed, stream, chunk, rows)
         # Each row's row-major cell by Horner's rule, in place, so only the
         # index and one measurement's codes are alive at a time.
         cell = detection.detect_observable_block(a, measurements[0], gamma)

@@ -7,6 +7,7 @@ import shutil
 import subprocess
 import sys
 import textwrap
+import threading
 import warnings
 from pathlib import Path
 
@@ -14,6 +15,7 @@ import numpy as np
 import pytest
 
 import threshdet
+from threshdet import cli
 from threshdet.cli import (DEFAULT_SEED, CheckFailure, _check_chsh,
                            _check_mean, _expected_p, build_parser, main,
                            parse_alpha)
@@ -433,6 +435,22 @@ def test_zero_states_exits_1(capsys):
     assert "states must be >= 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    "chsh-joint --trials 1", "magic-square --states 1 --trials 1",
+    "oracle --mc-trials 1"])
+def test_workers_above_the_ceiling_exit_1_before_any_thread_starts(argv,
+                                                                   capsys):
+    # Unchecked, each run would start a thread per job on a new pool.
+    assert cli.MAX_WORKERS >= 8  # criterion 12 runs 8 workers
+    threads = threading.active_count()
+    workers = str(cli.MAX_WORKERS + 1)
+    assert run([*argv.split(), "--workers", workers]) == 1
+    captured = capsys.readouterr()
+    assert f"workers must be <= {cli.MAX_WORKERS}" in captured.err
+    assert captured.out == ""
+    assert threading.active_count() == threads
+
+
 def test_tomography_without_enough_detections_exits_1(capsys):
     assert run(["tomography", "--trials", "10"]) == 1
     err = capsys.readouterr().err
@@ -696,7 +714,7 @@ def test_ci_console_script_step_passes(tmp_path):
         shim.chmod(0o755)
     (tmp_path / "step.sh").write_text(script)
     src = str(Path(threshdet.__file__).resolve().parents[1])
-    env = {**os.environ,
+    env = {**os.environ, "TMPDIR": str(tmp_path),
            "PATH": os.pathsep.join([str(bin_dir), os.environ["PATH"]]),
            "PYTHONPATH": os.pathsep.join(
                filter(None, [src, os.environ.get("PYTHONPATH")]))}
@@ -704,3 +722,5 @@ def test_ci_console_script_step_passes(tmp_path):
                           cwd=work, env=env, capture_output=True, text=True,
                           timeout=300)
     assert done.returncode == 0, done.stdout[-3000:] + done.stderr[-3000:]
+    # Nothing is written into the checkout the step runs in.
+    assert list(work.iterdir()) == []

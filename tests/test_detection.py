@@ -13,7 +13,7 @@ from threshdet.detection import (MULTIPLE_DETECTIONS, NO_DETECTION,
                                  measure)
 from threshdet.experiments import LOCAL_SETTINGS, MAGIC_CONTEXTS, replay
 from threshdet.linalg import H, I2, U_R1, V, Measurement
-from threshdet.noise import NoiseModel, draw_noise_block
+from threshdet.noise import CHUNK, NoiseModel, draw_noise_block
 
 SQRT2 = np.sqrt(2.0)
 
@@ -78,7 +78,7 @@ def test_partition_validation():
 
 def test_partition_consistency():
     groups = ((0, 2), (1, 3))
-    b = draw_noise_block(NoiseModel(noise.GAUSSIAN, 1.0, 4), 1, 0, 100)
+    b = draw_noise_block(NoiseModel(noise.GAUSSIAN, 1.0, 4), 1, 0, 0, 100)
     mags = group_magnitudes(b, groups)
     assert np.allclose((mags**2).sum(axis=1),
                        (np.abs(b) ** 2).sum(axis=1), atol=1e-12)
@@ -90,7 +90,7 @@ def test_projective_reduces_to_observable_with_singletons():
     swapped = Measurement(H, ((1,), (0,)), (-1.0, 1.0))
     m = Measurement(H, values=[1.0, -1.0])
     assert not swapped.singletons and m.singletons
-    block = draw_noise_block(NoiseModel(noise.SPHERE, 1.2, 2), 3, 0, 200)
+    block = draw_noise_block(NoiseModel(noise.SPHERE, 1.2, 2), 3, 0, 0, 200)
     p = detect_observable_block(block, swapped, 0.7)
     o = detect_observable_block(block, m, 0.7)
     assert np.array_equal(p, np.where(o >= 0, 1 - o, o))
@@ -144,10 +144,12 @@ def test_bounded_noise_never_double_detects():
     # gamma >= sigma and s <= (sqrt(2)-1) sigma excludes double crossings.
     model = NoiseModel(noise.SPHERE, 1.0, 4)
     alpha = np.array([0, 1, 1, 0]) / SQRT2
-    a = noise.realize_block(alpha, SQRT2 - 1.0, model, seed=8, start=0,
-                            count=10**5)
-    codes = detect_standard_block(a, 1.0)
-    assert not np.any(codes == MULTIPLE_DETECTIONS)
+    sa, trials = noise.signal(alpha, SQRT2 - 1.0), 10**5
+    for chunk in range(-(-trials // CHUNK)):
+        a = noise.realize_block(sa, model, 8, 0, chunk,
+                                min(CHUNK, trials - chunk * CHUNK))
+        codes = detect_standard_block(a, 1.0)
+        assert not np.any(codes == MULTIPLE_DETECTIONS)
 
 
 @settings(max_examples=50, deadline=None)
@@ -232,8 +234,10 @@ def test_identity_rotation_is_skipped_bit_for_bit():
     m = LOCAL_SETTINGS["A"]
     assert m.is_identity and not MAGIC_CONTEXTS["R1"].is_identity
     model = NoiseModel(noise.SPHERE, 1.0, 4)
+    drawn = noise.realize_block(noise.signal(np.eye(4)[1], SQRT2 - 1.0),
+                                model, 5, 0, 0, 20 * 500)
     for start in range(0, 20 * 500, 500):
-        a = noise.realize_block(np.eye(4)[1], SQRT2 - 1.0, model, 5, start, 500)
+        a = drawn[start:start + 500]
         rotated = a @ np.conj(m.unitary)
         assert np.array_equal(group_magnitudes(rotated, m.groups),
                               group_magnitudes(a, m.groups))
@@ -314,7 +318,7 @@ def _stacked_group_magnitudes(b, groups):
                                     ((0, 2, 3), (1,)), ((3, 1, 0), (2,))])
 def test_group_magnitudes_match_the_stacked_sum_bit_for_bit(groups):
     model = NoiseModel(noise.GAUSSIAN, 1.3, 4)
-    b = draw_noise_block(model, 9, 0, 2000)
+    b = draw_noise_block(model, 9, 0, 0, 2000)
     b[:3] = 0.0
     b[3, 1] = -0.0
     for view in (b, b[::-1], np.asfortranarray(b)):

@@ -137,14 +137,16 @@ def test_magic_square_violation_counter_counts(monkeypatch):
 def test_magic_square_memory_does_not_grow_with_states():
     # All states share one 46 656-cell total, added into as each job ends:
     # 32 states peak within 2 MB of 2.  A total per state, or every job's
-    # histogram kept until the map ends, would add about 11.9 MB.
-    run_magic_square(2, 1 << 14, 7, workers=2)  # warm: pool and tables
+    # histogram kept until the map ends, would add about 11.9 MB.  One
+    # worker runs the same job closure as a pool, with one job alive at a
+    # time; on a pool the peak would also count how many jobs overlap.
+    run_magic_square(2, 1 << 14, 7, workers=1)  # warm: tables
     peaks = []
     tracemalloc.start()
     try:
         for states in (2, 32):
             tracemalloc.reset_peak()
-            run_magic_square(states, 1 << 14, 7, workers=2)
+            run_magic_square(states, 1 << 14, 7, workers=1)
             peaks.append(tracemalloc.get_traced_memory()[1])
     finally:
         tracemalloc.stop()
@@ -208,9 +210,13 @@ def test_worker_invariance_of_experiment_runs():
 def _codes(alpha, stream, seed, trials, table, names):
     # Codes of each named measurement of ``table`` on the stream's trials.
     model = NoiseModel(noise.SPHERE, 1.0, 4)
-    a = noise.realize_block(alpha, noise.S_BOUNDED, model, seed, 0, trials,
-                            stream)
-    return [detection.detect_observable_block(a, table[name], 1.0).tolist()
+    sa = noise.signal(alpha, noise.S_BOUNDED)
+    blocks = [noise.realize_block(sa, model, seed, stream, chunk,
+                                  min(CHUNK, trials - chunk * CHUNK))
+              for chunk in range(-(-trials // CHUNK))]
+    return [np.concatenate([detection.detect_observable_block(a, table[name],
+                                                              1.0)
+                            for a in blocks]).tolist()
             for name in names]
 
 
@@ -322,14 +328,17 @@ def test_replay_of_a_drawn_trial_matches_the_simulation(table, data, seed,
     else:
         alpha = np.array([1.0, 0.0]) if design else np.array([0.6, 0.8j])
     s, count, stream = np.sqrt(2.0) - 1.0, 3, 7
-    block = noise.realize_block(alpha, s, model, seed, start, count, stream)
-    codes = {name: detection.detect_observable_block(block, m, gamma)
-             for name, m in measurements.items()}
-    for row in range(count):
-        w = noise.draw_noise_block(model, seed, start + row, 1, stream)[0]
+    sa = noise.signal(alpha, s)
+    for trial in range(start, start + count):
+        # Trial t is row t % CHUNK of chunk t // CHUNK: the last row of a
+        # run of t + 1 trials.
+        chunk, row = trial // CHUNK, trial % CHUNK
+        block = noise.realize_block(sa, model, seed, stream, chunk, row + 1)
+        w = noise.draw_noise_block(model, seed, stream, chunk, row + 1)[row]
         a = noise.inject(alpha, s, w)
-        assert replay(a, measurements, gamma=gamma) == \
-            {name: int(c[row]) for name, c in codes.items()}
+        assert replay(a, measurements, gamma=gamma) == {
+            name: int(detection.detect_observable_block(block, m, gamma)[row])
+            for name, m in measurements.items()}
 
 
 # Each run and its pool jobs, at two chunks per ensemble.

@@ -14,8 +14,17 @@ from threshdet.noise import (ANTICORRELATED_PHASE, BLOCH_UNIFORM, CHUNK,
                              GAUSSIAN, KINDS, SINGLE_PHASE, SPHERE,
                              InvalidModel, NoiseModel, UnnormalizedState,
                              draw_noise_block, inject, realize_block)
+from threshdet.probability import estimate
 
 SQRT2 = np.sqrt(2.0)
+
+
+def _draw(model, seed, trials, stream=0):
+    """Noise of a stream's first ``trials`` trials, drawn chunk by chunk."""
+    return np.concatenate([
+        draw_noise_block(model, seed, stream, chunk,
+                         min(CHUNK, trials - chunk * CHUNK))
+        for chunk in range(-(-trials // CHUNK))])
 
 
 def test_invalid_kind_rejected():
@@ -40,7 +49,7 @@ def test_subnormal_sigma_rejected(sigma):
 
 def test_smallest_normal_sigma_is_drawn_and_clamped():
     tiny = np.finfo(float).tiny
-    w = draw_noise_block(NoiseModel(SINGLE_PHASE, tiny, 2), 1, 0, CHUNK)
+    w = draw_noise_block(NoiseModel(SINGLE_PHASE, tiny, 2), 1, 0, 0, CHUNK)
     assert np.all(np.abs(w[:, 1]) <= tiny)
     assert np.all(w[:, 1] != 0)
 
@@ -53,14 +62,14 @@ def test_scripted_models_require_dim_two():
 
 def test_sphere_norm_is_sigma_exactly():
     model = NoiseModel(SPHERE, 0.7, 4)
-    w = draw_noise_block(model, seed=1, start=0, count=500)
+    w = draw_noise_block(model, seed=1, stream=0, chunk=0, rows=500)
     assert np.allclose(np.linalg.norm(w, axis=1), 0.7, atol=1e-12)
 
 
 def test_gaussian_component_moments():
     # E[|w_n|^2] = sigma^2 for every component.
     model = NoiseModel(GAUSSIAN, 1.3, 3)
-    w = draw_noise_block(model, seed=2, start=0, count=10**6)
+    w = _draw(model, seed=2, trials=10**6)
     second = (np.abs(w) ** 2).mean(axis=0)
     assert np.allclose(second, 1.3**2, rtol=0.01)
     assert np.abs(w.mean(axis=0)).max() < 0.01
@@ -71,7 +80,7 @@ def test_bloch_uniform_polar_moment():
     oracle, _ = integrate.quad(
         lambda t: np.cos(t) ** 2 * np.sin(2 * t), 0.0, np.pi / 2)
     model = NoiseModel(BLOCH_UNIFORM, 1.0, 2)
-    w = draw_noise_block(model, seed=3, start=0, count=10**6)
+    w = _draw(model, seed=3, trials=10**6)
     cos2 = np.abs(w[:, 0]) ** 2
     assert cos2.mean() == pytest.approx(oracle, abs=0.005)
     assert oracle == pytest.approx(0.5, abs=1e-12)
@@ -79,34 +88,38 @@ def test_bloch_uniform_polar_moment():
 
 def test_single_phase_structure():
     model = NoiseModel(SINGLE_PHASE, 2.0, 2)
-    w = draw_noise_block(model, seed=4, start=0, count=100)
+    w = draw_noise_block(model, seed=4, stream=0, chunk=0, rows=100)
     assert np.all(w[:, 0] == 0)
     assert np.allclose(np.abs(w[:, 1]), 2.0, atol=1e-12)
 
 
 def test_anticorrelated_phase_structure():
     model = NoiseModel(ANTICORRELATED_PHASE, 1.0, 2)
-    w = draw_noise_block(model, seed=5, start=0, count=100)
+    w = draw_noise_block(model, seed=5, stream=0, chunk=0, rows=100)
     assert np.allclose(w[:, 0], -w[:, 1], atol=1e-15)
     assert np.allclose(np.abs(w[:, 0]), 1.0 / SQRT2, atol=1e-12)
 
 
 def test_per_trial_reproducibility_is_order_independent():
     model = NoiseModel(SPHERE, 1.0, 4)
-    block = draw_noise_block(model, seed=11, start=0, count=200000)
-    # Single-trial lookups and oddly-aligned blocks see identical values.
+    block = _draw(model, seed=11, trials=200000)
+    # Trial t is row t % CHUNK of chunk t // CHUNK, and a draw that ends at
+    # that row sees the value a draw of all the trials sees.
     for trial in (0, 1, 70000, 2 * CHUNK - 1, 2 * CHUNK, 199999):
-        single = draw_noise_block(model, 11, trial, 1)
-        assert np.array_equal(single[0], block[trial])
-    # Straddles the boundary between chunks 0 and 1.
-    shifted = draw_noise_block(model, seed=11, start=CHUNK - 6, count=12)
-    assert np.array_equal(shifted, block[CHUNK - 6:CHUNK + 6])
+        chunk, row = trial // CHUNK, trial % CHUNK
+        single = draw_noise_block(model, 11, 0, chunk, row + 1)
+        assert np.array_equal(single[row], block[trial])
+    # Both sides of the boundary between chunks 0 and 1.
+    assert np.array_equal(draw_noise_block(model, 11, 0, 0, CHUNK)[-6:],
+                          block[CHUNK - 6:CHUNK])
+    assert np.array_equal(draw_noise_block(model, 11, 0, 1, 6),
+                          block[CHUNK:CHUNK + 6])
 
 
 def test_streams_are_independent():
     model = NoiseModel(GAUSSIAN, 1.0, 2)
-    a = draw_noise_block(model, seed=11, start=0, count=10, stream=0)
-    b = draw_noise_block(model, seed=11, start=0, count=10, stream=1)
+    a = draw_noise_block(model, seed=11, stream=0, chunk=0, rows=10)
+    b = draw_noise_block(model, seed=11, stream=1, chunk=0, rows=10)
     assert not np.allclose(a, b)
 
 
@@ -115,7 +128,7 @@ def test_unitary_invariance_of_noise(kind, expected):
     # Uw has the same per-component second moments as w.
     model = NoiseModel(kind, 1.0, 2)
     n = 10**5
-    w = draw_noise_block(model, seed=6, start=0, count=n)
+    w = _draw(model, seed=6, trials=n)
     for u in (linalg.H, linalg.V, linalg.W_PLUS):
         uw = w @ u.T
         for vecs in (w, uw):
@@ -126,14 +139,19 @@ def test_unitary_invariance_of_noise(kind, expected):
 
 def test_realize_zero_noise():
     model = NoiseModel(GAUSSIAN, 0.0, 2)
-    a = realize_block(np.array([1.0, 0.0]), 1.0, model, 0, 0, 1)
+    a = realize_block(noise.signal(np.array([1.0, 0.0]), 1.0), model, 0, 0,
+                      0, 1)
     assert np.allclose(a, [[1.0, 0.0]], atol=1e-15)
 
 
 def test_realize_rejects_unnormalized_state():
+    # realize_block takes a checked signal: the check is signal's, made once
+    # per ensemble before any noise is drawn.
     model = NoiseModel(GAUSSIAN, 1.0, 2)
     with pytest.raises(UnnormalizedState):
-        realize_block(np.array([1.0, 1.0]), 1.0, model, 0, 0, 1)
+        noise.signal(np.array([1.0, 1.0]), 1.0)
+    with pytest.raises(UnnormalizedState):
+        estimate(np.array([1.0, 1.0]), 1.0, model, 1.0, trials=1, seed=0)
 
 
 def test_inject_reproduces_printed_magnitudes():
@@ -160,7 +178,9 @@ def test_negative_signal_strength_rejected():
     with pytest.raises(ValueError, match="signal strength"):
         inject(alpha, -1.0, np.array([0.2, 0.1]))
     with pytest.raises(ValueError, match="signal strength"):
-        realize_block(alpha, -1.0, model, seed=0, start=0, count=1)
+        noise.signal(alpha, -1.0)
+    with pytest.raises(ValueError, match="signal strength"):
+        estimate(alpha, -1.0, model, 1.0, trials=1, seed=0)
 
 
 def test_load_vector(tmp_path):
@@ -173,10 +193,11 @@ def test_load_vector(tmp_path):
 def test_realize_block_matches_single_draws():
     model = NoiseModel(SPHERE, 1.0, 2)
     alpha = np.array([1.0, 0.0])
-    block = realize_block(alpha, 0.5, model, seed=9, start=5, count=3)
-    for k in range(3):
-        single = realize_block(alpha, 0.5, model, 9, 5 + k, 1)
-        assert np.array_equal(single[0], block[k])
+    sa = noise.signal(alpha, 0.5)
+    block = realize_block(sa, model, seed=9, stream=0, chunk=0, rows=8)
+    for row in range(5, 8):
+        single = realize_block(sa, model, 9, 0, 0, row + 1)
+        assert np.array_equal(single[row], block[row])
 
 
 # Every noise family, with an odd and an even dimension where both exist.
@@ -192,35 +213,30 @@ PREFIX_MODELS = (
 
 @functools.lru_cache(maxsize=8)
 def _full_chunk(model, seed, stream, chunk_index):
-    return noise._chunk_noise(model, seed, stream, chunk_index, CHUNK)
+    return draw_noise_block(model, seed, stream, chunk_index, CHUNK)
 
 
 @settings(max_examples=60, deadline=None)
 @given(model=st.sampled_from(PREFIX_MODELS),
-       start=st.integers(min_value=0, max_value=2 * CHUNK),
-       count=st.integers(min_value=0, max_value=CHUNK + 2),
+       chunk=st.integers(min_value=0, max_value=2),
+       rows=st.integers(min_value=0, max_value=CHUNK),
        seed=st.sampled_from([0, 20140731, 2**64 - 1]))
-@example(model=PREFIX_MODELS[2], start=CHUNK - 1, count=CHUNK + 2, seed=0)
-@example(model=PREFIX_MODELS[0], start=CHUNK, count=0, seed=0)
-@example(model=PREFIX_MODELS[5], start=0, count=1, seed=20140731)
-def test_block_equals_slice_of_full_chunk_draws(model, start, count, seed):
+@example(model=PREFIX_MODELS[2], chunk=0, rows=CHUNK - 1, seed=0)
+@example(model=PREFIX_MODELS[0], chunk=1, rows=0, seed=0)
+@example(model=PREFIX_MODELS[5], chunk=0, rows=1, seed=20140731)
+def test_block_equals_slice_of_full_chunk_draws(model, chunk, rows, seed):
     # Drawing only a chunk's leading rows must give bit-for-bit the values a
-    # full-chunk draw gives those rows, for every family and alignment.
+    # full-chunk draw gives those rows, for every family and row count.
     stream = 3
-    end = start + count
-    chunks = range(start // CHUNK, -(-end // CHUNK))
-    reference = np.concatenate(
-        [np.empty((0, model.dim), dtype=complex)]
-        + [_full_chunk(model, seed, stream, ci) for ci in chunks])
-    first = chunks.start * CHUNK
-    block = draw_noise_block(model, seed, start, count, stream)
-    assert block.shape == (count, model.dim)
-    assert np.array_equal(block, reference[start - first:end - first])
+    block = draw_noise_block(model, seed, stream, chunk, rows)
+    assert block.shape == (rows, model.dim)
+    assert np.array_equal(block, _full_chunk(model, seed, stream,
+                                             chunk)[:rows])
 
 
 def _sphere_chunk(sigma, dim, seed, stream, chunk_index):
     model = NoiseModel(SPHERE, sigma, dim)
-    return noise._chunk_noise(model, seed, stream, chunk_index, CHUNK)
+    return draw_noise_block(model, seed, stream, chunk_index, CHUNK)
 
 
 @pytest.mark.parametrize("kind", [BLOCH_UNIFORM, SINGLE_PHASE,
@@ -233,7 +249,7 @@ def test_two_dim_noise_is_the_sphere_draw(kind, sigma):
     model = NoiseModel(kind, sigma, 2)
     for stream in range(3):
         for ci in range(6):
-            drawn = noise._chunk_noise(model, 20140731, stream, ci, CHUNK)
+            drawn = draw_noise_block(model, 20140731, stream, ci, CHUNK)
             if kind == BLOCH_UNIFORM:
                 reference = _sphere_chunk(sigma, 2, 20140731, stream, ci)
             elif kind == SINGLE_PHASE:
@@ -253,7 +269,7 @@ def test_two_dim_noise_is_the_sphere_draw(kind, sigma):
 def test_phase_families_have_uniform_phases(kind, column, radius):
     # A phase factor u uniform on the circle has E[u^k] = 0 for k >= 1.
     n = 1 << 18
-    w = draw_noise_block(NoiseModel(kind, 1.0, 2), seed=8, start=0, count=n)
+    w = _draw(NoiseModel(kind, 1.0, 2), seed=8, trials=n)
     u = w[:, column] / radius
     for k in (1, 2, 3):
         uk = u ** k
@@ -266,15 +282,15 @@ def test_realize_block_adds_the_signal_bit_for_bit(model):
     # realize_block adds s·alpha one component at a time; a broadcast add
     # of the whole row must give the same bytes.
     alpha = np.exp(0.3j * np.arange(model.dim)) / np.sqrt(model.dim)
-    a = realize_block(alpha, 0.7, model, 5, 100, 3000, stream=2)
-    w = draw_noise_block(model, 5, 100, 3000, stream=2)
+    a = realize_block(noise.signal(alpha, 0.7), model, 5, 2, 0, 3100)[100:]
+    w = draw_noise_block(model, 5, 2, 0, 3100)[100:]
     assert a.tobytes() == (w + 0.7 * alpha).tobytes()
 
 
 @pytest.mark.parametrize("seed", [0, 2**64 - 1])
 def test_seed_range_edges_accepted(seed):
     model = NoiseModel(GAUSSIAN, 1.0, 2)
-    assert draw_noise_block(model, seed, 0, 4).shape == (4, 2)
+    assert draw_noise_block(model, seed, 0, 0, 4).shape == (4, 2)
 
 
 @pytest.mark.parametrize("seed", [-1, 2**64])
@@ -283,7 +299,7 @@ def test_seed_outside_range_rejected(seed):
     with pytest.raises(ValueError, match="outside"):
         noise._chunk_rng(seed, 0, 0)
     with pytest.raises(ValueError, match="outside"):
-        draw_noise_block(NoiseModel(GAUSSIAN, 1.0, 2), seed, 0, 4)
+        draw_noise_block(NoiseModel(GAUSSIAN, 1.0, 2), seed, 0, 0, 4)
 
 
 @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])

@@ -391,14 +391,14 @@ def test_estimate_input_validation(trials, gamma):
 
 @contextlib.contextmanager
 def _realize_calls():
-    """The (seed, stream, start, count) of every ``noise.realize_block``
+    """The (seed, stream, chunk, rows) of every ``noise.realize_block``
     call made inside the block."""
     calls = []
     realize = noise.realize_block
 
-    def spy(alpha, s, model, seed, start, count, stream):
-        calls.append((seed, stream, start, count))
-        return realize(alpha, s, model, seed, start, count, stream)
+    def spy(sa, model, seed, stream, chunk, rows):
+        calls.append((seed, stream, chunk, rows))
+        return realize(sa, model, seed, stream, chunk, rows)
 
     with mock.patch.object(noise, "realize_block", spy):
         yield calls
@@ -406,9 +406,9 @@ def _realize_calls():
 
 def _chunk_calls(ensembles):
     """The calls that tile each ensemble's trials with chunks of CHUNK."""
-    return sorted((seed, stream, start, min(CHUNK, trials - start))
+    return sorted((seed, stream, chunk, min(CHUNK, trials - chunk * CHUNK))
                   for _, _, _, seed, stream, trials in ensembles
-                  for start in range(0, trials, CHUNK))
+                  for chunk in range(-(-trials // CHUNK)))
 
 
 def _shape(measurements):
@@ -419,9 +419,10 @@ def _recount(ensembles, measurements, gamma):
     # Independent of the driver: one chunk at a time, one row at a time.
     hist = np.zeros(_shape(measurements), dtype=np.int64)
     for alpha, s, model, seed, stream, trials in ensembles:
-        for start in range(0, trials, CHUNK):
-            a = noise.realize_block(alpha, s, model, seed, start,
-                                    min(CHUNK, trials - start), stream)
+        for chunk in range(-(-trials // CHUNK)):
+            a = noise.realize_block(noise.signal(alpha, s), model, seed,
+                                    stream, chunk,
+                                    min(CHUNK, trials - chunk * CHUNK))
             codes = [detection.detect_observable_block(a, m, gamma)
                      for m in measurements]
             np.add.at(hist, tuple(c + 2 for c in codes), 1)
@@ -572,6 +573,33 @@ def test_tally_chunks_rejects_no_tally_or_no_measurement_before_drawing():
             with _realize_calls() as calls:
                 with pytest.raises(ValueError, match=message):
                     probability.tally_chunks(tallies, 1.0, workers)
+            assert calls == []
+
+
+@pytest.mark.parametrize("alpha, s, seed, error, message", [
+    ([1.0, 1.0], 1.0, 1, noise.UnnormalizedState,
+     r"\|alpha\| = 1.41421356237, expected 1"),
+    ([1.0, 0.0], -1.0, 1, ValueError, "signal strength must be non-negative"),
+    ([0.5, 0.5, 0.5, 0.5], 1.0, 1, noise.InvalidModel,
+     "state dimension does not match noise model"),
+    ([1.0, 0.0], 1.0, 2**64, ValueError, "outside")],
+    ids=["unnormalized", "negative-s", "dimension", "seed"])
+def test_tally_chunks_checks_every_ensemble_before_any_job(alpha, s, seed,
+                                                           error, message):
+    # The first ensemble is valid; a bad signal, dimension or seed in a
+    # later one, of the same tally or of the next, is found before any job
+    # draws.
+    model = NoiseModel(GAUSSIAN, 1.0, 2)
+    good = (np.array([1.0, 0.0]), 1.0, model, 1, 0, 2 * CHUNK)
+    bad = (np.array(alpha), s, model, seed, 1, 10)
+    basis = (Measurement(np.eye(2)),)
+    for tallies in ([([good, bad], basis)],
+                    [([good], basis), ([good, bad], basis)]):
+        for workers in (1, 2):
+            with _realize_calls() as calls:
+                with pytest.raises(ValueError, match=message) as raised:
+                    probability.tally_chunks(tallies, 1.0, workers)
+            assert type(raised.value) is error
             assert calls == []
 
 
