@@ -14,9 +14,6 @@ from . import (detection, experiments, linalg, noise, output, probability,
 from .noise import NoiseModel
 
 DEFAULT_SEED = 12345
-# Each of --workers N is a thread that lives as long as the process, and the
-# pool starts one per job up to N, so N is capped before any thread starts.
-MAX_WORKERS = 64
 # A statistical --check rejects its claim beyond Z standard errors.
 Z = 5.0
 
@@ -118,8 +115,6 @@ def _resolve(args) -> argparse.Namespace:
         value = vars(args).get(key)
         if value is not None and value < 1:
             raise ValueError(f"{key} must be >= 1")
-    if (vars(args).get("workers") or 1) > MAX_WORKERS:
-        raise ValueError(f"workers must be <= {MAX_WORKERS}")
     return args
 
 

@@ -197,7 +197,7 @@ def run_chsh_local(trials: int, seed: int, *, noise_kind: str = noise.SPHERE,
 
 def random_state(seed: int, state_index: int) -> np.ndarray:
     """Deterministic random design state z/||z|| for one magic-square run."""
-    rng = noise._chunk_rng(seed, _STREAM_MAGIC_STATES, state_index)
+    rng = noise.chunk_rng(seed, _STREAM_MAGIC_STATES, state_index)
     x = rng.standard_normal(8)
     z = x[:4] + 1j * x[4:]
     return z / np.linalg.norm(z)

@@ -2,16 +2,15 @@
 
 Every draw is addressed by ``(seed, stream, chunk)`` and a row count.
 Chunk c of a stream holds its trials [c·CHUNK, (c + 1)·CHUNK), ``CHUNK`` =
-2^14, drawn by its own SFC64 generator keyed by
-``SeedSequence(seed, spawn_key=(stream, chunk))``.  A draw of fewer rows,
-such as a run's partial last chunk, is the leading rows of the full draw, so
-trial t of a stream always receives the same noise vector, independent of
-worker count or evaluation order.  Standard normals are the only random draw:
-every family is a scaled or normalized block of them, so no family calls a
-trigonometric function.  A chunk is realized in one block.  Its arrays
-peak, by tracemalloc, at about 1.1 MB for a Gaussian d=2 chunk and 3.1 MB
-for a magic-square chunk (six contexts), so on a Xeon with 2 MiB of L2 per
-core the larger kernels spill to L3.
+2^14, drawn by its own SFC64 generator, ``chunk_rng(seed, stream, chunk)``,
+keyed by ``SeedSequence(seed, spawn_key=(stream, chunk))``.  Each draw from
+a generator returns the next rows of its chunk, so consecutive draws join
+bit for bit into one full-chunk draw, and a draw of fewer rows, such as a
+run's partial last chunk, is the leading rows of the full draw.  Trial t of
+a stream therefore always receives the same noise vector, independent of
+worker count, evaluation order or how its chunk is split into blocks.
+Standard normals are the only random draw: every family is a scaled or
+normalized block of them, so no family calls a trigonometric function.
 """
 
 from __future__ import annotations
@@ -78,9 +77,11 @@ def check_seed(seed) -> int:
     return seed
 
 
-def _chunk_rng(seed: int, stream: int, chunk_index: int) -> np.random.Generator:
+def chunk_rng(seed: int, stream: int, chunk: int) -> np.random.Generator:
+    """The generator of chunk ``chunk`` of a stream: the one place where a
+    stream address becomes random draws."""
     ss = np.random.SeedSequence(entropy=check_seed(seed),
-                                spawn_key=(int(stream), int(chunk_index)))
+                                spawn_key=(int(stream), int(chunk)))
     return np.random.Generator(np.random.SFC64(ss))
 
 
@@ -102,16 +103,15 @@ def _clamp_magnitude(values: np.ndarray, target: float) -> np.ndarray:
     return values
 
 
-def draw_noise_block(model: NoiseModel, seed: int, stream: int, chunk: int,
+def draw_noise_block(model: NoiseModel, rng: np.random.Generator,
                      rows: int) -> np.ndarray:
-    """Noise vectors for the first ``rows`` trials of chunk ``chunk`` of a
-    stream, one row per trial.
+    """Noise vectors for the next ``rows`` trials drawn from ``rng``, one
+    row per trial.
 
     Standard normals are the only random draw, taken in C order, and every
-    transform works row by row, so these are exactly the leading rows of a
-    (CHUNK, ·) draw from the same generator.
+    transform works row by row, so consecutive calls on one ``chunk_rng``
+    return exactly the consecutive rows of one (CHUNK, ·) draw from it.
     """
-    rng = _chunk_rng(seed, stream, chunk)
     # bloch_uniform is the sphere draw at d = 2: uniform phases, with
     # |w_0|^2 / sigma^2 uniform on [0, 1].  The phase families take their
     # one phase factor from the sphere draw at d = 1.
@@ -158,11 +158,11 @@ def signal(alpha, s: float) -> np.ndarray:
     return s * alpha
 
 
-def realize_block(sa: np.ndarray, model: NoiseModel, seed: int, stream: int,
-                  chunk: int, rows: int) -> np.ndarray:
-    """Amplitude vectors s·alpha + w for the first ``rows`` trials of one
-    chunk, where ``sa`` is a ``signal`` already checked against ``model``."""
-    a = draw_noise_block(model, seed, stream, chunk, rows)
+def realize_block(sa: np.ndarray, model: NoiseModel, rng: np.random.Generator,
+                  rows: int) -> np.ndarray:
+    """Amplitude vectors s·alpha + w for the next ``rows`` trials drawn from
+    ``rng``, where ``sa`` is a ``signal`` already checked against ``model``."""
+    a = draw_noise_block(model, rng, rows)
     # One strided add per component is cheaper than broadcasting a 2- or
     # 4-wide row, and adds the same numbers.
     for k, c in enumerate(sa):

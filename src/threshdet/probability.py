@@ -11,6 +11,7 @@ prints the same bits on any CPU.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -92,9 +93,19 @@ class DetectionStats:
 
 
 # One thread pool per worker count, created on first use and kept for the
-# life of the process, so repeated runs do not start threads again.
+# life of the process, so repeated runs do not start threads again.  A pool
+# per run instead added 3.5 MB to the chsh and magic-square benchmarks' peak
+# RSS, as each run's new threads took new malloc arenas.  Since threads are
+# kept, ``tally_chunks`` caps the worker count.
+MAX_WORKERS = 64
 _POOLS: dict[int, ThreadPoolExecutor] = {}
 _POOLS_LOCK = threading.Lock()
+
+# Amplitudes a chunk job realizes at once: 512 KiB of complex values, so a
+# d=4 chunk is two blocks and a d=1 or d=2 chunk one.  Half of it saved chsh
+# 4 MB more of peak RSS but cost 18% of its wall time: every block makes its
+# own numpy calls, and the pool threads contend for the GIL between them.
+BLOCK = 1 << 15
 
 
 def _pool(workers: int) -> ThreadPoolExecutor:
@@ -196,6 +207,8 @@ def map_chunks(fn, jobs, workers: int = 1) -> list:
     Results come back in job order.  ``tally_chunks`` maps every job of a
     run in one call; its jobs return nothing and add their integer histograms
     into their tally's total, so its result is the same for any worker count.
+    Each job holds at most ``BLOCK`` amplitudes and their derived arrays at a
+    time, so the pool's working set is about ``workers`` such blocks.
     """
     _single_thread_blas()
     _reuse_freed_memory()
@@ -211,16 +224,23 @@ def tally_chunks(tallies, gamma: float, workers: int = 1) -> list[np.ndarray]:
 
     An ensemble is ``(alpha, s, model, seed, stream, trials)``.  Its trials
     are cut into chunks of ``CHUNK``, one pool job each.  Every ensemble's
-    signal, seed and dimension are checked once, before any job runs.  A job
-    realizes its chunk in one block, detects every measurement of its tally
-    on it and bincounts each row's cell.  Cell (x_1, ..., x_K) counts the
-    trials of all the tally's ensembles where measurement k gave shifted
-    code x_k, so the shape is (G_1 + 2, ..., G_K + 2) for measurements of
-    G_k groups.
+    signal, seed and dimension, and ``workers`` (at most ``MAX_WORKERS``),
+    are checked once, before any job runs.  A job takes its chunk's
+    generator, ``noise.chunk_rng``, and realizes the chunk from it in
+    consecutive blocks of at most ``BLOCK`` amplitudes, which join into the
+    chunk's one-block draw bit for bit.  It detects every measurement of its
+    tally on each block, folds each row's cell into one array for the chunk
+    and bincounts it once.  By tracemalloc, a job peaks at about 1 MB for a
+    Gaussian d=2 chunk and under 2 MB for a magic-square chunk (six
+    contexts).  Cell (x_1, ..., x_K) counts the trials of all the tally's
+    ensembles where measurement k gave shifted code x_k, so the shape is
+    (G_1 + 2, ..., G_K + 2) for measurements of G_k groups.
     """
     tallies = [(list(ensembles), tuple(measurements))
                for ensembles, measurements in tallies]
     detection.check_gamma(gamma)
+    if workers > MAX_WORKERS:
+        raise ValueError(f"workers must be <= {MAX_WORKERS}")
     if not tallies:
         raise ValueError("no tally to make")
     for ensembles, measurements in tallies:
@@ -251,13 +271,20 @@ def tally_chunks(tallies, gamma: float, workers: int = 1) -> list[np.ndarray]:
         t, i, chunk, rows = job
         (ensembles, measurements), total = tallies[t], totals[t]
         sa, model, seed, stream, _ = ensembles[i]
-        a = noise.realize_block(sa, model, seed, stream, chunk, rows)
-        # Each row's row-major cell by Horner's rule, in place, so only the
-        # index and one measurement's codes are alive at a time.
-        cell = detection.detect_observable_block(a, measurements[0], gamma)
-        for m, n in zip(measurements[1:], total.shape[1:]):
-            cell *= n
-            cell += detection.detect_observable_block(a, m, gamma)
+        rng = noise.chunk_rng(seed, stream, chunk)
+        step = max(1, BLOCK // model.dim)
+        cells = []
+        for start in range(0, rows, step):
+            a = noise.realize_block(sa, model, rng, min(step, rows - start))
+            # Each row's row-major cell by Horner's rule, in place, so only
+            # the block's cells and one measurement's codes are alive.
+            cell = detection.detect_observable_block(a, measurements[0], gamma)
+            for m, n in zip(measurements[1:], total.shape[1:]):
+                cell *= n
+                cell += detection.detect_observable_block(a, m, gamma)
+            cells.append(cell)
+            del a  # before the next block is drawn
+        cell = cells[0] if len(cells) == 1 else np.concatenate(cells)
         # Adding the row-major place of cell (2, ..., 2) shifts each code by 2.
         cell += int(np.ravel_multi_index((2,) * total.ndim, total.shape))
         hist = np.bincount(cell, minlength=total.size).reshape(total.shape)
@@ -284,14 +311,29 @@ _LOG_TINY = math.log(math.ulp(0.0))
 _MAX_TERMS = 1 << 16
 
 
-def _poisson_weights(lam: float, lo: int, hi: int) -> np.ndarray:
-    """P(X = k), X ~ Poisson(lam), for k = lo ... hi up to a common factor:
-    sums of log(lam / k) out from the mode, so no log is a difference."""
+def _tail(ks, step) -> list[float]:
+    """exp of the running sums of ``step(k)`` over ``ks``, up to the first
+    that underflows to 0: the sums fall, so every later one would too."""
+    terms, x = [], 0.0
+    for k in ks:
+        x += step(k)
+        w = math.exp(x)
+        if w == 0.0:
+            break
+        terms.append(w)
+    return terms
+
+
+def _poisson_weights(lam: float) -> tuple[int, np.ndarray]:
+    """``(lo, w)``: P(X = k), X ~ Poisson(lam), for k = lo, lo + 1, ... up
+    to a common factor, every term that does not underflow: sums of
+    log(lam / k) out from the mode, so no log is a difference."""
     if lam < 1e-300:  # P(X > 0) < 1e-300, and lam / k could underflow
-        return np.eye(1, hi - lo + 1)[0]  # lo is 0
-    up = np.cumsum([math.log(lam / k) for k in range(int(lam) + 1, hi + 1)])
-    down = np.cumsum([math.log(k / lam) for k in range(int(lam), lo, -1)])
-    return np.array([math.exp(x) for x in [*down[::-1], 0.0, *up]])
+        return 0, np.ones(1)
+    mode = int(lam)
+    up = _tail(itertools.count(mode + 1), lambda k: math.log(lam / k))
+    down = _tail(range(mode, 0, -1), lambda k: math.log(k / lam))
+    return mode - len(down), np.array([*down[::-1], 1.0, *up])
 
 
 def _marcum(a: float, b: float) -> tuple[float, float]:
@@ -300,8 +342,10 @@ def _marcum(a: float, b: float) -> tuple[float, float]:
     For independent M ~ Poisson(a²/2) and N ~ Poisson(b²/2), Q1(a, b) =
     P(N <= M) (Shnidman, IEEE Trans. Inf. Theory 35(2), 1989; Gil, Segura &
     Temme, ACM TOMS 40(3), 2014): Q sums P(M = k) P(N <= k), F sums P(M = k)
-    P(N > k).  log P(X = lam + t) < -t²/(2(lam + t/3)) and log P(X = lam - t)
-    < -t²/(2 lam) bound each window; disjoint ones give (1, 0) or (0, 1)."""
+    P(N > k), over the terms of M and N that do not underflow.  log P(X =
+    lam + t) < -t²/(2(lam + t/3)) and log P(X = lam - t) < -t²/(2 lam) bound
+    each window before any term is taken: disjoint ones give (1, 0) or
+    (0, 1), and one past _MAX_TERMS terms is refused."""
     t, lams = -_LOG_TINY, (a * a / 2.0, b * b / 2.0)
     (lo_m, hi_m), (lo_n, hi_n) = spans = [
         (x - math.sqrt(2.0 * t * x),
@@ -311,11 +355,16 @@ def _marcum(a: float, b: float) -> tuple[float, float]:
                          f"its Poisson sums pass {_MAX_TERMS} terms")
     if hi_n < lo_m or hi_m < lo_n:
         return (1.0, 0.0) if hi_n < lo_m else (0.0, 1.0)
-    lo = max(0, math.floor(min(lo_m, lo_n)))
-    m, n = (_poisson_weights(x, lo, math.ceil(max(hi_m, hi_n))) for x in lams)
+    (lo_m, m), (lo_n, n) = map(_poisson_weights, lams)
+    # N's weights at k = lo_m ... of M's window: P(N <= k) sums them up from
+    # N's lowest term, P(N > k) down from its highest, so neither is a
+    # difference.  Zeros pad N's window to cover M's.
+    lo, hi = min(lo_m, lo_n), max(lo_m + len(m), lo_n + len(n))
+    n = np.pad(n, (lo_n - lo, hi - lo_n - len(n)))
     at_most = np.cumsum(n)  # P(N <= k), up to the factor of the weights
     above = np.append(np.cumsum(n[::-1])[-2::-1], 0.0)  # P(N > k), likewise
-    q, f = (math.fsum((m * c).tolist()) for c in (at_most, above))
+    window = slice(lo_m - lo, lo_m - lo + len(m))
+    q, f = (math.fsum((m * c[window]).tolist()) for c in (at_most, above))
     return q / (q + f), f / (q + f)
 
 

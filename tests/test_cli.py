@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import threshdet
-from threshdet import cli
+from threshdet import cli, probability
 from threshdet.cli import (DEFAULT_SEED, CheckFailure, _check_chsh,
                            _check_mean, _expected_p, build_parser, main,
                            parse_alpha)
@@ -441,12 +441,12 @@ def test_zero_states_exits_1(capsys):
 def test_workers_above_the_ceiling_exit_1_before_any_thread_starts(argv,
                                                                    capsys):
     # Unchecked, each run would start a thread per job on a new pool.
-    assert cli.MAX_WORKERS >= 8  # criterion 12 runs 8 workers
+    assert probability.MAX_WORKERS >= 8  # criterion 12 runs 8 workers
     threads = threading.active_count()
-    workers = str(cli.MAX_WORKERS + 1)
+    workers = str(probability.MAX_WORKERS + 1)
     assert run([*argv.split(), "--workers", workers]) == 1
     captured = capsys.readouterr()
-    assert f"workers must be <= {cli.MAX_WORKERS}" in captured.err
+    assert f"workers must be <= {probability.MAX_WORKERS}" in captured.err
     assert captured.out == ""
     assert threading.active_count() == threads
 

@@ -211,7 +211,8 @@ def _codes(alpha, stream, seed, trials, table, names):
     # Codes of each named measurement of ``table`` on the stream's trials.
     model = NoiseModel(noise.SPHERE, 1.0, 4)
     sa = noise.signal(alpha, noise.S_BOUNDED)
-    blocks = [noise.realize_block(sa, model, seed, stream, chunk,
+    blocks = [noise.realize_block(sa, model,
+                                  noise.chunk_rng(seed, stream, chunk),
                                   min(CHUNK, trials - chunk * CHUNK))
               for chunk in range(-(-trials // CHUNK))]
     return [np.concatenate([detection.detect_observable_block(a, table[name],
@@ -333,8 +334,11 @@ def test_replay_of_a_drawn_trial_matches_the_simulation(table, data, seed,
         # Trial t is row t % CHUNK of chunk t // CHUNK: the last row of a
         # run of t + 1 trials.
         chunk, row = trial // CHUNK, trial % CHUNK
-        block = noise.realize_block(sa, model, seed, stream, chunk, row + 1)
-        w = noise.draw_noise_block(model, seed, stream, chunk, row + 1)[row]
+        block = noise.realize_block(sa, model,
+                                    noise.chunk_rng(seed, stream, chunk),
+                                    row + 1)
+        w = noise.draw_noise_block(model, noise.chunk_rng(seed, stream, chunk),
+                                   row + 1)[row]
         a = noise.inject(alpha, s, w)
         assert replay(a, measurements, gamma=gamma) == {
             name: int(detection.detect_observable_block(block, m, gamma)[row])

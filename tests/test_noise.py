@@ -13,7 +13,8 @@ from threshdet import linalg, noise
 from threshdet.noise import (ANTICORRELATED_PHASE, BLOCH_UNIFORM, CHUNK,
                              GAUSSIAN, KINDS, SINGLE_PHASE, SPHERE,
                              InvalidModel, NoiseModel, UnnormalizedState,
-                             draw_noise_block, inject, realize_block)
+                             chunk_rng, draw_noise_block, inject,
+                             realize_block)
 from threshdet.probability import estimate
 
 SQRT2 = np.sqrt(2.0)
@@ -22,7 +23,7 @@ SQRT2 = np.sqrt(2.0)
 def _draw(model, seed, trials, stream=0):
     """Noise of a stream's first ``trials`` trials, drawn chunk by chunk."""
     return np.concatenate([
-        draw_noise_block(model, seed, stream, chunk,
+        draw_noise_block(model, chunk_rng(seed, stream, chunk),
                          min(CHUNK, trials - chunk * CHUNK))
         for chunk in range(-(-trials // CHUNK))])
 
@@ -49,7 +50,8 @@ def test_subnormal_sigma_rejected(sigma):
 
 def test_smallest_normal_sigma_is_drawn_and_clamped():
     tiny = np.finfo(float).tiny
-    w = draw_noise_block(NoiseModel(SINGLE_PHASE, tiny, 2), 1, 0, 0, CHUNK)
+    w = draw_noise_block(NoiseModel(SINGLE_PHASE, tiny, 2), chunk_rng(1, 0, 0),
+                         CHUNK)
     assert np.all(np.abs(w[:, 1]) <= tiny)
     assert np.all(w[:, 1] != 0)
 
@@ -62,7 +64,7 @@ def test_scripted_models_require_dim_two():
 
 def test_sphere_norm_is_sigma_exactly():
     model = NoiseModel(SPHERE, 0.7, 4)
-    w = draw_noise_block(model, seed=1, stream=0, chunk=0, rows=500)
+    w = draw_noise_block(model, chunk_rng(1, 0, 0), 500)
     assert np.allclose(np.linalg.norm(w, axis=1), 0.7, atol=1e-12)
 
 
@@ -88,14 +90,14 @@ def test_bloch_uniform_polar_moment():
 
 def test_single_phase_structure():
     model = NoiseModel(SINGLE_PHASE, 2.0, 2)
-    w = draw_noise_block(model, seed=4, stream=0, chunk=0, rows=100)
+    w = draw_noise_block(model, chunk_rng(4, 0, 0), 100)
     assert np.all(w[:, 0] == 0)
     assert np.allclose(np.abs(w[:, 1]), 2.0, atol=1e-12)
 
 
 def test_anticorrelated_phase_structure():
     model = NoiseModel(ANTICORRELATED_PHASE, 1.0, 2)
-    w = draw_noise_block(model, seed=5, stream=0, chunk=0, rows=100)
+    w = draw_noise_block(model, chunk_rng(5, 0, 0), 100)
     assert np.allclose(w[:, 0], -w[:, 1], atol=1e-15)
     assert np.allclose(np.abs(w[:, 0]), 1.0 / SQRT2, atol=1e-12)
 
@@ -107,19 +109,20 @@ def test_per_trial_reproducibility_is_order_independent():
     # that row sees the value a draw of all the trials sees.
     for trial in (0, 1, 70000, 2 * CHUNK - 1, 2 * CHUNK, 199999):
         chunk, row = trial // CHUNK, trial % CHUNK
-        single = draw_noise_block(model, 11, 0, chunk, row + 1)
+        single = draw_noise_block(model, chunk_rng(11, 0, chunk), row + 1)
         assert np.array_equal(single[row], block[trial])
     # Both sides of the boundary between chunks 0 and 1.
-    assert np.array_equal(draw_noise_block(model, 11, 0, 0, CHUNK)[-6:],
+    assert np.array_equal(draw_noise_block(model, chunk_rng(11, 0, 0),
+                                           CHUNK)[-6:],
                           block[CHUNK - 6:CHUNK])
-    assert np.array_equal(draw_noise_block(model, 11, 0, 1, 6),
+    assert np.array_equal(draw_noise_block(model, chunk_rng(11, 0, 1), 6),
                           block[CHUNK:CHUNK + 6])
 
 
 def test_streams_are_independent():
     model = NoiseModel(GAUSSIAN, 1.0, 2)
-    a = draw_noise_block(model, seed=11, stream=0, chunk=0, rows=10)
-    b = draw_noise_block(model, seed=11, stream=1, chunk=0, rows=10)
+    a = draw_noise_block(model, chunk_rng(11, 0, 0), 10)
+    b = draw_noise_block(model, chunk_rng(11, 1, 0), 10)
     assert not np.allclose(a, b)
 
 
@@ -139,8 +142,8 @@ def test_unitary_invariance_of_noise(kind, expected):
 
 def test_realize_zero_noise():
     model = NoiseModel(GAUSSIAN, 0.0, 2)
-    a = realize_block(noise.signal(np.array([1.0, 0.0]), 1.0), model, 0, 0,
-                      0, 1)
+    a = realize_block(noise.signal(np.array([1.0, 0.0]), 1.0), model,
+                      chunk_rng(0, 0, 0), 1)
     assert np.allclose(a, [[1.0, 0.0]], atol=1e-15)
 
 
@@ -194,9 +197,9 @@ def test_realize_block_matches_single_draws():
     model = NoiseModel(SPHERE, 1.0, 2)
     alpha = np.array([1.0, 0.0])
     sa = noise.signal(alpha, 0.5)
-    block = realize_block(sa, model, seed=9, stream=0, chunk=0, rows=8)
+    block = realize_block(sa, model, chunk_rng(9, 0, 0), 8)
     for row in range(5, 8):
-        single = realize_block(sa, model, 9, 0, 0, row + 1)
+        single = realize_block(sa, model, chunk_rng(9, 0, 0), row + 1)
         assert np.array_equal(single[row], block[row])
 
 
@@ -213,7 +216,7 @@ PREFIX_MODELS = (
 
 @functools.lru_cache(maxsize=8)
 def _full_chunk(model, seed, stream, chunk_index):
-    return draw_noise_block(model, seed, stream, chunk_index, CHUNK)
+    return draw_noise_block(model, chunk_rng(seed, stream, chunk_index), CHUNK)
 
 
 @settings(max_examples=60, deadline=None)
@@ -226,17 +229,36 @@ def _full_chunk(model, seed, stream, chunk_index):
 @example(model=PREFIX_MODELS[5], chunk=0, rows=1, seed=20140731)
 def test_block_equals_slice_of_full_chunk_draws(model, chunk, rows, seed):
     # Drawing only a chunk's leading rows must give bit-for-bit the values a
-    # full-chunk draw gives those rows, for every family and row count.
+    # full-chunk draw gives those rows, for every family and row count, and
+    # the next draw from the same generator the rows after them.
     stream = 3
-    block = draw_noise_block(model, seed, stream, chunk, rows)
+    rng = chunk_rng(seed, stream, chunk)
+    block = draw_noise_block(model, rng, rows)
+    rest = draw_noise_block(model, rng, CHUNK - rows)
     assert block.shape == (rows, model.dim)
-    assert np.array_equal(block, _full_chunk(model, seed, stream,
-                                             chunk)[:rows])
+    full = _full_chunk(model, seed, stream, chunk)
+    assert block.tobytes() == full[:rows].tobytes()
+    assert rest.tobytes() == full[rows:].tobytes()
+
+
+@pytest.mark.parametrize("model", PREFIX_MODELS)
+def test_consecutive_blocks_join_into_the_full_chunk_draw(model):
+    # A chunk job draws its chunk in blocks from one generator; split after
+    # 1, 8192 (a d=4 block) or 16383 rows, or at all three, the blocks give
+    # the bytes of one full-chunk draw.
+    full = _full_chunk(model, 20140731, 3, 1)
+    for splits in ([1], [8192], [CHUNK - 1], [1, 8192, CHUNK - 1]):
+        rng = chunk_rng(20140731, 3, 1)
+        bounds = [0, *splits, CHUNK]
+        blocks = [draw_noise_block(model, rng, hi - lo)
+                  for lo, hi in zip(bounds, bounds[1:])]
+        assert [len(b) for b in blocks] == np.diff(bounds).tolist()
+        assert np.concatenate(blocks).tobytes() == full.tobytes(), splits
 
 
 def _sphere_chunk(sigma, dim, seed, stream, chunk_index):
     model = NoiseModel(SPHERE, sigma, dim)
-    return draw_noise_block(model, seed, stream, chunk_index, CHUNK)
+    return draw_noise_block(model, chunk_rng(seed, stream, chunk_index), CHUNK)
 
 
 @pytest.mark.parametrize("kind", [BLOCH_UNIFORM, SINGLE_PHASE,
@@ -249,7 +271,8 @@ def test_two_dim_noise_is_the_sphere_draw(kind, sigma):
     model = NoiseModel(kind, sigma, 2)
     for stream in range(3):
         for ci in range(6):
-            drawn = draw_noise_block(model, 20140731, stream, ci, CHUNK)
+            drawn = draw_noise_block(model, chunk_rng(20140731, stream, ci),
+                                     CHUNK)
             if kind == BLOCH_UNIFORM:
                 reference = _sphere_chunk(sigma, 2, 20140731, stream, ci)
             elif kind == SINGLE_PHASE:
@@ -282,24 +305,24 @@ def test_realize_block_adds_the_signal_bit_for_bit(model):
     # realize_block adds s·alpha one component at a time; a broadcast add
     # of the whole row must give the same bytes.
     alpha = np.exp(0.3j * np.arange(model.dim)) / np.sqrt(model.dim)
-    a = realize_block(noise.signal(alpha, 0.7), model, 5, 2, 0, 3100)[100:]
-    w = draw_noise_block(model, 5, 2, 0, 3100)[100:]
+    a = realize_block(noise.signal(alpha, 0.7), model, chunk_rng(5, 2, 0),
+                      3100)[100:]
+    w = draw_noise_block(model, chunk_rng(5, 2, 0), 3100)[100:]
     assert a.tobytes() == (w + 0.7 * alpha).tobytes()
 
 
 @pytest.mark.parametrize("seed", [0, 2**64 - 1])
 def test_seed_range_edges_accepted(seed):
     model = NoiseModel(GAUSSIAN, 1.0, 2)
-    assert draw_noise_block(model, seed, 0, 0, 4).shape == (4, 2)
+    assert draw_noise_block(model, chunk_rng(seed, 0, 0), 4).shape == (4, 2)
 
 
 @pytest.mark.parametrize("seed", [-1, 2**64])
 def test_seed_outside_range_rejected(seed):
     # Seeds are never reduced mod 2^64: -1 must not alias 2^64 - 1.
+    # chunk_rng is the only place a seed becomes a generator.
     with pytest.raises(ValueError, match="outside"):
-        noise._chunk_rng(seed, 0, 0)
-    with pytest.raises(ValueError, match="outside"):
-        draw_noise_block(NoiseModel(GAUSSIAN, 1.0, 2), seed, 0, 0, 4)
+        chunk_rng(seed, 0, 0)
 
 
 @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
@@ -323,7 +346,7 @@ def test_stream_fingerprint():
     # Every golden digest rests on these streams, and numpy does not promise
     # them across releases (this digest is from numpy 2.4.6).  If this test
     # fails, the random stream changed, not the program.
-    rng = noise._chunk_rng(20140731, 3, 1)
+    rng = chunk_rng(20140731, 3, 1)
     draws = np.concatenate([rng.standard_normal(64), rng.random(64),
                             rng.uniform(0.0, 2.0 * np.pi, 64)])
     assert hashlib.sha256(draws.astype("<f8").tobytes()).hexdigest() == \

@@ -12,6 +12,7 @@ import sys
 import textwrap
 import threading
 import time
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from unittest import mock
@@ -25,7 +26,10 @@ from scipy import integrate, special
 import threshdet
 from threshdet import detection, noise, probability
 from threshdet.cli import main
-from threshdet.experiments import LOCAL_PAIRS, LOCAL_SETTINGS, MAGIC_CONTEXTS
+from threshdet.experiments import (BELL_STATE, LOCAL_PAIRS, LOCAL_SETTINGS,
+                                   MAGIC_CONTEXTS, random_state,
+                                   run_chsh_joint, run_magic_square,
+                                   run_two_dim_examples)
 from threshdet.linalg import H, Measurement
 from threshdet.noise import CHUNK, GAUSSIAN, SPHERE, NoiseModel
 from threshdet.probability import (DetectionStats, detection_probs, estimate,
@@ -390,22 +394,43 @@ def test_estimate_input_validation(trials, gamma):
 
 
 @contextlib.contextmanager
-def _realize_calls():
-    """The (seed, stream, chunk, rows) of every ``noise.realize_block``
-    call made inside the block."""
-    calls = []
-    realize = noise.realize_block
+def _chunk_draws():
+    """Per ``noise.chunk_rng`` call made inside the block, its address and
+    the rows of each ``noise.draw_noise_block`` call on its generator, in
+    order: ``(seed, stream, chunk, [rows, ...])``.  ``realize_block`` draws
+    through the module attribute, so its draws are seen too."""
+    draws, blocks = [], {}
+    make, draw = noise.chunk_rng, noise.draw_noise_block
 
-    def spy(sa, model, seed, stream, chunk, rows):
-        calls.append((seed, stream, chunk, rows))
-        return realize(sa, model, seed, stream, chunk, rows)
+    def rng_spy(seed, stream, chunk):
+        rng = make(seed, stream, chunk)
+        # Holding the generator keeps its id from being reused.
+        blocks[id(rng)] = rng, []
+        draws.append((seed, stream, chunk, blocks[id(rng)][1]))
+        return rng
 
-    with mock.patch.object(noise, "realize_block", spy):
-        yield calls
+    def draw_spy(model, rng, rows):
+        w = draw(model, rng, rows)
+        assert w.shape == (rows, model.dim)
+        # At most 2^15 amplitudes (BLOCK) per block, or one row of more.
+        assert w.size <= max(1 << 15, model.dim)
+        blocks[id(rng)][1].append(rows)
+        return w
+
+    with mock.patch.object(noise, "chunk_rng", rng_spy), \
+            mock.patch.object(noise, "draw_noise_block", draw_spy):
+        yield draws
+
+
+def _chunk_rows(draws):
+    """Per generator, its address and the rows realized from it, sorted."""
+    return sorted((seed, stream, chunk, sum(rows))
+                  for seed, stream, chunk, rows in draws)
 
 
 def _chunk_calls(ensembles):
-    """The calls that tile each ensemble's trials with chunks of CHUNK."""
+    """The chunks of CHUNK that tile each ensemble's trials, with their
+    rows."""
     return sorted((seed, stream, chunk, min(CHUNK, trials - chunk * CHUNK))
                   for _, _, _, seed, stream, trials in ensembles
                   for chunk in range(-(-trials // CHUNK)))
@@ -420,8 +445,8 @@ def _recount(ensembles, measurements, gamma):
     hist = np.zeros(_shape(measurements), dtype=np.int64)
     for alpha, s, model, seed, stream, trials in ensembles:
         for chunk in range(-(-trials // CHUNK)):
-            a = noise.realize_block(noise.signal(alpha, s), model, seed,
-                                    stream, chunk,
+            a = noise.realize_block(noise.signal(alpha, s), model,
+                                    noise.chunk_rng(seed, stream, chunk),
                                     min(CHUNK, trials - chunk * CHUNK))
             codes = [detection.detect_observable_block(a, m, gamma)
                      for m in measurements]
@@ -451,12 +476,12 @@ def test_tally_chunks_sums_chunks_per_ensemble():
     expected = _recount(ensembles, measurements, 0.9)
     assert expected.sum() == 3 * CHUNK + 23
     for workers in (1, 2, 3):
-        with _realize_calls() as calls:
+        with _chunk_draws() as calls:
             [total] = probability.tally_chunks([(ensembles, measurements)],
                                                0.9, workers)
         assert np.array_equal(total, expected)
         # Every row lands in the total once, read from its own ensemble.
-        assert sorted(calls) == _chunk_calls(ensembles)
+        assert _chunk_rows(calls) == _chunk_calls(ensembles)
     # In one call beside tallies of other shapes and dimensions, each
     # histogram is its tally's alone, and each tally reads its rows once.
     d4 = (np.array([0.5, 0.5, 0.5, 0.5]), 0.4, NoiseModel(SPHERE, 1.0, 4))
@@ -467,27 +492,102 @@ def test_tally_chunks_sums_chunks_per_ensemble():
     alone = [probability.tally_chunks([t], 0.9)[0] for t in tallies]
     assert np.array_equal(alone[0], expected)
     for workers in (1, 2, 3):
-        with _realize_calls() as calls:
+        with _chunk_draws() as calls:
             hists = probability.tally_chunks(tallies, 0.9, workers)
         assert len(hists) == 3
         assert all(np.array_equal(h, a) for h, a in zip(hists, alone))
-        assert sorted(calls) == sorted(
+        assert _chunk_rows(calls) == sorted(
             c for ens, _ in tallies for c in _chunk_calls(ens))
 
 
 def test_tally_chunks_sees_at_most_chunk_rows_per_call():
-    # One job, and one realized block, per chunk: no block has more than
-    # CHUNK rows, which is what keeps a job's arrays in cache.
-    model = NoiseModel(SPHERE, 1.0, 4)
-    alpha = np.array([0.5, 0.5, 0.5, 0.5])
-    ensemble = (alpha, 0.5, model, 1, 0, 3 * CHUNK + 7)
+    # One job, and one generator, per chunk, realized in consecutive blocks
+    # of BLOCK // dim rows: no block holds more than BLOCK amplitudes, which
+    # bounds a job's arrays.  A d=4 chunk is two blocks, a d=2 chunk one.
+    assert probability.BLOCK == 1 << 15
+    for model, step in ((NoiseModel(SPHERE, 1.0, 4), CHUNK // 2),
+                        (NoiseModel(GAUSSIAN, 1.0, 2), CHUNK),
+                        (NoiseModel(GAUSSIAN, 1.0, 3), (1 << 15) // 3)):
+        alpha = np.ones(model.dim) / np.sqrt(model.dim)
+        ensemble = (alpha, 0.5, model, 1, 0, 3 * CHUNK + 7)
+        for workers in (1, 2):
+            with _chunk_draws() as calls:
+                [total] = probability.tally_chunks(
+                    [([ensemble], (Measurement(np.eye(model.dim)),))], 1.0,
+                    workers)
+            assert total.sum() == 3 * CHUNK + 7
+            assert _chunk_rows(calls) == _chunk_calls([ensemble])
+            for *_, blocks in calls:
+                rows = sum(blocks)
+                assert blocks == [step] * (rows // step) + (
+                    [rows % step] if rows % step else [])
+
+
+@pytest.mark.parametrize("run, trials, streams", [
+    (lambda w: run_chsh_joint(SPHERE, CHUNK + 5, 3, workers=w), CHUNK + 5,
+     range(100, 104)),
+    (lambda w: run_magic_square(3, 2 * CHUNK + 1, 3, workers=w),
+     2 * CHUNK + 1, range(1000, 1003)),
+    (lambda w: run_two_dim_examples(CHUNK - 1, 3, workers=w), CHUNK - 1,
+     range(400, 404))], ids=["chsh-joint", "magic-square", "two-dim"])
+def test_runs_draw_blocks_of_at_most_block_that_sum_to_trials(run, trials,
+                                                              streams):
+    # What the benchmark's trace step checks, per experiment: no drawn block
+    # holds more than BLOCK amplitudes (the spy's check), every chunk of
+    # every ensemble is drawn once, and its blocks sum to the trials.
+    chunks = [(3, stream, chunk, min(CHUNK, trials - chunk * CHUNK))
+              for stream in streams for chunk in range(-(-trials // CHUNK))]
     for workers in (1, 2):
-        with _realize_calls() as calls:
-            [total] = probability.tally_chunks(
-                [([ensemble], (Measurement(np.eye(4)),))], 1.0, workers)
-        assert total.sum() == 3 * CHUNK + 7
-        assert sorted(calls) == _chunk_calls([ensemble])
-        assert max(count for *_, count in calls) == CHUNK
+        with _chunk_draws() as calls:
+            run(workers)
+        # magic-square's random states take a generator and draw no noise.
+        assert _chunk_rows(c for c in calls if c[3]) == chunks
+
+
+def _peak_mib(tallies):
+    """tracemalloc peak, in MiB, of a warm serial ``tally_chunks`` call."""
+    probability.tally_chunks(tallies, 1.0)
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        probability.tally_chunks(tallies, 1.0)
+        return (tracemalloc.get_traced_memory()[1] - base) / 2**20
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+
+
+def test_one_chunk_job_keeps_a_small_working_set():
+    # A d=4 chunk is realized in two blocks, so its arrays peak under 2 MiB
+    # (3.3 and 2.9 MiB in one block); a d=2 chunk is one block, as before.
+    d4 = NoiseModel(SPHERE, 1.0, 4)
+    magic = ([(random_state(7, 0), noise.S_BOUNDED, d4, 7, 1000, CHUNK)],
+             tuple(MAGIC_CONTEXTS.values()))
+    local = ([(BELL_STATE, noise.S_BOUNDED, d4, 7, 200, CHUNK)],
+             (LOCAL_SETTINGS["A"], LOCAL_SETTINGS["B"]))
+    gaussian = ([(np.array([0.6, 0.8]), 1.0, NoiseModel(GAUSSIAN, 1.0, 2), 7,
+                  0, CHUNK)], (Measurement(np.eye(2)),))
+    assert _peak_mib([magic]) < 2.0
+    assert _peak_mib([local]) < 2.0
+    assert _peak_mib([gaussian]) <= 1.04
+
+
+def test_tally_chunks_caps_workers_before_any_thread_starts():
+    # Each pool's threads live as long as the process, so the library, not
+    # only the CLI, refuses more than MAX_WORKERS of them.
+    ensemble = (np.array([1.0, 0.0]), 1.0, NoiseModel(GAUSSIAN, 1.0, 2), 1,
+                0, 2 * CHUNK)
+    tally = ([ensemble], (Measurement(np.eye(2)),))
+    threads = threading.active_count()
+    with _chunk_draws() as calls:
+        with pytest.raises(ValueError, match="workers must be <= 64"):
+            probability.tally_chunks([tally], 1.0, probability.MAX_WORKERS + 1)
+    assert calls == []
+    assert threading.active_count() == threads
+    assert probability.MAX_WORKERS + 1 not in probability._POOLS
 
 
 # Every noise family, at each dimension the workloads use.
@@ -524,10 +624,10 @@ def test_tallies_equal_per_chunk_tallies(setup, other, trials, seed, stream):
     expected = _recount([ensemble], measurements, 1.0)
     assert expected.sum() == trials
     for workers in (1, 2):
-        with _realize_calls() as calls:
+        with _chunk_draws() as calls:
             [total] = probability.tally_chunks([([ensemble], measurements)],
                                                1.0, workers)
-        assert sorted(calls) == _chunk_calls([ensemble])
+        assert _chunk_rows(calls) == _chunk_calls([ensemble])
         assert np.array_equal(total, expected)
     # Axis k's marginal is the tally of measurement k alone.
     for k, m in enumerate(measurements):
@@ -570,7 +670,7 @@ def test_tally_chunks_rejects_no_tally_or_no_measurement_before_drawing():
              ([good, ([ensemble], ())], "1 measurement")]
     for tallies, message in cases:
         for workers in (1, 2):
-            with _realize_calls() as calls:
+            with _chunk_draws() as calls:
                 with pytest.raises(ValueError, match=message):
                     probability.tally_chunks(tallies, 1.0, workers)
             assert calls == []
@@ -596,7 +696,7 @@ def test_tally_chunks_checks_every_ensemble_before_any_job(alpha, s, seed,
     for tallies in ([([good, bad], basis)],
                     [([good], basis), ([good, bad], basis)]):
         for workers in (1, 2):
-            with _realize_calls() as calls:
+            with _chunk_draws() as calls:
                 with pytest.raises(ValueError, match=message) as raised:
                     probability.tally_chunks(tallies, 1.0, workers)
             assert type(raised.value) is error
