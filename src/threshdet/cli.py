@@ -170,6 +170,19 @@ def _check_chsh(result, bound: float, above: bool = True) -> None:
         raise ValueError(f"too few trials to check {claim}")
 
 
+def _check_s_d(result, means) -> None:
+    """Two-sided test that S_D has the value of the four exact +-1 means
+    E_i.  Its standard error is taken under them: sqrt(sum (1 - E_i^2) /
+    n_i) for the n_i detections of the four records."""
+    _require_detections(*result.stats.values())
+    n = np.array([st.n_detected for st in result.stats.values()], float)
+    e = np.array(means)
+    expected = abs(e[0] + e[1]) + abs(e[2] - e[3])
+    se = np.sqrt(((1.0 - e * e) / n).sum())
+    _require(abs(result.s_d - expected) <= Z * se, f"S_D = {result.s_d:.4f}"
+             f", expected {expected:.4f} +- {Z:g} x {se:.3g}")
+
+
 def _expected_p(beta, args) -> np.ndarray:
     """The conditional single-detection probabilities a check expects of
     the state ``beta``: the Gaussian oracle's P / P.sum() under Gaussian
@@ -281,6 +294,10 @@ def _cmd_chsh_joint(args) -> None:
     _emit(args, {"correlations": rows, "summary": summary},
           trials=args.trials, noise=args.noise)
     if args.check:
+        # First against the exact value, so that a wrong S_D exits 2 even
+        # where too few trials resolve the claim.
+        if args.noise == noise.GAUSSIAN:
+            _check_s_d(result, experiments.gaussian_chsh_joint_means())
         # Clearing the Tsirelson value by Z standard errors clears 2 too.
         _check_chsh(result, experiments.TSIRELSON_BOUND
                     if args.noise == noise.SPHERE else 2.0)

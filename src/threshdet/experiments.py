@@ -165,6 +165,20 @@ def run_chsh_joint(noise_kind: str, trials: int, seed: int, *,
                        in zip(JOINT_OBSERVABLES.items(), hists)})
 
 
+def gaussian_chsh_joint_means() -> list[float]:
+    """The exact +-1 mean of each JOINT_OBSERVABLES entry that
+    ``run_chsh_joint`` estimates under Gaussian noise: the analytic
+    oracle's P / P.sum() of the rotated state, since U†w is again i.i.d.
+    Gaussian."""
+    sigma, s, gamma = CHSH_JOINT_PARAMS[noise.GAUSSIAN]
+    means = []
+    for obs in JOINT_OBSERVABLES.values():
+        p = probability.single_detection_probs(
+            BELL_STATE @ np.conj(obs.unitary), s, sigma, gamma)
+        means.append(float(obs.values @ p / p.sum()))
+    return means
+
+
 def run_chsh_local(trials: int, seed: int, *, noise_kind: str = noise.SPHERE,
                    workers: int = 1) -> ChshLocalResult:
     """Local CHSH game: Alice and Bob measure the shared realization

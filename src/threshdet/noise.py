@@ -96,11 +96,15 @@ def _clamp_magnitude(values: np.ndarray, target: float) -> np.ndarray:
     is why NoiseModel rejects a subnormal sigma.
     """
     scale = 1.0 - 2.0**-50
-    mask = np.abs(values) > target
-    while np.any(mask):
-        values[mask] *= scale
-        mask = np.abs(values) > target
-    return values
+    flat = values.reshape(-1)  # a view of a contiguous array, else a copy
+    # After one full pass only the entries just nudged can still be above,
+    # and each is nudged until it is not, as by a whole-array loop.
+    nudge = np.flatnonzero(np.abs(flat) > target)
+    while nudge.size:
+        nudged = flat[nudge] * scale
+        flat[nudge] = nudged
+        nudge = nudge[np.abs(nudged) > target]
+    return flat.reshape(values.shape)
 
 
 def draw_noise_block(model: NoiseModel, rng: np.random.Generator,

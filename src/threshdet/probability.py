@@ -95,8 +95,9 @@ class DetectionStats:
 # One thread pool per worker count, created on first use and kept for the
 # life of the process, so repeated runs do not start threads again.  A pool
 # per run instead added 3.5 MB to the chsh and magic-square benchmarks' peak
-# RSS, as each run's new threads took new malloc arenas.  Since threads are
-# kept, ``tally_chunks`` caps the worker count.
+# RSS, as each run's new threads took new malloc arenas.  The calling thread
+# is one of a map's workers, so the pool of W workers holds W - 1 threads.
+# Since threads are kept, ``tally_chunks`` caps the worker count.
 MAX_WORKERS = 64
 _POOLS: dict[int, ThreadPoolExecutor] = {}
 _POOLS_LOCK = threading.Lock()
@@ -109,11 +110,13 @@ BLOCK = 1 << 15
 
 
 def _pool(workers: int) -> ThreadPoolExecutor:
+    """The shared pool of ``workers - 1`` helper threads, for ``workers``
+    of at least 2: the thread that maps is the other worker."""
     with _POOLS_LOCK:
         pool = _POOLS.get(workers)
         if pool is None:
             pool = _POOLS[workers] = ThreadPoolExecutor(
-                max_workers=workers, thread_name_prefix="threshdet-chunk")
+                max_workers=workers - 1, thread_name_prefix="threshdet-chunk")
         return pool
 
 
@@ -198,24 +201,57 @@ def _reuse_freed_memory() -> None:
 
 
 def map_chunks(fn, jobs, workers: int = 1) -> list:
-    """Apply a chunk worker to all jobs, optionally on a shared thread pool.
+    """Apply a chunk worker to all jobs on ``workers`` threads, the calling
+    thread and ``workers - 1`` helpers from the shared pool (see ``_pool``).
 
     The chunk kernel spends its time in numpy's random fills, ufuncs and
     BLAS calls, which release the GIL, so chunks run concurrently on threads;
     BLAS itself runs single-threaded (see ``_single_thread_blas``), and
-    freed memory stays in the heap (see ``_reuse_freed_memory``).
-    Results come back in job order.  ``tally_chunks`` maps every job of a
-    run in one call; its jobs return nothing and add their integer histograms
-    into their tally's total, so its result is the same for any worker count.
+    freed memory stays in the heap (see ``_reuse_freed_memory``).  Each
+    worker takes the next job index from one counter until none is left,
+    so the calling thread works instead of waiting, the map grows one
+    malloc arena fewer, and a map of one worker or one job starts no
+    thread.  Results come back in job order.  After a job raises, no job starts; the error is raised once
+    every helper has stopped.  ``tally_chunks`` maps every job of a run in
+    one call; its jobs return nothing and add their integer histograms into
+    their tally's total, so its result is the same for any worker count.
     Each job holds at most ``BLOCK`` amplitudes and their derived arrays at a
-    time, so the pool's working set is about ``workers`` such blocks.
+    time, so the working set is about ``workers`` such blocks.
     """
     _single_thread_blas()
     _reuse_freed_memory()
     jobs = list(jobs)
-    if workers <= 1 or len(jobs) <= 1:
-        return [fn(job) for job in jobs]
-    return list(_pool(workers).map(fn, jobs))
+    results = [None] * len(jobs)
+    errors = []
+    lock = threading.Lock()
+    taken = 0  # jobs handed out; all of them once a job raises
+
+    def work():
+        nonlocal taken
+        while True:
+            with lock:
+                i = taken
+                if i == len(jobs):
+                    return
+                taken += 1
+            try:
+                results[i] = fn(jobs[i])
+            except BaseException as error:
+                with lock:
+                    errors.append(error)
+                    taken = len(jobs)
+                return
+
+    helpers = min(workers, len(jobs)) - 1
+    futures = ([_pool(workers).submit(work) for _ in range(helpers)]
+               if helpers > 0 else [])
+    work()
+    for future in futures:
+        if not future.cancel():  # one not started has no job left to take
+            future.result()
+    if errors:
+        raise errors[0]
+    return results
 
 
 def tally_chunks(tallies, gamma: float, workers: int = 1) -> list[np.ndarray]:

@@ -17,9 +17,9 @@ import pytest
 import threshdet
 from threshdet import cli, probability
 from threshdet.cli import (DEFAULT_SEED, CheckFailure, _check_chsh,
-                           _check_mean, _expected_p, build_parser, main,
-                           parse_alpha)
-from threshdet.experiments import ChshResult
+                           _check_mean, _check_s_d, _expected_p, build_parser,
+                           main, parse_alpha)
+from threshdet.experiments import ChshResult, gaussian_chsh_joint_means
 from threshdet.linalg import PAULI_SPECS
 from threshdet.probability import DetectionStats
 
@@ -188,6 +188,31 @@ def test_chsh_check_fails_beyond_z_standard_errors_on_the_wrong_side():
         _check_chsh(result(1.6), 2.0)
     with pytest.raises(CheckFailure, match="S_D <= 2.0000"):
         _check_chsh(result(2.4), 2.0, above=False)
+
+
+def test_chsh_joint_gaussian_check_expects_the_exact_s_d():
+    # The oracle's four means give S_D = 2.6206953760.  With 654 detections
+    # per observable, as at 2^18 trials, S_D's standard error under them is
+    # sqrt(4 (1 - E^2) / 654) = 0.0591, so an S_D moved by 0.35 either way
+    # fails, while one moved by 0.25 passes.
+    means = gaussian_chsh_joint_means()
+    assert means == pytest.approx([0.6551738440, 0.6551738440,
+                                   -0.6551738440, 0.6551738440], abs=1e-10)
+
+    def result(s_d):
+        plus = round(327 * (1 + s_d / 4))
+        stats = [DetectionStats(np.array([0, 0, c, 654 - c]),
+                                np.array([1, -1]))
+                 for c in (plus, plus, 654 - plus, plus)]
+        return ChshResult(dict(zip(("AB", "AB'", "A'B", "A'B'"), stats)))
+
+    exact = 2.6206953760
+    for shift in (0.0, -0.25, 0.25):
+        _check_s_d(result(exact + shift), means)
+    for shift in (-0.35, 0.35):
+        with pytest.raises(CheckFailure, match=r"expected 2\.6207 \+- 5 x "
+                                               r"0\.0591"):
+            _check_s_d(result(exact + shift), means)
 
 
 def test_checks_expect_the_oracle_under_gaussian_noise_and_born_otherwise():

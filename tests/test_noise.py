@@ -287,6 +287,32 @@ def test_two_dim_noise_is_the_sphere_draw(kind, sigma):
             assert drawn.tobytes() == reference.tobytes(), (stream, ci)
 
 
+def _clamp_every_entry(values, target):
+    # The whole-array loop: re-test every entry after each nudge.
+    scale = 1.0 - 2.0**-50
+    mask = np.abs(values) > target
+    while np.any(mask):
+        values[mask] *= scale
+        mask = np.abs(values) > target
+    return values
+
+
+@pytest.mark.parametrize("sigma", [1.0, 0.7, 2.3])
+def test_clamp_magnitude_equals_the_whole_array_loop(sigma):
+    # Re-testing only the entries just nudged gives the same bytes, on the
+    # single_phase inputs above, as a (rows, 1) block and as one column.
+    for stream in range(3):
+        for ci in range(6):
+            z = _sphere_chunk(sigma, 1, 20140731, stream, ci)
+            assert np.count_nonzero(np.abs(z) > sigma) > 1000
+            expected = _clamp_every_entry(z.copy(), sigma).tobytes()
+            assert noise._clamp_magnitude(z.copy(), sigma).tobytes() \
+                == expected
+            assert noise._clamp_magnitude(z[:, 0].copy(), sigma).tobytes() \
+                == expected
+            assert np.abs(noise._clamp_magnitude(z, sigma)).max() <= sigma
+
+
 @pytest.mark.parametrize("kind,column,radius", [
     (SINGLE_PHASE, 1, 1.0), (ANTICORRELATED_PHASE, 0, 1.0 / SQRT2)])
 def test_phase_families_have_uniform_phases(kind, column, radius):

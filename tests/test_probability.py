@@ -766,6 +766,51 @@ def test_map_chunks_raises_a_job_error():
         probability.map_chunks(lambda x: 1 // x, [1, 0, 2], 2)
 
 
+def test_map_chunks_runs_jobs_on_the_calling_thread():
+    # The caller takes jobs beside its one helper instead of sleeping.
+    def job(x):
+        time.sleep(0.01)
+        return x, threading.get_ident()
+
+    results = probability.map_chunks(job, range(6), 2)
+    assert [x for x, _ in results] == list(range(6))
+    assert threading.get_ident() in {ident for _, ident in results}
+
+
+def test_map_chunks_of_w_workers_adds_at_most_w_minus_1_threads():
+    # 7 workers is a count no other test maps with, so its pool is new
+    # here; 21 slow jobs keep every worker busy.
+    threads = threading.active_count()
+    jobs = [x % 8 for x in range(21)]
+    assert probability.map_chunks(_slow_square, jobs, 7) == \
+        [x * x for x in jobs]
+    assert 1 < threading.active_count() - threads <= 6
+
+
+def test_map_chunks_starts_no_job_after_one_raises_and_waits_for_helpers():
+    # Job 0 raises at once, while job 1 is slow: whichever worker runs job
+    # 1 finishes it before the error is raised, and jobs 2-9 never start.
+    log, lock = [], threading.Lock()
+
+    def job(x):
+        with lock:
+            log.append(("start", x))
+        if x == 0:
+            raise RuntimeError("job 0")
+        time.sleep(0.05)
+        with lock:
+            log.append(("end", x))
+
+    with pytest.raises(RuntimeError, match="job 0"):
+        probability.map_chunks(job, range(10), 2)
+    returned = list(log)
+    started = {x for event, x in returned if event == "start"}
+    assert started <= {0, 1}
+    assert {x for event, x in returned if event == "end"} == started - {0}
+    time.sleep(0.1)
+    assert log == returned  # no helper went on after the return
+
+
 def test_concurrent_callers_share_one_pool_and_agree(monkeypatch):
     # Six callers race to create and use the 5-worker pool with frequent
     # thread switches; each must get the serial tallies, and a second pool
