@@ -170,28 +170,16 @@ def _check_chsh(result, bound: float, above: bool = True) -> None:
         raise ValueError(f"too few trials to check {claim}")
 
 
-def _check_s_d(result, means) -> None:
-    """Two-sided test that S_D has the value of the four exact +-1 means
-    E_i.  Its standard error is taken under them: sqrt(sum (1 - E_i^2) /
-    n_i) for the n_i detections of the four records."""
+def _check_s_d(result, exact) -> None:
+    """Two-sided test that S_D has the value of ``exact``, the exact record
+    of the run.  Its standard error is taken under the exact +-1 means E_i:
+    sqrt(sum (1 - E_i^2) / n_i) for the n_i detections of the four records."""
     _require_detections(*result.stats.values())
     n = np.array([st.n_detected for st in result.stats.values()], float)
-    e = np.array(means)
-    expected = abs(e[0] + e[1]) + abs(e[2] - e[3])
+    e = np.array([st.mean for st in exact.stats.values()])
     se = np.sqrt(((1.0 - e * e) / n).sum())
-    _require(abs(result.s_d - expected) <= Z * se, f"S_D = {result.s_d:.4f}"
-             f", expected {expected:.4f} +- {Z:g} x {se:.3g}")
-
-
-def _expected_p(beta, args) -> np.ndarray:
-    """The conditional single-detection probabilities a check expects of
-    the state ``beta``: the Gaussian oracle's P / P.sum() under Gaussian
-    noise, the Born rule |beta|^2 under bounded noise."""
-    if args.noise == noise.GAUSSIAN:
-        p = probability.single_detection_probs(beta, args.s, args.sigma,
-                                               args.gamma)
-        return p / p.sum()
-    return np.abs(beta) ** 2
+    _require(abs(result.s_d - exact.s_d) <= Z * se, f"S_D = {result.s_d:.4f}"
+             f", expected {exact.s_d:.4f} +- {Z:g} x {se:.3g}")
 
 
 # --- subcommand handlers ------------------------------------------------
@@ -231,8 +219,9 @@ def _cmd_born(args) -> None:
           n_detected=stats.n_detected)
     if args.check:
         _require_detections(stats)
-        expected = _expected_p(alpha, args)
-        for n, (p_hat, p) in enumerate(zip(stats.p_hat, expected), 1):
+        exact = probability.record(alpha, args.s, model, args.gamma,
+                                   probability.exact_hists)
+        for n, (p_hat, p) in enumerate(zip(stats.p_hat, exact.p_hat), 1):
             _check_mean(f"component {n}: p_hat", p_hat, p, stats.n_detected)
 
 
@@ -256,12 +245,11 @@ def _cmd_tomography(args) -> None:
     if args.check:
         _require(abs(np.trace(rho) - 1.0) < 1e-10, "trace(rho) != 1")
         _require(np.abs(rho - rho.conj().T).max() < 1e-10, "rho not Hermitian")
-        for p, spec in linalg.PAULI_SPECS.items():
-            # U†w is again i.i.d. Gaussian, so the oracle applies to U†alpha.
-            target = spec.values @ _expected_p(alpha @ np.conj(spec.unitary),
-                                               args)
-            st = inferred.stats[p]
-            _check_mean(f"E[{p}]", st.mean, target, st.n_detected, low=-1.0)
+        exact = tomography.pauli_records(alpha, args.s, model, args.gamma,
+                                         probability.exact_hists)
+        for p, st in inferred.stats.items():
+            _check_mean(f"E[{p}]", st.mean, exact[p].mean, st.n_detected,
+                        low=-1.0)
 
 
 def _cmd_magic_square(args) -> None:
@@ -297,7 +285,8 @@ def _cmd_chsh_joint(args) -> None:
         # First against the exact value, so that a wrong S_D exits 2 even
         # where too few trials resolve the claim.
         if args.noise == noise.GAUSSIAN:
-            _check_s_d(result, experiments.gaussian_chsh_joint_means())
+            _check_s_d(result, experiments.chsh_joint_records(
+                args.noise, probability.exact_hists))
         # Clearing the Tsirelson value by Z standard errors clears 2 too.
         _check_chsh(result, experiments.TSIRELSON_BOUND
                     if args.noise == noise.SPHERE else 2.0)
@@ -378,9 +367,10 @@ def _cmd_oracle(args) -> None:
     _emit(args, {"single_detection_probs": rows}, s=args.s, sigma=args.sigma,
           gamma=args.gamma)
     if args.check:
-        for row in rows:
-            _check_mean(f"component {row['component']}: Monte Carlo P",
-                        row["monte_carlo"], row["analytic"], args.mc_trials)
+        exact = probability.record(alpha, args.s, model, args.gamma,
+                                   probability.exact_hists)
+        for n, (P, p) in enumerate(zip(mc_stats.P_hat, exact.P_hat), 1):
+            _check_mean(f"component {n}: Monte Carlo P", P, p, args.mc_trials)
 
 
 # Tags of the codes that are not a detection, as replay prints them.

@@ -15,6 +15,7 @@ constants.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -153,30 +154,24 @@ def run_two_dim_examples(trials: int, seed: int, *,
 def run_chsh_joint(noise_kind: str, trials: int, seed: int, *,
                    workers: int = 1) -> ChshResult:
     """Joint four-dimensional CHSH run with independent ensembles per observable."""
+    return chsh_joint_records(noise_kind, functools.partial(
+        probability.tally_chunks, workers=workers), seed, trials)
+
+
+def chsh_joint_records(noise_kind: str, hists_of, seed: int = 0,
+                       trials: int = 1) -> ChshResult:
+    """``run_chsh_joint``'s records over ``hists_of(tallies, gamma)``: over
+    ``probability.tally_chunks``, or over ``probability.exact_hists``, which
+    needs no seed or trial count."""
     if noise_kind not in CHSH_JOINT_PARAMS:
         raise ValueError(f"unsupported noise kind for this run: {noise_kind}")
     sigma, s, gamma = CHSH_JOINT_PARAMS[noise_kind]
     model = NoiseModel(noise_kind, sigma, 4)
-    hists = probability.tally_chunks(
+    hists = hists_of(
         [([(BELL_STATE, s, model, seed, _STREAM_JOINT_BASE + i, trials)],
-          (obs,)) for i, obs in enumerate(JOINT_OBSERVABLES.values())],
-        gamma, workers)
+          (obs,)) for i, obs in enumerate(JOINT_OBSERVABLES.values())], gamma)
     return ChshResult({name: DetectionStats(h, obs.values) for (name, obs), h
                        in zip(JOINT_OBSERVABLES.items(), hists)})
-
-
-def gaussian_chsh_joint_means() -> list[float]:
-    """The exact +-1 mean of each JOINT_OBSERVABLES entry that
-    ``run_chsh_joint`` estimates under Gaussian noise: the analytic
-    oracle's P / P.sum() of the rotated state, since U†w is again i.i.d.
-    Gaussian."""
-    sigma, s, gamma = CHSH_JOINT_PARAMS[noise.GAUSSIAN]
-    means = []
-    for obs in JOINT_OBSERVABLES.values():
-        p = probability.single_detection_probs(
-            BELL_STATE @ np.conj(obs.unitary), s, sigma, gamma)
-        means.append(float(obs.values @ p / p.sum()))
-    return means
 
 
 def run_chsh_local(trials: int, seed: int, *, noise_kind: str = noise.SPHERE,

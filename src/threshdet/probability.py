@@ -28,7 +28,9 @@ from .noise import CHUNK, NoiseModel
 class DetectionStats:
     """Shifted-code histogram of one measurement (see ``detection``): cell 0
     counts multiple detections, cell 1 none, cell 2 + n single detections of
-    group n.  ``values``, a ``Measurement.values``, weights ``mean``."""
+    group n.  ``values``, a ``Measurement.values``, weights ``mean``.  The
+    cells of an exact record are probabilities (see ``exact_hist``), so its
+    counts are floats where a Monte Carlo record's are ints."""
 
     hist: np.ndarray
     values: np.ndarray | None = None
@@ -38,20 +40,20 @@ class DetectionStats:
         return self.hist[2:]
 
     @property
-    def no_detection(self) -> int:
-        return int(self.hist[1])
+    def no_detection(self) -> int | float:
+        return self.hist[1].item()
 
     @property
-    def multiple_detections(self) -> int:
-        return int(self.hist[0])
+    def multiple_detections(self) -> int | float:
+        return self.hist[0].item()
 
     @property
-    def trials(self) -> int:
-        return int(self.hist.sum())
+    def trials(self) -> int | float:
+        return self.hist.sum().item()
 
     @property
-    def n_detected(self) -> int:
-        return int(self.counts.sum())
+    def n_detected(self) -> int | float:
+        return self.counts.sum().item()
 
     @property
     def p_hat(self) -> np.ndarray:
@@ -211,12 +213,13 @@ def map_chunks(fn, jobs, workers: int = 1) -> list:
     worker takes the next job index from one counter until none is left,
     so the calling thread works instead of waiting, the map grows one
     malloc arena fewer, and a map of one worker or one job starts no
-    thread.  Results come back in job order.  After a job raises, no job starts; the error is raised once
-    every helper has stopped.  ``tally_chunks`` maps every job of a run in
-    one call; its jobs return nothing and add their integer histograms into
-    their tally's total, so its result is the same for any worker count.
-    Each job holds at most ``BLOCK`` amplitudes and their derived arrays at a
-    time, so the working set is about ``workers`` such blocks.
+    thread.  Results come back in job order.  After a job raises, no job
+    starts; the error is raised once every helper has stopped.
+    ``tally_chunks`` maps every job of a run in one call; its jobs return
+    nothing and add their integer histograms into their tally's total, so
+    its result is the same for any worker count.  Each job holds at most
+    ``BLOCK`` amplitudes and their derived arrays at a time, so the working
+    set is about ``workers`` such blocks.
     """
     _single_thread_blas()
     _reuse_freed_memory()
@@ -336,9 +339,20 @@ def estimate(alpha, s: float, model: NoiseModel, gamma: float, trials: int,
              stream: int = 0, workers: int = 1) -> DetectionStats:
     """Monte Carlo detection statistics of one measurement, by default the
     standard basis of ``model.dim``; its values, if any, weight the mean."""
+    return record(alpha, s, model, gamma,
+                  functools.partial(tally_chunks, workers=workers),
+                  measurement, seed, stream, trials)
+
+
+def record(alpha, s: float, model: NoiseModel, gamma: float, hists_of,
+           measurement: Measurement | None = None, seed: int = 0,
+           stream: int = 0, trials: int = 1) -> DetectionStats:
+    """``estimate``'s record over ``hists_of(tallies, gamma)``: over
+    ``tally_chunks``, or over ``exact_hists``, which needs no seed, stream
+    or trial count."""
     m = Measurement(np.eye(model.dim)) if measurement is None else measurement
-    [hist] = tally_chunks([([(alpha, s, model, seed, stream, trials)], (m,))],
-                          gamma, workers)
+    [hist] = hists_of([([(alpha, s, model, seed, stream, trials)], (m,))],
+                      gamma)
     return DetectionStats(hist, m.values)
 
 
@@ -427,8 +441,7 @@ def detection_probs(alpha, s: float, sigma: float, gamma: float) -> np.ndarray:
     sqrt(2)·gamma/sigma) and stays below with F_i, both from ``_marcum``.
     Then P_n = Q_n * prod_{i != n} F_i, and the Poisson-binomial recurrence
     gives P(exactly k cross): P_0 at k = 0, P_inf summed over k >= 2.  No
-    cell is a difference.  Measuring through U is measuring U†alpha: U†w is
-    again i.i.d. Gaussian.
+    cell is a difference.
     """
     sa = noise.signal(alpha, s)
     if not 0 < sigma < np.inf:
@@ -452,3 +465,41 @@ def single_detection_probs(alpha, s: float, sigma: float,
                            gamma: float) -> np.ndarray:
     """The single-detection cells P_1 ... P_N of ``detection_probs``."""
     return detection_probs(alpha, s, sigma, gamma)[2:]
+
+
+class NoExactLaw(ValueError):
+    """No exact law is known for the cells of a tally."""
+
+
+def exact_hist(alpha, s: float, model: NoiseModel, measurements,
+               gamma: float) -> np.ndarray:
+    """The probabilities of the cells of a tally of ``measurements`` on
+    s·alpha + w, in the shape and order of ``tally_chunks``'s histogram.
+    So far the law is known for one measurement of singleton groups under
+    Gaussian noise: ``detection_probs`` of U†alpha, since U†w is again
+    i.i.d. Gaussian.  Any other tally raises NoExactLaw."""
+    [m, *more] = measurements
+    if model.kind != noise.GAUSSIAN or more or not m.singletons:
+        raise NoExactLaw("an exact law is known only for one measurement of "
+                         "singleton groups under Gaussian noise")
+    if m.dim != model.dim:
+        raise ValueError(f"measurement of dimension {m.dim} on a noise model "
+                         f"of dimension {model.dim}")
+    return detection_probs(np.asarray(alpha) @ np.conj(m.unitary), s,
+                           model.sigma, gamma)
+
+
+def exact_hists(tallies, gamma: float) -> list[np.ndarray]:
+    """``exact_hist`` of each tally of one ensemble, given in the format of
+    ``tally_chunks``; no seed, stream or trial count enters.  Bounded noise
+    has no exact law yet: there one measurement of singleton groups has the
+    Born values |U†alpha|², which the model is claimed to give, as its
+    single detections."""
+    hists = []
+    for [(alpha, s, model, *_)], (m, *more) in tallies:
+        if model.kind != noise.GAUSSIAN and m.singletons and not more:
+            beta = noise.signal(alpha, 1.0) @ np.conj(m.unitary)
+            hists.append(np.r_[0.0, 0.0, np.abs(beta) ** 2])
+        else:
+            hists.append(exact_hist(alpha, s, model, (m, *more), gamma))
+    return hists

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,13 +39,8 @@ def infer_state(alpha, s: float, model: NoiseModel, gamma: float, trials: int,
                 seed: int, *, workers: int = 1) -> InferredState:
     """Estimate E[X], E[Y], E[Z] from three independent ensembles and
     assemble the inferred density operator (I + ExX + EyY + EzZ)/2."""
-    if noise.signal(alpha, s).shape != (2,) or model.dim != 2:
-        raise ValueError("state inference is defined for dimension 2 only")
-    hists = probability.tally_chunks(
-        [([(alpha, s, model, seed, _STREAMS[name], trials)], (spec,))
-         for name, spec in linalg.PAULI_SPECS.items()], gamma, workers)
-    stats = {name: DetectionStats(h, spec.values) for (name, spec), h
-             in zip(linalg.PAULI_SPECS.items(), hists)}
+    stats = pauli_records(alpha, s, model, gamma, functools.partial(
+        probability.tally_chunks, workers=workers), seed, trials)
     for st in stats.values():
         if st.n_detected < MIN_DETECTIONS:
             raise InsufficientDetections(
@@ -53,6 +49,21 @@ def infer_state(alpha, s: float, model: NoiseModel, gamma: float, trials: int,
     rho = 0.5 * (linalg.I2 + e["X"] * linalg.X + e["Y"] * linalg.Y
                  + e["Z"] * linalg.Z)
     return InferredState(stats=stats, rho_tilde=rho)
+
+
+def pauli_records(alpha, s: float, model: NoiseModel, gamma: float,
+                  hists_of, seed: int = 0,
+                  trials: int = 1) -> dict[str, DetectionStats]:
+    """``infer_state``'s record of each basis over ``hists_of(tallies,
+    gamma)``: over ``probability.tally_chunks``, or over
+    ``probability.exact_hists``, which needs no seed or trial count."""
+    if noise.signal(alpha, s).shape != (2,) or model.dim != 2:
+        raise ValueError("state inference is defined for dimension 2 only")
+    hists = hists_of(
+        [([(alpha, s, model, seed, _STREAMS[name], trials)], (spec,))
+         for name, spec in linalg.PAULI_SPECS.items()], gamma)
+    return {name: DetectionStats(h, spec.values) for (name, spec), h
+            in zip(linalg.PAULI_SPECS.items(), hists)}
 
 
 def bplus_counterexample(trials: int, seed: int, *,

@@ -17,11 +17,12 @@ import pytest
 import threshdet
 from threshdet import cli, probability
 from threshdet.cli import (DEFAULT_SEED, CheckFailure, _check_chsh,
-                           _check_mean, _check_s_d, _expected_p, build_parser,
-                           main, parse_alpha)
-from threshdet.experiments import ChshResult, gaussian_chsh_joint_means
-from threshdet.linalg import PAULI_SPECS
-from threshdet.probability import DetectionStats
+                           _check_mean, _check_s_d, build_parser, main,
+                           parse_alpha)
+from threshdet.experiments import ChshResult, chsh_joint_records
+from threshdet.noise import GAUSSIAN, S_BOUNDED, SPHERE, NoiseModel
+from threshdet.probability import DetectionStats, exact_hists
+from threshdet.tomography import pauli_records
 
 TRIALS = str(1 << 16)
 
@@ -190,14 +191,15 @@ def test_chsh_check_fails_beyond_z_standard_errors_on_the_wrong_side():
         _check_chsh(result(2.4), 2.0, above=False)
 
 
-def test_chsh_joint_gaussian_check_expects_the_exact_s_d():
-    # The oracle's four means give S_D = 2.6206953760.  With 654 detections
-    # per observable, as at 2^18 trials, S_D's standard error under them is
-    # sqrt(4 (1 - E^2) / 654) = 0.0591, so an S_D moved by 0.35 either way
-    # fails, while one moved by 0.25 passes.
-    means = gaussian_chsh_joint_means()
-    assert means == pytest.approx([0.6551738440, 0.6551738440,
-                                   -0.6551738440, 0.6551738440], abs=1e-10)
+def test_chsh_joint_gaussian_check_expects_its_exact_record():
+    # The exact record's four means give S_D = 2.6206953760.  With 654
+    # detections per observable, as at 2^18 trials, S_D's standard error
+    # under them is sqrt(4 (1 - E^2) / 654) = 0.0591, so an S_D moved by
+    # 0.35 either way fails, while one moved by 0.25 passes.
+    exact = chsh_joint_records(GAUSSIAN, exact_hists)
+    assert [st.mean for st in exact.stats.values()] == pytest.approx(
+        [0.6551738440, 0.6551738440, -0.6551738440, 0.6551738440], abs=1e-10)
+    assert exact.s_d == pytest.approx(2.6206953760, abs=1e-10)
 
     def result(s_d):
         plus = round(327 * (1 + s_d / 4))
@@ -206,26 +208,63 @@ def test_chsh_joint_gaussian_check_expects_the_exact_s_d():
                  for c in (plus, plus, 654 - plus, plus)]
         return ChshResult(dict(zip(("AB", "AB'", "A'B", "A'B'"), stats)))
 
-    exact = 2.6206953760
     for shift in (0.0, -0.25, 0.25):
-        _check_s_d(result(exact + shift), means)
+        _check_s_d(result(exact.s_d + shift), exact)
     for shift in (-0.35, 0.35):
         with pytest.raises(CheckFailure, match=r"expected 2\.6207 \+- 5 x "
                                                r"0\.0591"):
-            _check_s_d(result(exact + shift), means)
+            _check_s_d(result(exact.s_d + shift), exact)
 
 
-def test_checks_expect_the_oracle_under_gaussian_noise_and_born_otherwise():
-    args = build_parser().parse_args(["born", "--noise", "gaussian"])
-    beta = parse_alpha(args.alpha, normalize=True)
-    assert _expected_p(beta, args) == pytest.approx(
-        [0.23368, 0.26632, 0.26632, 0.23368], abs=5e-6)
-    # tomography's E[Z] on (1, 0) at the defaults.
-    z = PAULI_SPECS["Z"]
-    assert z.values @ _expected_p(np.array([1.0, 0.0]), args) == \
-        pytest.approx(0.125685, abs=5e-7)
-    args.noise = "sphere"
-    assert np.array_equal(_expected_p(beta, args), np.abs(beta) ** 2)
+def test_exact_records_give_the_oracle_under_gaussian_noise_and_born_otherwise():
+    # born's and tomography's exact records at the defaults (s = sqrt(2) -
+    # 1, sigma = gamma = 1), from the tallies their runs make.
+    alpha = parse_alpha("0,1,1,0", normalize=True)
+    born = probability.record(alpha, S_BOUNDED, NoiseModel(GAUSSIAN, 1.0, 4),
+                              1.0, exact_hists)
+    assert born.p_hat == pytest.approx([0.23368, 0.26632, 0.26632, 0.23368],
+                                       abs=5e-6)
+    z = pauli_records(np.array([1.0, 0.0]), S_BOUNDED,
+                      NoiseModel(GAUSSIAN, 1.0, 2), 1.0, exact_hists)["Z"]
+    assert z.mean == pytest.approx(0.125685, abs=5e-7)
+    # Bounded noise has no exact law yet: its single detections are the
+    # Born values |alpha|^2, and there are no others.
+    sphere = probability.record(alpha, S_BOUNDED, NoiseModel(SPHERE, 1.0, 4),
+                                1.0, exact_hists)
+    assert np.array_equal(sphere.counts, np.abs(alpha) ** 2)
+    assert sphere.no_detection == sphere.multiple_detections == 0.0
+    assert sphere.p_hat == pytest.approx(np.abs(alpha) ** 2, abs=1e-15)
+
+
+# A shift of one exact cell that lies beyond Z standard errors of every
+# --check with an exact record, at the sizes of the 24-seed sweep.
+EXACT_SHIFT = 0.03
+
+
+@pytest.mark.parametrize("name", ["born-gaussian", "tomography-gaussian",
+                                  "oracle", "chsh-joint-gaussian"])
+def test_check_fails_when_one_exact_cell_is_off(name, monkeypatch, capsys):
+    # The first single-detection cell of the first exact histogram a check
+    # asks for (born's component 1, E[Z]'s +1, the oracle's P_1, E(AB)'s
+    # first outcome) moves by EXACT_SHIFT.  At these sizes that moves the
+    # expected p_1 by 0.059 (20 standard errors), E[Z] by 0.051 (9), P_1
+    # by 0.03 (44) and S_D by -1.09, so the check exits 2 where the true
+    # exact record gives 0.
+    argv = [*RESOLVING_RUNS[name], "--check"]
+    assert run(argv) == 0
+    exact_hist, calls = probability.exact_hist, []
+
+    def off(*args):
+        hist = exact_hist(*args)
+        if not calls:
+            hist[2] += EXACT_SHIFT
+        calls.append(args)
+        return hist
+
+    monkeypatch.setattr(probability, "exact_hist", off)
+    assert run(argv) == 2
+    assert calls
+    assert "check failed" in capsys.readouterr().err
 
 
 def test_two_dim_check(capsys):

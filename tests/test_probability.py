@@ -26,13 +26,15 @@ from scipy import integrate, special
 import threshdet
 from threshdet import detection, noise, probability
 from threshdet.cli import main
-from threshdet.experiments import (BELL_STATE, LOCAL_PAIRS, LOCAL_SETTINGS,
-                                   MAGIC_CONTEXTS, random_state,
-                                   run_chsh_joint, run_magic_square,
-                                   run_two_dim_examples)
-from threshdet.linalg import H, Measurement
+from threshdet.experiments import (BELL_STATE, CHSH_JOINT_PARAMS,
+                                   JOINT_OBSERVABLES, LOCAL_PAIRS,
+                                   LOCAL_SETTINGS, MAGIC_CONTEXTS,
+                                   random_state, run_chsh_joint,
+                                   run_magic_square, run_two_dim_examples)
+from threshdet.linalg import PAULI_SPECS, H, Measurement
 from threshdet.noise import CHUNK, GAUSSIAN, SPHERE, NoiseModel
-from threshdet.probability import (DetectionStats, detection_probs, estimate,
+from threshdet.probability import (DetectionStats, NoExactLaw,
+                                   detection_probs, estimate, exact_hist,
                                    marcum_q1, single_detection_probs)
 
 SQRT2 = np.sqrt(2.0)
@@ -175,6 +177,16 @@ def test_stats_mean_requires_values():
     bare = DetectionStats(np.array([0, 0, 1, 0]))
     with pytest.raises(ValueError):
         bare.mean
+
+
+def test_stats_of_a_float_histogram_are_probabilities():
+    # An exact record's cells are probabilities: nothing rounds to a count.
+    stats = DetectionStats(np.array([0.1, 0.4, 0.3, 0.2]), values=[1.0, -1.0])
+    assert stats.trials == pytest.approx(1.0)
+    assert stats.n_detected == pytest.approx(0.5)
+    assert stats.no_detection == 0.4 and stats.multiple_detections == 0.1
+    assert stats.p_hat == pytest.approx([0.6, 0.4])
+    assert stats.mean == pytest.approx(0.2)
 
 
 def test_no_detections_yields_nan_frequencies():
@@ -384,6 +396,52 @@ def test_oracle_rejects_negative_signal_strength():
     for oracle in (single_detection_probs, detection_probs):
         with pytest.raises(ValueError, match="signal strength"):
             oracle(np.array([1.0, 0.0]), -1.0, 1.0, 1.0)
+
+
+# Every Gaussian singleton tally the CLI runs, as (alpha, s, measurement,
+# gamma): detect-probs' and born's standard bases at their default alphas,
+# tomography's three bases and chsh-joint's four observables.
+_CHSH_SIGMA, _CHSH_S, _CHSH_GAMMA = CHSH_JOINT_PARAMS[GAUSSIAN]
+EXACT_TALLIES = {
+    "detect-probs": (np.array([1.0, 0.0]), SQRT2 - 1.0,
+                     Measurement(np.eye(2)), 1.0),
+    "born": (np.array([0.0, 1.0, 1.0, 0.0]) / SQRT2, SQRT2 - 1.0,
+             Measurement(np.eye(4)), 1.0),
+    **{f"tomography-{name}": (np.array([1.0, 0.0]), SQRT2 - 1.0, m, 1.0)
+       for name, m in PAULI_SPECS.items()},
+    **{f"chsh-joint-{name}": (BELL_STATE, _CHSH_S, m, _CHSH_GAMMA)
+       for name, m in JOINT_OBSERVABLES.items()},
+}
+
+
+@pytest.mark.parametrize("name", EXACT_TALLIES)
+def test_exact_hist_has_the_cells_of_the_monte_carlo_histogram(name):
+    # Same shape and cell order as tally_chunks: at 2^16 trials every
+    # frequency lies within 5 standard errors of its exact cell.
+    alpha, s, m, gamma = EXACT_TALLIES[name]
+    model = NoiseModel(GAUSSIAN, 1.0, m.dim)
+    exact = exact_hist(alpha, s, model, (m,), gamma)
+    trials = 1 << 16
+    [counts] = probability.tally_chunks(
+        [([(alpha, s, model, 7, 0, trials)], (m,))], gamma)
+    assert exact.shape == counts.shape
+    assert (exact >= 0).all()
+    assert exact.sum() == pytest.approx(1.0, abs=1e-12)
+    se = np.sqrt(exact * (1.0 - exact) / trials)
+    assert (np.abs(counts / trials - exact) <= 5 * se + 1e-12).all()
+
+
+def test_exact_hist_raises_where_no_exact_law_is_known():
+    gaussian, basis = NoiseModel(GAUSSIAN, 1.0, 4), Measurement(np.eye(4))
+    for model, measurements in [
+            (NoiseModel(SPHERE, 1.0, 4), (basis,)),  # bounded noise
+            (gaussian, (LOCAL_SETTINGS["A"],)),  # subspace groups
+            (gaussian, (basis, JOINT_OBSERVABLES["AB"]))]:  # two
+        with pytest.raises(NoExactLaw):
+            exact_hist(BELL_STATE, SQRT2 - 1.0, model, measurements, 1.0)
+    with pytest.raises(ValueError, match="dimension 2 on a noise model"):
+        exact_hist(np.array([1.0, 0.0]), 1.0, gaussian,
+                   (Measurement(np.eye(2)),), 1.0)
 
 
 @pytest.mark.parametrize("trials, gamma", [(0, 1.0), (10, -1.0)])

@@ -5,10 +5,12 @@ import pytest
 
 from threshdet import noise
 from threshdet.linalg import B_PLUS
-from threshdet.noise import SPHERE, NoiseModel
-from threshdet.tomography import (QUANTUM_BPLUS_EXPECTATION,
+from threshdet.noise import GAUSSIAN, SPHERE, NoiseModel
+from threshdet.probability import exact_hists
+from threshdet.tomography import (MIN_DETECTIONS, QUANTUM_BPLUS_EXPECTATION,
                                   InsufficientDetections,
-                                  bplus_counterexample, infer_state)
+                                  bplus_counterexample, infer_state,
+                                  pauli_records)
 
 SQRT2 = np.sqrt(2.0)
 TRIALS = 1 << 20
@@ -84,3 +86,16 @@ def test_counterexample_reproducible():
     a = bplus_counterexample(1 << 16, seed=9)
     b = bplus_counterexample(1 << 16, seed=9, workers=4)
     assert (a.p_hat[0], a.n_detected) == (b.p_hat[0], b.n_detected)
+
+
+def test_exact_records_pass_no_count_guard():
+    # At s = 0 and gamma = 4 a basis detects with probability 2.2e-7: a
+    # run of 4096 trials has too few detections, while the exact records,
+    # whose cells are probabilities, give every conditional.
+    alpha, model = np.array([1.0, 0.0]), NoiseModel(GAUSSIAN, 1.0, 2)
+    with pytest.raises(InsufficientDetections):
+        infer_state(alpha, 0.0, model, 4.0, 4096, seed=1)
+    exact = pauli_records(alpha, 0.0, model, 4.0, exact_hists)
+    for st in exact.values():
+        assert 0.0 < st.n_detected < MIN_DETECTIONS
+        assert st.mean == pytest.approx(0.0, abs=1e-12)
