@@ -56,10 +56,7 @@ def crossing_codes(mags: np.ndarray, gamma: float) -> np.ndarray:
     # One byte per crossing flag, in a row as wide as a word: N rounded up
     # to a power of two, the padding bytes zero.
     width = 1 << (dim - 1).bit_length()
-    if width == dim:
-        cross = np.empty((rows, width), dtype=bool)
-    else:
-        cross = np.zeros((rows, width), dtype=bool)
+    cross = np.zeros((rows, width), dtype=bool)
     np.greater(mags, gamma, out=cross[:, :dim])
     # Read as a little-endian word, byte j of a row is 0 or 1 at bit 8j.  The
     # multiplier's term 2^(8(w-1)-7j) moves it to bit 8(w-1)+j; every other

@@ -144,10 +144,10 @@ def run_two_dim_examples(trials: int, seed: int, *,
                          workers: int = 1) -> dict[str, DetectionStats]:
     """Detection statistics for each of TWO_DIM_SETUPS, by name."""
     hists = probability.tally_chunks(
-        [([(alpha, s, NoiseModel(kind, 1.0, 2), seed,
-            _STREAM_TWODIM_BASE + i, trials)], (Measurement(np.eye(2)),))
+        [([(alpha, s, NoiseModel(kind, 1.0, 2), _STREAM_TWODIM_BASE + i)],
+          (Measurement(np.eye(2)),))
          for i, (kind, alpha, s) in enumerate(TWO_DIM_SETUPS.values())],
-        1.0, workers)
+        1.0, seed, trials, workers)
     return {name: DetectionStats(h) for name, h in zip(TWO_DIM_SETUPS, hists)}
 
 
@@ -155,21 +155,20 @@ def run_chsh_joint(noise_kind: str, trials: int, seed: int, *,
                    workers: int = 1) -> ChshResult:
     """Joint four-dimensional CHSH run with independent ensembles per observable."""
     return chsh_joint_records(noise_kind, functools.partial(
-        probability.tally_chunks, workers=workers), seed, trials)
+        probability.tally_chunks, seed=seed, trials=trials, workers=workers))
 
 
-def chsh_joint_records(noise_kind: str, hists_of, seed: int = 0,
-                       trials: int = 1) -> ChshResult:
+def chsh_joint_records(noise_kind: str, hists_of) -> ChshResult:
     """``run_chsh_joint``'s records over ``hists_of(tallies, gamma)``: over
-    ``probability.tally_chunks``, or over ``probability.exact_hists``, which
-    needs no seed or trial count."""
+    ``probability.tally_chunks`` at a seed and trial count, or over
+    ``probability.exact_hists``."""
     if noise_kind not in CHSH_JOINT_PARAMS:
         raise ValueError(f"unsupported noise kind for this run: {noise_kind}")
     sigma, s, gamma = CHSH_JOINT_PARAMS[noise_kind]
     model = NoiseModel(noise_kind, sigma, 4)
     hists = hists_of(
-        [([(BELL_STATE, s, model, seed, _STREAM_JOINT_BASE + i, trials)],
-          (obs,)) for i, obs in enumerate(JOINT_OBSERVABLES.values())], gamma)
+        [([(BELL_STATE, s, model, _STREAM_JOINT_BASE + i)], (obs,))
+         for i, obs in enumerate(JOINT_OBSERVABLES.values())], gamma)
     return ChshResult({name: DetectionStats(h, obs.values) for (name, obs), h
                        in zip(JOINT_OBSERVABLES.items(), hists)})
 
@@ -182,9 +181,10 @@ def run_chsh_local(trials: int, seed: int, *, noise_kind: str = noise.SPHERE,
     model = NoiseModel(noise_kind, 1.0, 4)
     # h[x, y] of a pair: trials where Alice's shifted code is x and Bob's y.
     hists = probability.tally_chunks(
-        [([(BELL_STATE, noise.S_BOUNDED, model, seed, _STREAM_LOCAL_BASE + i,
-            trials)], (LOCAL_SETTINGS[alice], LOCAL_SETTINGS[bob]))
-         for i, (alice, bob) in enumerate(LOCAL_PAIRS)], gamma, workers)
+        [([(BELL_STATE, noise.S_BOUNDED, model, _STREAM_LOCAL_BASE + i)],
+          (LOCAL_SETTINGS[alice], LOCAL_SETTINGS[bob]))
+         for i, (alice, bob) in enumerate(LOCAL_PAIRS)],
+        gamma, seed, trials, workers)
     stats, singles = {}, 0
     for (alice, bob), h in zip(LOCAL_PAIRS, hists):
         # Coincidences (++, +-, -+, --) are single detections, valued by the
@@ -221,12 +221,11 @@ def run_magic_square(num_states: int, trials_per_state: int, seed: int, *,
         raise ValueError("num_states must be at least 1")
     sigma = gamma = 1.0
     model = NoiseModel(noise.SPHERE, sigma, 4)
-    ensembles = [(random_state(seed, i), noise.S_BOUNDED, model, seed,
-                  _STREAM_MAGIC_NOISE_BASE + i, trials_per_state)
-                 for i in range(num_states)]
+    ensembles = [(random_state(seed, i), noise.S_BOUNDED, model,
+                  _STREAM_MAGIC_NOISE_BASE + i) for i in range(num_states)]
     # joint[x_1, ..., x_6]: trials where context k's shifted code is x_k.
     [joint] = probability.tally_chunks([(ensembles, MAGIC_CONTEXTS.values())],
-                                       gamma, workers)
+                                       gamma, seed, trials_per_state, workers)
     stats = {}
     for k, (name, m) in enumerate(MAGIC_CONTEXTS.items()):
         others = tuple(j for j in range(joint.ndim) if j != k)
@@ -251,8 +250,8 @@ def run_bell_state_checks(trials: int, seed: int, *, workers: int = 1
     model = NoiseModel(noise.SPHERE, sigma, 4)
     ms = (Measurement(np.eye(4)), BELL_TILTED)
     hists = probability.tally_chunks(
-        [([(BELL_STATE, s, model, seed, _STREAM_BELL_BASE + i, trials)], (m,))
-         for i, m in enumerate(ms)], gamma, workers)
+        [([(BELL_STATE, s, model, _STREAM_BELL_BASE + i)], (m,))
+         for i, m in enumerate(ms)], gamma, seed, trials, workers)
     return tuple(DetectionStats(h, m.values) for m, h in zip(ms, hists))
 
 

@@ -15,6 +15,7 @@ normalized block of them, so no family calls a trigonometric function.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -70,8 +71,9 @@ class NoiseModel:
 
 
 def check_seed(seed) -> int:
-    """Return ``seed`` as an int, rejecting values outside [0, 2^64)."""
-    seed = int(seed)
+    """Return ``seed`` as an int, rejecting a value that is not an integer,
+    such as 1.5 or '1' (TypeError), and one outside [0, 2^64)."""
+    seed = operator.index(seed)
     if not 0 <= seed < 2**64:
         raise ValueError(f"seed {seed} is outside [0, 2^64)")
     return seed

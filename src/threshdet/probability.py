@@ -257,17 +257,19 @@ def map_chunks(fn, jobs, workers: int = 1) -> list:
     return results
 
 
-def tally_chunks(tallies, gamma: float, workers: int = 1) -> list[np.ndarray]:
+def tally_chunks(tallies, gamma: float, seed: int, trials: int,
+                 workers: int = 1) -> list[np.ndarray]:
     """Per tally ``(ensembles, measurements)``, in order, the joint histogram
     of the measurements' shifted codes (see ``detection``), from one pool map.
 
-    An ensemble is ``(alpha, s, model, seed, stream, trials)``.  Its trials
-    are cut into chunks of ``CHUNK``, one pool job each.  Every ensemble's
-    signal, seed and dimension, and ``workers`` (at most ``MAX_WORKERS``),
-    are checked once, before any job runs.  A job takes its chunk's
-    generator, ``noise.chunk_rng``, and realizes the chunk from it in
-    consecutive blocks of at most ``BLOCK`` amplitudes, which join into the
-    chunk's one-block draw bit for bit.  It detects every measurement of its
+    An ensemble is ``(alpha, s, model, stream)``, sampled at the call's
+    ``seed`` for ``trials`` trials, cut into chunks of ``CHUNK``, one pool
+    job each.  The seed, the trial count, ``workers`` (at most
+    ``MAX_WORKERS``) and every ensemble's signal and dimension are checked
+    once, before any job runs.  A job takes its chunk's generator,
+    ``noise.chunk_rng``, and realizes the chunk from it in consecutive
+    blocks of at most ``BLOCK`` amplitudes, which join into the chunk's
+    one-block draw bit for bit.  It detects every measurement of its
     tally on each block, folds each row's cell into one array for the chunk
     and bincounts it once.  By tracemalloc, a job peaks at about 1 MB for a
     Gaussian d=2 chunk and under 2 MB for a magic-square chunk (six
@@ -278,6 +280,9 @@ def tally_chunks(tallies, gamma: float, workers: int = 1) -> list[np.ndarray]:
     tallies = [(list(ensembles), tuple(measurements))
                for ensembles, measurements in tallies]
     detection.check_gamma(gamma)
+    seed = noise.check_seed(seed)
+    if trials < 1:
+        raise ValueError("trials must be at least 1")
     if workers > MAX_WORKERS:
         raise ValueError(f"workers must be <= {MAX_WORKERS}")
     if not tallies:
@@ -285,9 +290,9 @@ def tally_chunks(tallies, gamma: float, workers: int = 1) -> list[np.ndarray]:
     for ensembles, measurements in tallies:
         if not measurements:
             raise ValueError("every tally needs at least 1 measurement")
-        if not ensembles or min(trials for *_, trials in ensembles) < 1:
-            raise ValueError("every ensemble needs at least 1 trial")
-        for i, (alpha, s, model, seed, *rest) in enumerate(ensembles):
+        if not ensembles:
+            raise ValueError("every tally needs at least 1 ensemble")
+        for i, (alpha, s, model, stream) in enumerate(ensembles):
             sa = noise.signal(alpha, s)
             if sa.shape[0] != model.dim:
                 raise noise.InvalidModel("state dimension does not match "
@@ -297,19 +302,19 @@ def tally_chunks(tallies, gamma: float, workers: int = 1) -> list[np.ndarray]:
                     raise ValueError(f"measurement of dimension {m.dim} on a "
                                      f"noise model of dimension {model.dim}")
             # The copied list now holds the checked signal in place of alpha.
-            ensembles[i] = (sa, model, noise.check_seed(seed), *rest)
+            ensembles[i] = (sa, model, stream)
     totals = [np.zeros([len(m.groups) + 2 for m in measurements], np.int64)
               for _, measurements in tallies]
     lock = threading.Lock()
     jobs = [(t, i, chunk, min(CHUNK, trials - chunk * CHUNK))
             for t, (ensembles, _) in enumerate(tallies)
-            for i, (*_, trials) in enumerate(ensembles)
+            for i in range(len(ensembles))
             for chunk in range(-(-trials // CHUNK))]
 
     def run(job):
         t, i, chunk, rows = job
         (ensembles, measurements), total = tallies[t], totals[t]
-        sa, model, seed, stream, _ = ensembles[i]
+        sa, model, stream = ensembles[i]
         rng = noise.chunk_rng(seed, stream, chunk)
         step = max(1, BLOCK // model.dim)
         cells = []
@@ -339,20 +344,18 @@ def estimate(alpha, s: float, model: NoiseModel, gamma: float, trials: int,
              stream: int = 0, workers: int = 1) -> DetectionStats:
     """Monte Carlo detection statistics of one measurement, by default the
     standard basis of ``model.dim``; its values, if any, weight the mean."""
-    return record(alpha, s, model, gamma,
-                  functools.partial(tally_chunks, workers=workers),
-                  measurement, seed, stream, trials)
+    return record(alpha, s, model, gamma, functools.partial(
+        tally_chunks, seed=seed, trials=trials, workers=workers),
+        measurement, stream)
 
 
 def record(alpha, s: float, model: NoiseModel, gamma: float, hists_of,
-           measurement: Measurement | None = None, seed: int = 0,
-           stream: int = 0, trials: int = 1) -> DetectionStats:
+           measurement: Measurement | None = None,
+           stream: int = 0) -> DetectionStats:
     """``estimate``'s record over ``hists_of(tallies, gamma)``: over
-    ``tally_chunks``, or over ``exact_hists``, which needs no seed, stream
-    or trial count."""
+    ``tally_chunks`` at a seed and trial count, or over ``exact_hists``."""
     m = Measurement(np.eye(model.dim)) if measurement is None else measurement
-    [hist] = hists_of([([(alpha, s, model, seed, stream, trials)], (m,))],
-                      gamma)
+    [hist] = hists_of([([(alpha, s, model, stream)], (m,))], gamma)
     return DetectionStats(hist, m.values)
 
 
@@ -491,12 +494,12 @@ def exact_hist(alpha, s: float, model: NoiseModel, measurements,
 
 def exact_hists(tallies, gamma: float) -> list[np.ndarray]:
     """``exact_hist`` of each tally of one ensemble, given in the format of
-    ``tally_chunks``; no seed, stream or trial count enters.  Bounded noise
-    has no exact law yet: there one measurement of singleton groups has the
-    Born values |U†alpha|², which the model is claimed to give, as its
-    single detections."""
+    ``tally_chunks``; the stream does not enter.  Bounded noise has no
+    exact law yet: there one measurement of singleton groups has the Born
+    values |U†alpha|², which the model is claimed to give, as its single
+    detections."""
     hists = []
-    for [(alpha, s, model, *_)], (m, *more) in tallies:
+    for [(alpha, s, model, _)], (m, *more) in tallies:
         if model.kind != noise.GAUSSIAN and m.singletons and not more:
             beta = noise.signal(alpha, 1.0) @ np.conj(m.unitary)
             hists.append(np.r_[0.0, 0.0, np.abs(beta) ** 2])

@@ -40,7 +40,7 @@ def infer_state(alpha, s: float, model: NoiseModel, gamma: float, trials: int,
     """Estimate E[X], E[Y], E[Z] from three independent ensembles and
     assemble the inferred density operator (I + ExX + EyY + EzZ)/2."""
     stats = pauli_records(alpha, s, model, gamma, functools.partial(
-        probability.tally_chunks, workers=workers), seed, trials)
+        probability.tally_chunks, seed=seed, trials=trials, workers=workers))
     for st in stats.values():
         if st.n_detected < MIN_DETECTIONS:
             raise InsufficientDetections(
@@ -52,15 +52,14 @@ def infer_state(alpha, s: float, model: NoiseModel, gamma: float, trials: int,
 
 
 def pauli_records(alpha, s: float, model: NoiseModel, gamma: float,
-                  hists_of, seed: int = 0,
-                  trials: int = 1) -> dict[str, DetectionStats]:
+                  hists_of) -> dict[str, DetectionStats]:
     """``infer_state``'s record of each basis over ``hists_of(tallies,
-    gamma)``: over ``probability.tally_chunks``, or over
-    ``probability.exact_hists``, which needs no seed or trial count."""
+    gamma)``: over ``probability.tally_chunks`` at a seed and trial count,
+    or over ``probability.exact_hists``."""
     if noise.signal(alpha, s).shape != (2,) or model.dim != 2:
         raise ValueError("state inference is defined for dimension 2 only")
     hists = hists_of(
-        [([(alpha, s, model, seed, _STREAMS[name], trials)], (spec,))
+        [([(alpha, s, model, _STREAMS[name])], (spec,))
          for name, spec in linalg.PAULI_SPECS.items()], gamma)
     return {name: DetectionStats(h, spec.values) for (name, spec), h
             in zip(linalg.PAULI_SPECS.items(), hists)}

@@ -236,6 +236,38 @@ def test_exact_records_give_the_oracle_under_gaussian_noise_and_born_otherwise()
     assert sphere.p_hat == pytest.approx(np.abs(alpha) ** 2, abs=1e-15)
 
 
+def _tally_key(tallies):
+    """A tally list as nested lists of plain values, for comparison."""
+    return [([[np.asarray(x).tolist() for x in ensemble]
+              for ensemble in ensembles],
+             [(m.unitary.tolist(), m.groups,
+               None if m.values is None else m.values.tolist())
+              for m in measurements]) for ensembles, measurements in tallies]
+
+
+@pytest.mark.parametrize("name", ["born-gaussian", "tomography-gaussian",
+                                  "chsh-joint-gaussian", "oracle"])
+def test_a_checks_exact_record_is_built_from_its_runs_tallies(name,
+                                                              monkeypatch):
+    # Every --check that reads an exact record asks exact_hists for the law
+    # of the very tallies its Monte Carlo run sampled, at the same gamma.
+    seen = {}
+
+    def spy(fn):
+        def wrapper(tallies, gamma, *args, **kwargs):
+            tallies = list(tallies)
+            seen.setdefault(fn.__name__, []).append((_tally_key(tallies),
+                                                     gamma))
+            return fn(tallies, gamma, *args, **kwargs)
+        return wrapper
+
+    for fn in (probability.tally_chunks, probability.exact_hists):
+        monkeypatch.setattr(probability, fn.__name__, spy(fn))
+    assert run([*RESOLVING_RUNS[name], "--check"]) == 0
+    assert len(seen["tally_chunks"]) == 1
+    assert seen["exact_hists"] == seen["tally_chunks"]
+
+
 # A shift of one exact cell that lies beyond Z standard errors of every
 # --check with an exact record, at the sizes of the 24-seed sweep.
 EXACT_SHIFT = 0.03

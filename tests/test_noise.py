@@ -157,6 +157,24 @@ def test_realize_rejects_unnormalized_state():
         estimate(np.array([1.0, 1.0]), 1.0, model, 1.0, trials=1, seed=0)
 
 
+def test_check_seed_takes_integers_only(monkeypatch):
+    # A float or a string is refused, as SeedSequence refuses it, before any
+    # draw; it used to be truncated, so seed=1.5 and '1' drew as seed=1.
+    monkeypatch.setattr(noise, "chunk_rng", None)  # any draw would fail
+    model = NoiseModel(GAUSSIAN, 1.0, 2)
+    for seed in (1.5, "1", 1.0, np.float64(1.0)):
+        with pytest.raises(TypeError, match="cannot be interpreted"):
+            noise.check_seed(seed)
+        with pytest.raises(TypeError, match="cannot be interpreted"):
+            estimate(np.array([0.6, 0.8]), 1.0, model, 1.0, 10, seed)
+    for seed in (2**64 - 1, np.uint64(2**64 - 1)):
+        assert type(noise.check_seed(seed)) is int
+        assert noise.check_seed(seed) == 2**64 - 1
+    for seed in (-1, 2**64):
+        with pytest.raises(ValueError, match="outside"):
+            noise.check_seed(seed)
+
+
 def test_inject_reproduces_printed_magnitudes():
     w = np.array([0.2197 - 0.7169j, -0.5290 + 0.3974j])
     a = inject(np.array([1.0, 0.0]), SQRT2 - 1.0, w)

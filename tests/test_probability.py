@@ -423,7 +423,7 @@ def test_exact_hist_has_the_cells_of_the_monte_carlo_histogram(name):
     exact = exact_hist(alpha, s, model, (m,), gamma)
     trials = 1 << 16
     [counts] = probability.tally_chunks(
-        [([(alpha, s, model, 7, 0, trials)], (m,))], gamma)
+        [([(alpha, s, model, 0)], (m,))], gamma, 7, trials)
     assert exact.shape == counts.shape
     assert (exact >= 0).all()
     assert exact.sum() == pytest.approx(1.0, abs=1e-12)
@@ -486,11 +486,11 @@ def _chunk_rows(draws):
                   for seed, stream, chunk, rows in draws)
 
 
-def _chunk_calls(ensembles):
-    """The chunks of CHUNK that tile each ensemble's trials, with their
-    rows."""
+def _chunk_calls(ensembles, seed, trials):
+    """The chunks of CHUNK that tile each ensemble's trials at ``seed``,
+    with their rows."""
     return sorted((seed, stream, chunk, min(CHUNK, trials - chunk * CHUNK))
-                  for _, _, _, seed, stream, trials in ensembles
+                  for _, _, _, stream in ensembles
                   for chunk in range(-(-trials // CHUNK)))
 
 
@@ -498,10 +498,10 @@ def _shape(measurements):
     return tuple(len(m.groups) + 2 for m in measurements)
 
 
-def _recount(ensembles, measurements, gamma):
+def _recount(ensembles, measurements, gamma, seed, trials):
     # Independent of the driver: one chunk at a time, one row at a time.
     hist = np.zeros(_shape(measurements), dtype=np.int64)
-    for alpha, s, model, seed, stream, trials in ensembles:
+    for alpha, s, model, stream in ensembles:
         for chunk in range(-(-trials // CHUNK)):
             a = noise.realize_block(noise.signal(alpha, s), model,
                                     noise.chunk_rng(seed, stream, chunk),
@@ -524,38 +524,44 @@ def _measurement_tuples(dim):
 
 
 def test_tally_chunks_sums_chunks_per_ensemble():
-    # Uneven ensembles crossing chunk boundaries, one smaller than a chunk.
+    # Ensembles crossing chunk boundaries, or smaller than a chunk: each
+    # seed and trial count is its own call.
+    for seed, trials in ((3, CHUNK + 5), (3, 17), (4, 2 * CHUNK + 1)):
+        _check_sums_chunks_per_ensemble(seed, trials)
+
+
+def _check_sums_chunks_per_ensemble(seed, trials):
     model = NoiseModel(SPHERE, 1.0, 2)
     alpha = np.array([0.6, 0.8])
-    ensembles = [(alpha, 0.4, model, 3, 7, CHUNK + 5),
-                 (alpha, 0.4, model, 3, 8, 17),
-                 (alpha, 0.4, model, 4, 7, 2 * CHUNK + 1)]
+    ensembles = [(alpha, 0.4, model, 7), (alpha, 0.4, model, 8)]
     measurements = _measurement_tuples(2)[1]
-    expected = _recount(ensembles, measurements, 0.9)
-    assert expected.sum() == 3 * CHUNK + 23
+    expected = _recount(ensembles, measurements, 0.9, seed, trials)
+    assert expected.sum() == 2 * trials
     for workers in (1, 2, 3):
         with _chunk_draws() as calls:
             [total] = probability.tally_chunks([(ensembles, measurements)],
-                                               0.9, workers)
+                                               0.9, seed, trials, workers)
         assert np.array_equal(total, expected)
         # Every row lands in the total once, read from its own ensemble.
-        assert _chunk_rows(calls) == _chunk_calls(ensembles)
+        assert _chunk_rows(calls) == _chunk_calls(ensembles, seed, trials)
     # In one call beside tallies of other shapes and dimensions, each
     # histogram is its tally's alone, and each tally reads its rows once.
     d4 = (np.array([0.5, 0.5, 0.5, 0.5]), 0.4, NoiseModel(SPHERE, 1.0, 4))
     tallies = [(ensembles, measurements),
-               (ensembles[:2], _measurement_tuples(2)[0]),
-               ([(*d4, 3, 9, CHUNK + 2)], _measurement_tuples(4)[1])]
+               (ensembles[:1], _measurement_tuples(2)[0]),
+               ([(*d4, 9)], _measurement_tuples(4)[1])]
     assert len({_shape(ms) for _, ms in tallies}) == 3
-    alone = [probability.tally_chunks([t], 0.9)[0] for t in tallies]
+    alone = [probability.tally_chunks([t], 0.9, seed, trials)[0]
+             for t in tallies]
     assert np.array_equal(alone[0], expected)
     for workers in (1, 2, 3):
         with _chunk_draws() as calls:
-            hists = probability.tally_chunks(tallies, 0.9, workers)
+            hists = probability.tally_chunks(tallies, 0.9, seed, trials,
+                                             workers)
         assert len(hists) == 3
         assert all(np.array_equal(h, a) for h, a in zip(hists, alone))
         assert _chunk_rows(calls) == sorted(
-            c for ens, _ in tallies for c in _chunk_calls(ens))
+            c for ens, _ in tallies for c in _chunk_calls(ens, seed, trials))
 
 
 def test_tally_chunks_sees_at_most_chunk_rows_per_call():
@@ -567,14 +573,15 @@ def test_tally_chunks_sees_at_most_chunk_rows_per_call():
                         (NoiseModel(GAUSSIAN, 1.0, 2), CHUNK),
                         (NoiseModel(GAUSSIAN, 1.0, 3), (1 << 15) // 3)):
         alpha = np.ones(model.dim) / np.sqrt(model.dim)
-        ensemble = (alpha, 0.5, model, 1, 0, 3 * CHUNK + 7)
+        ensemble = (alpha, 0.5, model, 0)
         for workers in (1, 2):
             with _chunk_draws() as calls:
                 [total] = probability.tally_chunks(
                     [([ensemble], (Measurement(np.eye(model.dim)),))], 1.0,
-                    workers)
+                    1, 3 * CHUNK + 7, workers)
             assert total.sum() == 3 * CHUNK + 7
-            assert _chunk_rows(calls) == _chunk_calls([ensemble])
+            assert _chunk_rows(calls) == _chunk_calls([ensemble], 1,
+                                                      3 * CHUNK + 7)
             for *_, blocks in calls:
                 rows = sum(blocks)
                 assert blocks == [step] * (rows // step) + (
@@ -603,15 +610,16 @@ def test_runs_draw_blocks_of_at_most_block_that_sum_to_trials(run, trials,
 
 
 def _peak_mib(tallies):
-    """tracemalloc peak, in MiB, of a warm serial ``tally_chunks`` call."""
-    probability.tally_chunks(tallies, 1.0)
+    """tracemalloc peak, in MiB, of a warm serial ``tally_chunks`` call of
+    one chunk at seed 7."""
+    probability.tally_chunks(tallies, 1.0, 7, CHUNK)
     tracing = tracemalloc.is_tracing()
     if not tracing:
         tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
-        probability.tally_chunks(tallies, 1.0)
+        probability.tally_chunks(tallies, 1.0, 7, CHUNK)
         return (tracemalloc.get_traced_memory()[1] - base) / 2**20
     finally:
         if not tracing:
@@ -622,12 +630,12 @@ def test_one_chunk_job_keeps_a_small_working_set():
     # A d=4 chunk is realized in two blocks, so its arrays peak under 2 MiB
     # (3.3 and 2.9 MiB in one block); a d=2 chunk is one block, as before.
     d4 = NoiseModel(SPHERE, 1.0, 4)
-    magic = ([(random_state(7, 0), noise.S_BOUNDED, d4, 7, 1000, CHUNK)],
+    magic = ([(random_state(7, 0), noise.S_BOUNDED, d4, 1000)],
              tuple(MAGIC_CONTEXTS.values()))
-    local = ([(BELL_STATE, noise.S_BOUNDED, d4, 7, 200, CHUNK)],
+    local = ([(BELL_STATE, noise.S_BOUNDED, d4, 200)],
              (LOCAL_SETTINGS["A"], LOCAL_SETTINGS["B"]))
-    gaussian = ([(np.array([0.6, 0.8]), 1.0, NoiseModel(GAUSSIAN, 1.0, 2), 7,
-                  0, CHUNK)], (Measurement(np.eye(2)),))
+    gaussian = ([(np.array([0.6, 0.8]), 1.0, NoiseModel(GAUSSIAN, 1.0, 2),
+                  0)], (Measurement(np.eye(2)),))
     assert _peak_mib([magic]) < 2.0
     assert _peak_mib([local]) < 2.0
     assert _peak_mib([gaussian]) <= 1.04
@@ -636,13 +644,13 @@ def test_one_chunk_job_keeps_a_small_working_set():
 def test_tally_chunks_caps_workers_before_any_thread_starts():
     # Each pool's threads live as long as the process, so the library, not
     # only the CLI, refuses more than MAX_WORKERS of them.
-    ensemble = (np.array([1.0, 0.0]), 1.0, NoiseModel(GAUSSIAN, 1.0, 2), 1,
-                0, 2 * CHUNK)
+    ensemble = (np.array([1.0, 0.0]), 1.0, NoiseModel(GAUSSIAN, 1.0, 2), 0)
     tally = ([ensemble], (Measurement(np.eye(2)),))
     threads = threading.active_count()
     with _chunk_draws() as calls:
         with pytest.raises(ValueError, match="workers must be <= 64"):
-            probability.tally_chunks([tally], 1.0, probability.MAX_WORKERS + 1)
+            probability.tally_chunks([tally], 1.0, 1, 2 * CHUNK,
+                                     probability.MAX_WORKERS + 1)
     assert calls == []
     assert threading.active_count() == threads
     assert probability.MAX_WORKERS + 1 not in probability._POOLS
@@ -678,19 +686,20 @@ _SETUPS = st.sampled_from(TALLY_MODELS).flatmap(
 def test_tallies_equal_per_chunk_tallies(setup, other, trials, seed, stream):
     model, measurements = setup
     alpha = np.ones(model.dim) / np.sqrt(model.dim)
-    ensemble = (alpha, 0.5, model, seed, stream, trials)
-    expected = _recount([ensemble], measurements, 1.0)
+    ensemble = (alpha, 0.5, model, stream)
+    expected = _recount([ensemble], measurements, 1.0, seed, trials)
     assert expected.sum() == trials
     for workers in (1, 2):
         with _chunk_draws() as calls:
             [total] = probability.tally_chunks([([ensemble], measurements)],
-                                               1.0, workers)
-        assert _chunk_rows(calls) == _chunk_calls([ensemble])
+                                               1.0, seed, trials, workers)
+        assert _chunk_rows(calls) == _chunk_calls([ensemble], seed, trials)
         assert np.array_equal(total, expected)
     # Axis k's marginal is the tally of measurement k alone.
     for k, m in enumerate(measurements):
         others = tuple(j for j in range(total.ndim) if j != k)
-        [alone] = probability.tally_chunks([([ensemble], (m,))], 1.0)
+        [alone] = probability.tally_chunks([([ensemble], (m,))], 1.0, seed,
+                                           trials)
         assert np.array_equal(total.sum(axis=others), alone)
     # Beside a tally of another shape, on the next stream, in one call: each
     # histogram is its tally's alone.
@@ -698,11 +707,11 @@ def test_tallies_equal_per_chunk_tallies(setup, other, trials, seed, stream):
     if _shape(other_ms) == _shape(measurements):
         other_ms += (Measurement(np.eye(other_model.dim)),)
     beside = ([(np.ones(other_model.dim) / np.sqrt(other_model.dim), 0.5,
-                other_model, seed, stream + 1, CHUNK + 1)], other_ms)
-    [beside_alone] = probability.tally_chunks([beside], 1.0)
+                other_model, stream + 1)], other_ms)
+    [beside_alone] = probability.tally_chunks([beside], 1.0, seed, trials)
     for workers in (1, 2, 3):
         hists = probability.tally_chunks([([ensemble], measurements), beside],
-                                         1.0, workers)
+                                         1.0, seed, trials, workers)
         assert len(hists) == 2
         assert np.array_equal(hists[0], expected)
         assert np.array_equal(hists[1], beside_alone)
@@ -711,18 +720,17 @@ def test_tallies_equal_per_chunk_tallies(setup, other, trials, seed, stream):
 def test_tally_chunks_rejects_empty_ensembles():
     model = NoiseModel(SPHERE, 1.0, 2)
     alpha = np.array([1.0, 0.0])
-    for ensembles in ([], [(alpha, 0.4, model, 3, 7, 10),
-                           (alpha, 0.4, model, 3, 8, 0)]):
+    for ensembles, trials in (([], 10), ([(alpha, 0.4, model, 7),
+                                         (alpha, 0.4, model, 8)], 0)):
         with pytest.raises(ValueError):
             probability.tally_chunks(
-                [(ensembles, (Measurement(np.eye(2)),))], 1.0)
+                [(ensembles, (Measurement(np.eye(2)),))], 1.0, 3, trials)
 
 
 def test_tally_chunks_rejects_no_tally_or_no_measurement_before_drawing():
     # Checked before any job: a pool job would draw noise, then fail on a
     # tuple with no measurement to index.
-    ensemble = (np.array([1.0, 0.0]), 1.0, NoiseModel(GAUSSIAN, 1.0, 2), 1,
-                0, 10)
+    ensemble = (np.array([1.0, 0.0]), 1.0, NoiseModel(GAUSSIAN, 1.0, 2), 0)
     good = ([ensemble], (Measurement(np.eye(2)),))
     cases = [([], "no tally"), ([([ensemble], ())], "1 measurement"),
              ([good, ([ensemble], ())], "1 measurement")]
@@ -730,7 +738,7 @@ def test_tally_chunks_rejects_no_tally_or_no_measurement_before_drawing():
         for workers in (1, 2):
             with _chunk_draws() as calls:
                 with pytest.raises(ValueError, match=message):
-                    probability.tally_chunks(tallies, 1.0, workers)
+                    probability.tally_chunks(tallies, 1.0, 1, 10, workers)
             assert calls == []
 
 
@@ -744,19 +752,20 @@ def test_tally_chunks_rejects_no_tally_or_no_measurement_before_drawing():
     ids=["unnormalized", "negative-s", "dimension", "seed"])
 def test_tally_chunks_checks_every_ensemble_before_any_job(alpha, s, seed,
                                                            error, message):
-    # The first ensemble is valid; a bad signal, dimension or seed in a
-    # later one, of the same tally or of the next, is found before any job
-    # draws.
+    # The first ensemble is valid; a bad signal or dimension in a later one,
+    # of the same tally or of the next, or a bad seed for the call, is found
+    # before any job draws.
     model = NoiseModel(GAUSSIAN, 1.0, 2)
-    good = (np.array([1.0, 0.0]), 1.0, model, 1, 0, 2 * CHUNK)
-    bad = (np.array(alpha), s, model, seed, 1, 10)
+    good = (np.array([1.0, 0.0]), 1.0, model, 0)
+    bad = (np.array(alpha), s, model, 1)
     basis = (Measurement(np.eye(2)),)
     for tallies in ([([good, bad], basis)],
                     [([good], basis), ([good, bad], basis)]):
         for workers in (1, 2):
             with _chunk_draws() as calls:
                 with pytest.raises(ValueError, match=message) as raised:
-                    probability.tally_chunks(tallies, 1.0, workers)
+                    probability.tally_chunks(tallies, 1.0, seed, 2 * CHUNK,
+                                             workers)
             assert type(raised.value) is error
             assert calls == []
 
@@ -765,12 +774,12 @@ def test_tally_chunks_rejects_a_measurement_of_another_dimension():
     # Every measurement of the tuple must match every ensemble's model,
     # not only the first: a 2-dim one would read 2 of 4 columns.
     ensemble = (np.array([0.5, 0.5, 0.5, 0.5]), 0.5,
-                NoiseModel(SPHERE, 1.0, 4), 1, 0, 100)
+                NoiseModel(SPHERE, 1.0, 4), 0)
     with pytest.raises(ValueError, match="measurement of dimension 2 on a "
                                          "noise model of dimension 4"):
         probability.tally_chunks(
             [([ensemble], (LOCAL_SETTINGS["A"], Measurement(np.eye(2))))],
-            1.3)
+            1.3, 1, 100)
 
 
 def test_tally_chunks_loses_no_job_under_thread_switches():
@@ -779,18 +788,18 @@ def test_tally_chunks_loses_no_job_under_thread_switches():
     # 46 656 cells) into its tally's shared total, so a lost update would
     # leave a total short of its trials.
     model = NoiseModel(SPHERE, 1.0, 4)
-    ensembles = [(np.array([0.5, 0.5, 0.5, 0.5]), 0.5, model, 9, stream, 1)
+    ensembles = [(np.array([0.5, 0.5, 0.5, 0.5]), 0.5, model, stream)
                  for stream in range(96)]
     contexts = tuple(MAGIC_CONTEXTS.values())
     tallies = [(ensembles[:48], contexts), (ensembles[48:80], contexts[:5]),
                (ensembles[80:], contexts[5:])]
-    expected = probability.tally_chunks(tallies, 1.0)
+    expected = probability.tally_chunks(tallies, 1.0, 9, 1)
     assert [h.sum() for h in expected] == [48, 32, 16]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         for _ in range(10):
-            hists = probability.tally_chunks(tallies, 1.0, 5)
+            hists = probability.tally_chunks(tallies, 1.0, 9, 1, 5)
             assert all(np.array_equal(h, e) for h, e in zip(hists, expected))
     finally:
         sys.setswitchinterval(interval)
@@ -923,7 +932,7 @@ def test_tally_chunks_runs_openblas_on_one_thread(workers, monkeypatch):
     alpha = np.array([0.5, 0.5, 0.5, 0.5])
     u = np.linalg.qr(np.arange(16.0).reshape(4, 4) + np.eye(4))[0]
     [total] = probability.tally_chunks(
-        [([(alpha, 0.5, model, 3, 0, 2 * CHUNK)], (Measurement(u),))], 1.0,
+        [([(alpha, 0.5, model, 0)], (Measurement(u),))], 1.0, 3, 2 * CHUNK,
         workers)
     assert total.sum() == 2 * CHUNK
     assert [getter() for _, getter in libs] == [1] * len(libs)
