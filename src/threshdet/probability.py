@@ -13,6 +13,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -29,7 +30,7 @@ class DetectionStats:
     """Shifted-code histogram of one measurement (see ``detection``): cell 0
     counts multiple detections, cell 1 none, cell 2 + n single detections of
     group n.  ``values``, a ``Measurement.values``, weights ``mean``.  The
-    cells of an exact record are probabilities (see ``exact_hist``), so its
+    cells of an exact record are probabilities (see ``exact_hists``), so its
     counts are floats where a Monte Carlo record's are ints."""
 
     hist: np.ndarray
@@ -257,34 +258,14 @@ def map_chunks(fn, jobs, workers: int = 1) -> list:
     return results
 
 
-def tally_chunks(tallies, gamma: float, seed: int, trials: int,
-                 workers: int = 1) -> list[np.ndarray]:
-    """Per tally ``(ensembles, measurements)``, in order, the joint histogram
-    of the measurements' shifted codes (see ``detection``), from one pool map.
-
-    An ensemble is ``(alpha, s, model, stream)``, sampled at the call's
-    ``seed`` for ``trials`` trials, cut into chunks of ``CHUNK``, one pool
-    job each.  The seed, the trial count, ``workers`` (at most
-    ``MAX_WORKERS``) and every ensemble's signal and dimension are checked
-    once, before any job runs.  A job takes its chunk's generator,
-    ``noise.chunk_rng``, and realizes the chunk from it in consecutive
-    blocks of at most ``BLOCK`` amplitudes, which join into the chunk's
-    one-block draw bit for bit.  It detects every measurement of its
-    tally on each block, folds each row's cell into one array for the chunk
-    and bincounts it once.  By tracemalloc, a job peaks at about 1 MB for a
-    Gaussian d=2 chunk and under 2 MB for a magic-square chunk (six
-    contexts).  Cell (x_1, ..., x_K) counts the trials of all the tally's
-    ensembles where measurement k gave shifted code x_k, so the shape is
-    (G_1 + 2, ..., G_K + 2) for measurements of G_k groups.
-    """
+def _checked_tallies(tallies, gamma: float) -> list:
+    """Check gamma and a tally list in ``tally_chunks``'s format, as both it
+    and ``exact_hists`` do first, and return the list copied as ``(list of
+    ensembles, tuple of measurements)`` pairs, each ensemble ``(alpha, s,
+    model, stream)`` with its checked signal s·alpha appended."""
+    detection.check_gamma(gamma)
     tallies = [(list(ensembles), tuple(measurements))
                for ensembles, measurements in tallies]
-    detection.check_gamma(gamma)
-    seed = noise.check_seed(seed)
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
-    if workers > MAX_WORKERS:
-        raise ValueError(f"workers must be <= {MAX_WORKERS}")
     if not tallies:
         raise ValueError("no tally to make")
     for ensembles, measurements in tallies:
@@ -301,8 +282,39 @@ def tally_chunks(tallies, gamma: float, seed: int, trials: int,
                 if m.dim != model.dim:
                     raise ValueError(f"measurement of dimension {m.dim} on a "
                                      f"noise model of dimension {model.dim}")
-            # The copied list now holds the checked signal in place of alpha.
-            ensembles[i] = (sa, model, stream)
+            ensembles[i] = (alpha, s, model, stream, sa)
+    return tallies
+
+
+def tally_chunks(tallies, gamma: float, seed: int, trials: int,
+                 workers: int = 1) -> list[np.ndarray]:
+    """Per tally ``(ensembles, measurements)``, in order, the joint histogram
+    of the measurements' shifted codes (see ``detection``), from one pool map.
+
+    An ensemble is ``(alpha, s, model, stream)``, sampled at the call's
+    ``seed`` for ``trials`` trials, cut into chunks of ``CHUNK``, one pool
+    job each.  The tally list (as ``exact_hists`` checks it), the seed, the
+    trial count and ``workers`` (from 1 to ``MAX_WORKERS``) are checked
+    once, before any job runs.  A job takes its chunk's generator,
+    ``noise.chunk_rng``, and realizes the chunk from it in consecutive
+    blocks of at most ``BLOCK`` amplitudes, which join into the chunk's
+    one-block draw bit for bit.  It detects every measurement of its
+    tally on each block, folds each row's cell into one array for the chunk
+    and bincounts it once.  By tracemalloc, a job peaks at about 1 MB for a
+    Gaussian d=2 chunk and under 2 MB for a magic-square chunk (six
+    contexts).  Cell (x_1, ..., x_K) counts the trials of all the tally's
+    ensembles where measurement k gave shifted code x_k, so the shape is
+    (G_1 + 2, ..., G_K + 2) for measurements of G_k groups.
+    """
+    tallies = _checked_tallies(tallies, gamma)
+    seed = noise.check_seed(seed)
+    trials, workers = operator.index(trials), operator.index(workers)
+    if trials < 1:
+        raise ValueError("trials must be at least 1")
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
+    if workers > MAX_WORKERS:
+        raise ValueError(f"workers must be <= {MAX_WORKERS}")
     totals = [np.zeros([len(m.groups) + 2 for m in measurements], np.int64)
               for _, measurements in tallies]
     lock = threading.Lock()
@@ -314,7 +326,7 @@ def tally_chunks(tallies, gamma: float, seed: int, trials: int,
     def run(job):
         t, i, chunk, rows = job
         (ensembles, measurements), total = tallies[t], totals[t]
-        sa, model, stream = ensembles[i]
+        _, _, model, stream, sa = ensembles[i]
         rng = noise.chunk_rng(seed, stream, chunk)
         step = max(1, BLOCK // model.dim)
         cells = []
@@ -352,8 +364,8 @@ def estimate(alpha, s: float, model: NoiseModel, gamma: float, trials: int,
 def record(alpha, s: float, model: NoiseModel, gamma: float, hists_of,
            measurement: Measurement | None = None,
            stream: int = 0) -> DetectionStats:
-    """``estimate``'s record over ``hists_of(tallies, gamma)``: over
-    ``tally_chunks`` at a seed and trial count, or over ``exact_hists``."""
+    """``estimate``'s record over ``hists_of(tallies, gamma)``, either
+    ``tally_chunks`` at a seed and trial count or ``exact_hists``."""
     m = Measurement(np.eye(model.dim)) if measurement is None else measurement
     [hist] = hists_of([([(alpha, s, model, stream)], (m,))], gamma)
     return DetectionStats(hist, m.values)
@@ -474,35 +486,22 @@ class NoExactLaw(ValueError):
     """No exact law is known for the cells of a tally."""
 
 
-def exact_hist(alpha, s: float, model: NoiseModel, measurements,
-               gamma: float) -> np.ndarray:
-    """The probabilities of the cells of a tally of ``measurements`` on
-    s·alpha + w, in the shape and order of ``tally_chunks``'s histogram.
-    So far the law is known for one measurement of singleton groups under
-    Gaussian noise: ``detection_probs`` of U†alpha, since U†w is again
-    i.i.d. Gaussian.  Any other tally raises NoExactLaw."""
-    [m, *more] = measurements
-    if model.kind != noise.GAUSSIAN or more or not m.singletons:
-        raise NoExactLaw("an exact law is known only for one measurement of "
-                         "singleton groups under Gaussian noise")
-    if m.dim != model.dim:
-        raise ValueError(f"measurement of dimension {m.dim} on a noise model "
-                         f"of dimension {model.dim}")
-    return detection_probs(np.asarray(alpha) @ np.conj(m.unitary), s,
-                           model.sigma, gamma)
-
-
 def exact_hists(tallies, gamma: float) -> list[np.ndarray]:
-    """``exact_hist`` of each tally of one ensemble, given in the format of
-    ``tally_chunks``; the stream does not enter.  Bounded noise has no
-    exact law yet: there one measurement of singleton groups has the Born
-    values |U†alpha|², which the model is claimed to give, as its single
-    detections."""
+    """Per tally of ``tally_chunks``'s format, checked as it checks one, the
+    probabilities of its histogram's cells in the same shape and order; the
+    stream does not enter.  A law is known so far for one ensemble and one
+    measurement of singleton groups: ``detection_probs`` of U†alpha under
+    Gaussian noise, as U†w is again i.i.d. Gaussian, and, as bounded noise
+    has no exact law yet, the Born values |U†alpha|² that the model is
+    claimed to give, as single detections.  Other tallies raise NoExactLaw."""
     hists = []
-    for [(alpha, s, model, _)], (m, *more) in tallies:
-        if model.kind != noise.GAUSSIAN and m.singletons and not more:
-            beta = noise.signal(alpha, 1.0) @ np.conj(m.unitary)
-            hists.append(np.r_[0.0, 0.0, np.abs(beta) ** 2])
-        else:
-            hists.append(exact_hist(alpha, s, model, (m, *more), gamma))
+    for ensembles, (m, *more) in _checked_tallies(tallies, gamma):
+        if more or len(ensembles) > 1 or not m.singletons:
+            raise NoExactLaw("an exact law is known only for one ensemble "
+                             "and one measurement of singleton groups")
+        [(alpha, s, model, _, _)] = ensembles
+        beta = np.asarray(alpha) @ np.conj(m.unitary)
+        hists.append(detection_probs(beta, s, model.sigma, gamma)
+                     if model.kind == noise.GAUSSIAN
+                     else np.r_[0.0, 0.0, np.abs(beta) ** 2])
     return hists

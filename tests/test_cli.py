@@ -284,16 +284,16 @@ def test_check_fails_when_one_exact_cell_is_off(name, monkeypatch, capsys):
     # exact record gives 0.
     argv = [*RESOLVING_RUNS[name], "--check"]
     assert run(argv) == 0
-    exact_hist, calls = probability.exact_hist, []
+    calls = []
 
     def off(*args):
-        hist = exact_hist(*args)
+        hists = exact_hists(*args)
         if not calls:
-            hist[2] += EXACT_SHIFT
+            hists[0][2] += EXACT_SHIFT
         calls.append(args)
-        return hist
+        return hists
 
-    monkeypatch.setattr(probability, "exact_hist", off)
+    monkeypatch.setattr(probability, "exact_hists", off)
     assert run(argv) == 2
     assert calls
     assert "check failed" in capsys.readouterr().err

@@ -34,7 +34,7 @@ from threshdet.experiments import (BELL_STATE, CHSH_JOINT_PARAMS,
 from threshdet.linalg import PAULI_SPECS, H, Measurement
 from threshdet.noise import CHUNK, GAUSSIAN, SPHERE, NoiseModel
 from threshdet.probability import (DetectionStats, NoExactLaw,
-                                   detection_probs, estimate, exact_hist,
+                                   detection_probs, estimate, exact_hists,
                                    marcum_q1, single_detection_probs)
 
 SQRT2 = np.sqrt(2.0)
@@ -419,11 +419,10 @@ def test_exact_hist_has_the_cells_of_the_monte_carlo_histogram(name):
     # Same shape and cell order as tally_chunks: at 2^16 trials every
     # frequency lies within 5 standard errors of its exact cell.
     alpha, s, m, gamma = EXACT_TALLIES[name]
-    model = NoiseModel(GAUSSIAN, 1.0, m.dim)
-    exact = exact_hist(alpha, s, model, (m,), gamma)
+    tally = ([(alpha, s, NoiseModel(GAUSSIAN, 1.0, m.dim), 0)], (m,))
+    [exact] = exact_hists([tally], gamma)
     trials = 1 << 16
-    [counts] = probability.tally_chunks(
-        [([(alpha, s, model, 0)], (m,))], gamma, 7, trials)
+    [counts] = probability.tally_chunks([tally], gamma, 7, trials)
     assert exact.shape == counts.shape
     assert (exact >= 0).all()
     assert exact.sum() == pytest.approx(1.0, abs=1e-12)
@@ -432,16 +431,18 @@ def test_exact_hist_has_the_cells_of_the_monte_carlo_histogram(name):
 
 
 def test_exact_hist_raises_where_no_exact_law_is_known():
+    # Bounded noise gives the Born cells, which test_cli.py pins in
+    # test_exact_records_give_the_oracle_under_gaussian_noise_and_born_otherwise.
     gaussian, basis = NoiseModel(GAUSSIAN, 1.0, 4), Measurement(np.eye(4))
-    for model, measurements in [
-            (NoiseModel(SPHERE, 1.0, 4), (basis,)),  # bounded noise
-            (gaussian, (LOCAL_SETTINGS["A"],)),  # subspace groups
-            (gaussian, (basis, JOINT_OBSERVABLES["AB"]))]:  # two
+    bell = (BELL_STATE, SQRT2 - 1.0, gaussian, 0)
+    for tally in [([bell], (LOCAL_SETTINGS["A"],)),  # subspace groups
+                  ([bell], (basis, JOINT_OBSERVABLES["AB"])),  # two
+                  ([bell, (BELL_STATE, 0.5, gaussian, 1)], (basis,))]:
         with pytest.raises(NoExactLaw):
-            exact_hist(BELL_STATE, SQRT2 - 1.0, model, measurements, 1.0)
+            exact_hists([tally], 1.0)
     with pytest.raises(ValueError, match="dimension 2 on a noise model"):
-        exact_hist(np.array([1.0, 0.0]), 1.0, gaussian,
-                   (Measurement(np.eye(2)),), 1.0)
+        exact_hists([([(np.array([0.5, 0.5, 0.5, 0.5]), 1.0, gaussian, 0)],
+                      (Measurement(np.eye(2)),))], 1.0)
 
 
 @pytest.mark.parametrize("trials, gamma", [(0, 1.0), (10, -1.0)])
@@ -656,6 +657,24 @@ def test_tally_chunks_caps_workers_before_any_thread_starts():
     assert probability.MAX_WORKERS + 1 not in probability._POOLS
 
 
+@pytest.mark.parametrize("trials, workers, error, message", [
+    (2 * CHUNK, 0, ValueError, "workers must be >= 1"),
+    (2 * CHUNK, -1, ValueError, "workers must be >= 1"),
+    (2 * CHUNK, 2.5, TypeError, "'float' object cannot be interpreted"),
+    (2.5, 1, TypeError, "'float' object cannot be interpreted")],
+    ids=["0-workers", "-1-workers", "2.5-workers", "2.5-trials"])
+def test_tally_chunks_refuses_a_count_that_is_not_a_positive_int(
+        trials, workers, error, message):
+    # The library refuses, before any draw, a count the CLI would not pass:
+    # no worker count below 1 runs serially, and no float is truncated.
+    ensemble = (np.array([1.0, 0.0]), 1.0, NoiseModel(GAUSSIAN, 1.0, 2), 0)
+    with _chunk_draws() as calls:
+        with pytest.raises(error, match=message):
+            probability.tally_chunks([([ensemble], (Measurement(np.eye(2)),))],
+                                     1.0, 1, trials, workers)
+    assert calls == []
+
+
 # Every noise family, at each dimension the workloads use.
 TALLY_MODELS = (
     NoiseModel(GAUSSIAN, 1.0, 2),
@@ -780,6 +799,41 @@ def test_tally_chunks_rejects_a_measurement_of_another_dimension():
         probability.tally_chunks(
             [([ensemble], (LOCAL_SETTINGS["A"], Measurement(np.eye(2))))],
             1.3, 1, 100)
+
+
+def _refused_tallies(model):
+    """Tally lists and gammas that a law must refuse, one per check of
+    ``tally_chunks`` on the tally list, on ``model`` of dimension 2."""
+    good = (np.array([1.0, 0.0]), 1.0, model, 0)
+    basis = (Measurement(np.eye(2)),)
+    other = NoiseModel(model.kind, 1.0, 4)
+    return {
+        "no-tally": ([], 1.0),
+        "no-measurement": ([([good], ())], 1.0),
+        "no-ensemble": ([([], basis)], 1.0),
+        "unnormalized": ([([(np.array([1.0, 1.0]), 1.0, model, 0)], basis)],
+                         1.0),
+        "negative-s": ([([(np.array([1.0, 0.0]), -1.0, model, 0)], basis)],
+                       1.0),
+        "state-dimension": ([([(np.full(4, 0.5), 1.0, model, 0)], basis)],
+                            1.0),
+        "measurement-dimension": ([([(np.full(4, 0.5), 1.0, other, 0)],
+                                    basis)], 1.0),
+        "negative-gamma": ([([good], basis)], -5.0),
+        "nan-gamma": ([([good], basis)], np.nan),
+    }
+
+
+@pytest.mark.parametrize("kind", [SPHERE, GAUSSIAN])
+@pytest.mark.parametrize("case", _refused_tallies(NoiseModel(SPHERE, 1.0, 2)))
+def test_both_laws_refuse_the_same_tally_lists(kind, case):
+    tallies, gamma = _refused_tallies(NoiseModel(kind, 1.0, 2))[case]
+    with pytest.raises(Exception) as sampled:
+        probability.tally_chunks(tallies, gamma, 1, 10)
+    with pytest.raises(Exception) as exact:
+        exact_hists(tallies, gamma)
+    assert type(exact.value) is type(sampled.value)
+    assert str(exact.value) == str(sampled.value)
 
 
 def test_tally_chunks_loses_no_job_under_thread_switches():
