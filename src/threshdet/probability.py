@@ -95,32 +95,25 @@ class DetectionStats:
         return 1.0 / np.sqrt(self.n_detected) if self.n_detected else np.inf
 
 
-# One thread pool per worker count, created on first use and kept for the
-# life of the process, so repeated runs do not start threads again.  A pool
-# per run instead added 3.5 MB to the chsh and magic-square benchmarks' peak
-# RSS, as each run's new threads took new malloc arenas.  The calling thread
-# is one of a map's workers, so the pool of W workers holds W - 1 threads.
-# Since threads are kept, ``tally_chunks`` caps the worker count.
-MAX_WORKERS = 64
-_POOLS: dict[int, ThreadPoolExecutor] = {}
-_POOLS_LOCK = threading.Lock()
-
 # Amplitudes a chunk job realizes at once: 512 KiB of complex values, so a
 # d=4 chunk is two blocks and a d=1 or d=2 chunk one.  Half of it saved chsh
 # 4 MB more of peak RSS but cost 18% of its wall time: every block makes its
 # own numpy calls, and the pool threads contend for the GIL between them.
 BLOCK = 1 << 15
 
-
-def _pool(workers: int) -> ThreadPoolExecutor:
-    """The shared pool of ``workers - 1`` helper threads, for ``workers``
-    of at least 2: the thread that maps is the other worker."""
-    with _POOLS_LOCK:
-        pool = _POOLS.get(workers)
-        if pool is None:
-            pool = _POOLS[workers] = ThreadPoolExecutor(
-                max_workers=workers - 1, thread_name_prefix="threshdet-chunk")
-        return pool
+# A map of W workers is the calling thread and W - 1 helpers from the one
+# pool below.  The pool starts a thread only when a map submits more helpers
+# than it has idle ones, and keeps it for the life of the process, so later
+# maps of any worker count reuse it: a pool per run instead added 3.5 MB to
+# the chsh and magic-square benchmarks' peak RSS, as each run's new threads
+# took new malloc arenas.  So the pool holds about as many threads as maps
+# ever used at once, and never more than MAX_WORKERS - 1.  (A helper counts
+# as idle just after its result is in, so a map that starts in that moment
+# can, rarely, start one more.)  Since threads are kept, ``map_chunks`` caps
+# the worker count.
+MAX_WORKERS = 64
+_HELPERS = ThreadPoolExecutor(max_workers=MAX_WORKERS - 1,
+                              thread_name_prefix="threshdet-chunk")
 
 
 # Thread-count setters of OpenBLAS builds, tried in this order.
@@ -205,23 +198,29 @@ def _reuse_freed_memory() -> None:
 
 def map_chunks(fn, jobs, workers: int = 1) -> list:
     """Apply a chunk worker to all jobs on ``workers`` threads, the calling
-    thread and ``workers - 1`` helpers from the shared pool (see ``_pool``).
+    thread and ``workers - 1`` helpers from the shared pool ``_HELPERS``.
 
-    The chunk kernel spends its time in numpy's random fills, ufuncs and
-    BLAS calls, which release the GIL, so chunks run concurrently on threads;
-    BLAS itself runs single-threaded (see ``_single_thread_blas``), and
-    freed memory stays in the heap (see ``_reuse_freed_memory``).  Each
-    worker takes the next job index from one counter until none is left,
-    so the calling thread works instead of waiting, the map grows one
-    malloc arena fewer, and a map of one worker or one job starts no
-    thread.  Results come back in job order.  After a job raises, no job
-    starts; the error is raised once every helper has stopped.
-    ``tally_chunks`` maps every job of a run in one call; its jobs return
-    nothing and add their integer histograms into their tally's total, so
-    its result is the same for any worker count.  Each job holds at most
-    ``BLOCK`` amplitudes and their derived arrays at a time, so the working
-    set is about ``workers`` such blocks.
+    ``workers``, an integer from 1 to ``MAX_WORKERS``, is checked before
+    anything runs.  The chunk kernel spends its time in numpy's random
+    fills, ufuncs and BLAS calls, which release the GIL, so chunks run
+    concurrently on threads; BLAS itself runs single-threaded (see
+    ``_single_thread_blas``), and freed memory stays in the heap (see
+    ``_reuse_freed_memory``).  Each worker takes the next job index from
+    one counter until none is left, so the calling thread works instead of
+    waiting, the map grows one malloc arena fewer, and a map of one worker
+    or one job starts no thread.  Results come back in job order.  After a
+    job raises, no job starts; the error is raised once every helper has
+    stopped.  ``tally_chunks`` maps every job of a run in one call; its
+    jobs return nothing and add their integer histograms into their tally's
+    total, so its result is the same for any worker count.  Each job holds
+    at most ``BLOCK`` amplitudes and their derived arrays at a time, so the
+    working set is about ``workers`` such blocks.
     """
+    workers = operator.index(workers)
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
+    if workers > MAX_WORKERS:
+        raise ValueError(f"workers must be <= {MAX_WORKERS}")
     _single_thread_blas()
     _reuse_freed_memory()
     jobs = list(jobs)
@@ -247,12 +246,12 @@ def map_chunks(fn, jobs, workers: int = 1) -> list:
                 return
 
     helpers = min(workers, len(jobs)) - 1
-    futures = ([_pool(workers).submit(work) for _ in range(helpers)]
-               if helpers > 0 else [])
+    futures = [_HELPERS.submit(work) for _ in range(helpers)]
     work()
+    # Even a helper that starts after the last job is waited for: one left
+    # queued would not count as idle, and the next map would start a thread.
     for future in futures:
-        if not future.cancel():  # one not started has no job left to take
-            future.result()
+        future.result()
     if errors:
         raise errors[0]
     return results
@@ -293,9 +292,9 @@ def tally_chunks(tallies, gamma: float, seed: int, trials: int,
 
     An ensemble is ``(alpha, s, model, stream)``, sampled at the call's
     ``seed`` for ``trials`` trials, cut into chunks of ``CHUNK``, one pool
-    job each.  The tally list (as ``exact_hists`` checks it), the seed, the
-    trial count and ``workers`` (from 1 to ``MAX_WORKERS``) are checked
-    once, before any job runs.  A job takes its chunk's generator,
+    job each.  The tally list (as ``exact_hists`` checks it), the seed and
+    the trial count are checked once, and ``workers`` by ``map_chunks``,
+    before any job runs.  A job takes its chunk's generator,
     ``noise.chunk_rng``, and realizes the chunk from it in consecutive
     blocks of at most ``BLOCK`` amplitudes, which join into the chunk's
     one-block draw bit for bit.  It detects every measurement of its
@@ -308,13 +307,9 @@ def tally_chunks(tallies, gamma: float, seed: int, trials: int,
     """
     tallies = _checked_tallies(tallies, gamma)
     seed = noise.check_seed(seed)
-    trials, workers = operator.index(trials), operator.index(workers)
+    trials = operator.index(trials)
     if trials < 1:
         raise ValueError("trials must be at least 1")
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
-    if workers > MAX_WORKERS:
-        raise ValueError(f"workers must be <= {MAX_WORKERS}")
     totals = [np.zeros([len(m.groups) + 2 for m in measurements], np.int64)
               for _, measurements in tallies]
     lock = threading.Lock()

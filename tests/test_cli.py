@@ -299,6 +299,29 @@ def test_check_fails_when_one_exact_cell_is_off(name, monkeypatch, capsys):
     assert "check failed" in capsys.readouterr().err
 
 
+def test_oracle_prints_the_exact_record_it_checks(tmp_path, monkeypatch):
+    # The analytic column is read off the one exact record that --check
+    # expects, so a shifted record shows in it.
+    out = tmp_path / "oracle.json"
+    argv = ["oracle", "--alpha", "0.8,0.6", "--s", "1", "--gamma", "3",
+            "--format", "json", "--output", str(out)]
+
+    def analytic():
+        assert run(argv) == 0
+        [table] = json.loads(out.read_text())["tables"]
+        return [row["analytic_raw"] for row in table["rows"]]
+
+    true = analytic()
+
+    def off(*args):
+        hists = exact_hists(*args)
+        hists[0][2] += EXACT_SHIFT
+        return hists
+
+    monkeypatch.setattr(probability, "exact_hists", off)
+    assert analytic() == [true[0] + EXACT_SHIFT, true[1]]
+
+
 def test_two_dim_check(capsys):
     assert run(["two-dim", "--trials", TRIALS, "--check"]) == 0
 

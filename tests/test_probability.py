@@ -643,8 +643,8 @@ def test_one_chunk_job_keeps_a_small_working_set():
 
 
 def test_tally_chunks_caps_workers_before_any_thread_starts():
-    # Each pool's threads live as long as the process, so the library, not
-    # only the CLI, refuses more than MAX_WORKERS of them.
+    # The pool's threads live as long as the process, so the library, not
+    # only the CLI, refuses more than MAX_WORKERS workers.
     ensemble = (np.array([1.0, 0.0]), 1.0, NoiseModel(GAUSSIAN, 1.0, 2), 0)
     tally = ([ensemble], (Measurement(np.eye(2)),))
     threads = threading.active_count()
@@ -654,7 +654,6 @@ def test_tally_chunks_caps_workers_before_any_thread_starts():
                                      probability.MAX_WORKERS + 1)
     assert calls == []
     assert threading.active_count() == threads
-    assert probability.MAX_WORKERS + 1 not in probability._POOLS
 
 
 @pytest.mark.parametrize("trials, workers, error, message", [
@@ -899,13 +898,58 @@ def test_map_chunks_runs_jobs_on_the_calling_thread():
 
 
 def test_map_chunks_of_w_workers_adds_at_most_w_minus_1_threads():
-    # 7 workers is a count no other test maps with, so its pool is new
-    # here; 21 slow jobs keep every worker busy.
-    threads = threading.active_count()
+    # 21 slow jobs keep every worker busy: the caller and at most 6 helpers
+    # run them, however many idle helpers the pool already holds.
+    def job(x):
+        return _slow_square(x), threading.get_ident()
+
     jobs = [x % 8 for x in range(21)]
-    assert probability.map_chunks(_slow_square, jobs, 7) == \
+    results = probability.map_chunks(job, jobs, 7)
+    assert [y for y, _ in results] == [x * x for x in jobs]
+    assert 1 < len({ident for _, ident in results}) <= 7
+
+
+@pytest.mark.parametrize("workers, error, message", [
+    (0, ValueError, "workers must be >= 1"),
+    (-3, ValueError, "workers must be >= 1"),
+    (2.5, TypeError, "'float' object cannot be interpreted"),
+    (65, ValueError, "workers must be <= 64")])
+def test_map_chunks_refuses_a_worker_count_before_any_job(workers, error,
+                                                          message):
+    calls = []
+    threads = threading.active_count()
+    with pytest.raises(error, match=message):
+        probability.map_chunks(calls.append, range(4), workers)
+    assert calls == []
+    assert threading.active_count() == threads
+
+
+def test_a_narrower_map_reuses_the_helpers_of_a_wider_one():
+    # 11 and 10 are counts no other test maps with.  One pool serves every
+    # worker count, so the 10-worker map finds 9 idle helpers.
+    jobs = [x % 8 for x in range(22)]
+    assert probability.map_chunks(_slow_square, jobs, 11) == \
         [x * x for x in jobs]
-    assert 1 < threading.active_count() - threads <= 6
+    time.sleep(0.05)  # each helper marks itself idle after its last job
+    threads = threading.active_count()
+    assert probability.map_chunks(_slow_square, jobs, 10) == \
+        [x * x for x in jobs]
+    assert threading.active_count() == threads
+
+
+def test_back_to_back_maps_of_instant_jobs_reuse_idle_helpers():
+    # The caller often runs every instant job before a helper starts; it
+    # still waits for that helper, which so counts as idle again before the
+    # next map submits.  Cancelled instead, such a helper stayed queued,
+    # and these maps started about 30 threads.  One may start: a helper
+    # counts as idle only just after its result is in.
+    for _ in range(2):  # the pool now holds at least 3 idle helpers
+        probability.map_chunks(abs, range(8), 4)
+        time.sleep(0.05)
+    threads = threading.active_count()
+    for _ in range(200):
+        assert probability.map_chunks(abs, range(-2, 2), 4) == [2, 1, 0, 1]
+    assert threading.active_count() <= threads + 1
 
 
 def test_map_chunks_starts_no_job_after_one_raises_and_waits_for_helpers():
@@ -933,9 +977,9 @@ def test_map_chunks_starts_no_job_after_one_raises_and_waits_for_helpers():
 
 
 def test_concurrent_callers_share_one_pool_and_agree(monkeypatch):
-    # Six callers race to create and use the 5-worker pool with frequent
-    # thread switches; each must get the serial tallies, and a second pool
-    # created in the race would leave more than 5 extra threads behind.
+    # Six callers map at 5 workers at once, with frequent thread switches;
+    # each must get the serial tallies.  Each call has 3 chunks, so it
+    # submits 2 helpers, and the pool starts at most 12 threads for them.
     # They are also the first callers to set BLAS to one thread.
     model = NoiseModel(SPHERE, 1.0, 2)
     alpha = np.array([1.0, 0.0])
@@ -953,8 +997,12 @@ def test_concurrent_callers_share_one_pool_and_agree(monkeypatch):
     finally:
         sys.setswitchinterval(interval)
     assert all(np.array_equal(r.counts, expected) for r in results)
-    assert threading.active_count() <= threads + 5
+    assert threading.active_count() <= threads + 6 * 2
     assert probability._blas_single_threaded
+    time.sleep(0.05)  # each helper marks itself idle after its last job
+    threads = threading.active_count()
+    assert np.array_equal(estimate(*args, workers=5).counts, expected)
+    assert threading.active_count() == threads
 
 
 def _openblas_thread_controls():
