@@ -352,11 +352,6 @@ def _cmd_two_dim(args) -> None:
 
 def _cmd_oracle(args) -> None:
     alpha = parse_alpha(args.alpha, args.normalize)
-    # NoiseModel refuses a subnormal sigma; the oracle names it too small
-    # for its law, as it does one whose s/sigma or gamma/sigma overflows.
-    if 0 < args.sigma < np.finfo(float).tiny:
-        raise ValueError(f"sigma={args.sigma} is too small for the analytic "
-                         "oracle")
     model = NoiseModel(noise.GAUSSIAN, args.sigma, alpha.shape[0])
     exact = probability.record(alpha, args.s, model, args.gamma,
                                probability.exact_hists)

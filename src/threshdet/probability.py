@@ -14,6 +14,7 @@ import functools
 import itertools
 import math
 import operator
+import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -120,47 +121,6 @@ _HELPERS = ThreadPoolExecutor(max_workers=MAX_WORKERS - 1,
 _OPENBLAS_SETTERS = ("scipy_openblas_set_num_threads64_",
                      "scipy_openblas_set_num_threads",
                      "openblas_set_num_threads64_", "openblas_set_num_threads")
-_BLAS_LOCK = threading.Lock()
-_blas_single_threaded = False
-
-
-def _loaded_openblas() -> list[str]:
-    """Paths of the OpenBLAS shared objects mapped into this process."""
-    try:
-        with open("/proc/self/maps") as maps:
-            paths = {line.split(maxsplit=5)[-1].strip() for line in maps}
-    except OSError:  # no /proc: not Linux
-        return []
-    return sorted(p for p in paths if "openblas" in p.rsplit("/", 1)[-1])
-
-
-def _single_thread_blas() -> None:
-    """Run every loaded OpenBLAS on one thread, once per process.
-
-    The chunk pool is threshdet's only parallelism.  Every BLAS call it makes
-    has at most 4 columns, too little work for BLAS threads to pay for
-    themselves, yet OpenBLAS starts them and they compete with the chunk
-    threads for the cores.  Found through the memory maps, so it works however
-    early numpy was imported; without OpenBLAS, or off Linux, it does nothing.
-    """
-    global _blas_single_threaded
-    with _BLAS_LOCK:
-        if _blas_single_threaded:
-            return
-        _blas_single_threaded = True
-        import ctypes  # deferred: only Monte Carlo runs need it
-
-        for path in _loaded_openblas():
-            try:
-                lib = ctypes.CDLL(path)
-            except OSError:  # a mapping whose file is gone
-                continue
-            name = next((n for n in _OPENBLAS_SETTERS if hasattr(lib, n)), "")
-            if name:
-                setter = getattr(lib, name)
-                setter.argtypes, setter.restype = [ctypes.c_int], None
-                setter(1)
-
 
 # glibc mallopt parameters and the values set for them: the largest values
 # glibc's own adaptive rule raises them to on 64-bit systems.
@@ -169,20 +129,54 @@ _MMAP_THRESHOLD = 32 << 20
 _TRIM_THRESHOLD = 2 * _MMAP_THRESHOLD
 
 
+def _loaded_openblas() -> list[str]:
+    """Paths of the OpenBLAS shared objects mapped into this process.  The
+    maps are read as bytes, so a mapped file whose name is not UTF-8 is
+    decoded with surrogate escapes like any other file name."""
+    try:
+        with open("/proc/self/maps", "rb") as maps:
+            paths = {os.fsdecode(line.split(maxsplit=5)[-1].strip())
+                     for line in maps}
+    except OSError:  # no /proc: not Linux
+        return []
+    return sorted(p for p in paths if "openblas" in p.rsplit("/", 1)[-1])
+
+
 @functools.cache
-def _reuse_freed_memory() -> None:
-    """Keep freed chunk temporaries in the heap, once per process.
+def _tune_process() -> None:
+    """Run every loaded OpenBLAS on one thread, then keep freed chunk
+    temporaries in the heap: the process setup of every chunk map.
+
+    The chunk pool is threshdet's only parallelism.  Every BLAS call it makes
+    has at most 4 columns, too little work for BLAS threads to pay for
+    themselves, yet OpenBLAS starts them and they compete with the chunk
+    threads for the cores.  Each OpenBLAS is found through the memory maps,
+    so this works however early numpy was imported.
 
     Every chunk allocates and frees arrays of up to 1 MiB.  Under glibc's
     starting thresholds such an array is a fresh mmap, or the heap top it was
     freed into is returned to the kernel, so the next chunk faults in zeroed
     pages again.  A warm two-worker ``chsh-joint --trials 262144`` run took
     18 000 to 44 000 page faults, 300 to 700 per 16 384-row chunk and about
-    a fifth of its time, against 16 with these settings.  Without
-    ``mallopt`` (not glibc) nothing is set.
+    a fifth of its time, against 16 with these settings.
+
+    Without OpenBLAS, or off Linux, no BLAS is set; without ``mallopt`` (not
+    glibc), no threshold.  The cache keeps a call only once it has returned,
+    so a setup that raised runs again on the next map, and two first maps at
+    once may both run it, which is harmless: both settings are idempotent.
     """
     import ctypes  # deferred: only Monte Carlo runs need it
 
+    for path in _loaded_openblas():
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:  # a mapping whose file is gone
+            continue
+        name = next((n for n in _OPENBLAS_SETTERS if hasattr(lib, n)), "")
+        if name:
+            setter = getattr(lib, name)
+            setter.argtypes, setter.restype = [ctypes.c_int], None
+            setter(1)
     try:
         libc = ctypes.CDLL(None)
     except (OSError, TypeError):  # no dlopen(NULL): not a POSIX system
@@ -203,26 +197,25 @@ def map_chunks(fn, jobs, workers: int = 1) -> list:
     ``workers``, an integer from 1 to ``MAX_WORKERS``, is checked before
     anything runs.  The chunk kernel spends its time in numpy's random
     fills, ufuncs and BLAS calls, which release the GIL, so chunks run
-    concurrently on threads; BLAS itself runs single-threaded (see
-    ``_single_thread_blas``), and freed memory stays in the heap (see
-    ``_reuse_freed_memory``).  Each worker takes the next job index from
-    one counter until none is left, so the calling thread works instead of
-    waiting, the map grows one malloc arena fewer, and a map of one worker
-    or one job starts no thread.  Results come back in job order.  After a
-    job raises, no job starts; the error is raised once every helper has
-    stopped.  ``tally_chunks`` maps every job of a run in one call; its
-    jobs return nothing and add their integer histograms into their tally's
-    total, so its result is the same for any worker count.  Each job holds
-    at most ``BLOCK`` amplitudes and their derived arrays at a time, so the
-    working set is about ``workers`` such blocks.
+    concurrently on threads.  Before any job, ``_tune_process`` runs BLAS
+    single-threaded and keeps freed memory in the heap, once per process.
+    Each worker takes the next job index from one counter until none is
+    left, so the calling thread works instead of waiting, the map grows one
+    malloc arena fewer, and a map of one worker or one job starts no
+    thread.  Results come back in job order.  After a job raises, no job
+    starts; the error is raised once every helper has stopped.
+    ``tally_chunks`` maps every job of a run in one call; its jobs return
+    nothing and add their integer histograms into their tally's total, so
+    its result is the same for any worker count.  Each job holds at most
+    ``BLOCK`` amplitudes and their derived arrays at a time, so the working
+    set is about ``workers`` such blocks.
     """
     workers = operator.index(workers)
     if workers < 1:
         raise ValueError("workers must be >= 1")
     if workers > MAX_WORKERS:
         raise ValueError(f"workers must be <= {MAX_WORKERS}")
-    _single_thread_blas()
-    _reuse_freed_memory()
+    _tune_process()
     jobs = list(jobs)
     results = [None] * len(jobs)
     errors = []
@@ -460,9 +453,12 @@ def detection_probs(alpha, s: float, sigma: float, gamma: float) -> np.ndarray:
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
         x, y = sa.real / sigma, sa.imag / sigma
         a, b = np.sqrt(2.0 * (x * x + y * y)), np.sqrt(2.0) * gamma / sigma
-    if not (np.isfinite(a).all() and np.isfinite(b)):
-        raise ValueError(f"sigma={sigma} is too small for the analytic "
-                         "oracle: s/sigma or gamma/sigma overflows")
+    if not np.isfinite(a).all():
+        raise ValueError(f"s/sigma overflows in the analytic oracle: s={s}, "
+                         f"sigma={sigma}")
+    if not np.isfinite(b):
+        raise ValueError("gamma/sigma overflows in the analytic oracle: "
+                         f"gamma={gamma}, sigma={sigma}")
     q, f = zip(*(_marcum(ai, float(b)) for ai in a.tolist()))
     exactly = np.ones(1)  # exactly[k]: k of the components so far cross
     for fi, qi in zip(f, q):

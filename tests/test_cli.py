@@ -734,15 +734,22 @@ def test_subnormal_sigma_exits_1_without_hanging():
 
 @pytest.mark.parametrize("sigma", ["1e-300", "1e-320"])
 def test_oracle_tiny_sigma_exits_1_naming_sigma(sigma, capsys):
-    # s/sigma or gamma/sigma overflows: the error names sigma, and numpy's
-    # overflow warnings stay inside the oracle.
+    # s/sigma overflows (1e-300) or sigma is subnormal (1e-320): the error
+    # names sigma, and numpy's overflow warnings stay inside the oracle.
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert run(["oracle", "--alpha", "0.8,0.6", "--sigma", sigma]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert (f"sigma={sigma} is too small for the analytic oracle"
-            in captured.err)
+    assert sigma in captured.err
+
+
+def test_oracle_huge_s_exits_1_naming_s(capsys):
+    # s/sigma overflows at sigma = 1: the cause is s, and the error says so.
+    assert run(["oracle", "--alpha", "1,0", "--s", "1e308"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "s/sigma" in captured.err and "1e+308" in captured.err
 
 
 @pytest.mark.parametrize("command", ["born", "chsh-joint", "chsh-local",

@@ -5,6 +5,8 @@ import csv
 import ctypes
 import json
 import math
+import mmap
+import os
 import platform
 import re
 import subprocess
@@ -389,6 +391,17 @@ def test_oracle_input_validation():
         for sigma, gamma in [(0.0, 1.0), (-1.0, 1.0), (1.0, -1.0)]:
             with pytest.raises(ValueError):
                 oracle(np.array([1.0, 0.0]), 1.0, sigma, gamma)
+
+
+def test_oracle_overflow_names_its_cause():
+    # s/sigma or gamma/sigma past the float range: each error names the
+    # ratio that overflows and both of its values.
+    alpha = np.array([1.0, 0.0])
+    with pytest.raises(ValueError, match=r"s/sigma .* s=1e\+308, sigma=1.0"):
+        detection_probs(alpha, 1e308, 1.0, 1.0)
+    with pytest.raises(ValueError,
+                       match=r"gamma/sigma .* gamma=1e\+307, sigma=0.01"):
+        detection_probs(alpha, 1.0, 0.01, 1e307)
 
 
 def test_oracle_rejects_negative_signal_strength():
@@ -976,7 +989,7 @@ def test_map_chunks_starts_no_job_after_one_raises_and_waits_for_helpers():
     assert log == returned  # no helper went on after the return
 
 
-def test_concurrent_callers_share_one_pool_and_agree(monkeypatch):
+def test_concurrent_callers_share_one_pool_and_agree():
     # Six callers map at 5 workers at once, with frequent thread switches;
     # each must get the serial tallies.  Each call has 3 chunks, so it
     # submits 2 helpers, and the pool starts at most 12 threads for them.
@@ -985,7 +998,7 @@ def test_concurrent_callers_share_one_pool_and_agree(monkeypatch):
     alpha = np.array([1.0, 0.0])
     args = (alpha, SQRT2 - 1.0, model, 1.0, 2 * CHUNK + 5, 21)
     expected = estimate(*args, workers=1).counts
-    monkeypatch.setattr(probability, "_blas_single_threaded", False)
+    probability._tune_process.cache_clear()
     threads = threading.active_count()
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -998,7 +1011,7 @@ def test_concurrent_callers_share_one_pool_and_agree(monkeypatch):
         sys.setswitchinterval(interval)
     assert all(np.array_equal(r.counts, expected) for r in results)
     assert threading.active_count() <= threads + 6 * 2
-    assert probability._blas_single_threaded
+    assert probability._tune_process.cache_info().currsize == 1
     time.sleep(0.05)  # each helper marks itself idle after its last job
     threads = threading.active_count()
     assert np.array_equal(estimate(*args, workers=5).counts, expected)
@@ -1021,7 +1034,7 @@ def _openblas_thread_controls():
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-def test_tally_chunks_runs_openblas_on_one_thread(workers, monkeypatch):
+def test_tally_chunks_runs_openblas_on_one_thread(workers):
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
     if "openblas" not in blas:
         pytest.skip(f"numpy is built on {blas}")
@@ -1029,7 +1042,7 @@ def test_tally_chunks_runs_openblas_on_one_thread(workers, monkeypatch):
     assert libs, "numpy's OpenBLAS not found in /proc/self/maps"
     for setter, _ in libs:
         setter(2)
-    monkeypatch.setattr(probability, "_blas_single_threaded", False)
+    probability._tune_process.cache_clear()
     model = NoiseModel(SPHERE, 1.0, 4)
     alpha = np.array([0.5, 0.5, 0.5, 0.5])
     u = np.linalg.qr(np.arange(16.0).reshape(4, 4) + np.eye(4))[0]
@@ -1043,16 +1056,56 @@ def test_tally_chunks_runs_openblas_on_one_thread(workers, monkeypatch):
 def test_single_thread_blas_without_openblas(monkeypatch):
     # Another BLAS: nothing to set.  No /proc: not Linux.
     monkeypatch.setattr(probability, "_loaded_openblas", lambda: [])
-    monkeypatch.setattr(probability, "_blas_single_threaded", False)
-    assert probability._single_thread_blas() is None
-    assert probability._blas_single_threaded
+    probability._tune_process.cache_clear()
+    assert probability._tune_process() is None
+    assert probability._tune_process.cache_info().currsize == 1
 
     def no_proc(*_):
         raise FileNotFoundError("/proc/self/maps")
 
     monkeypatch.undo()
+    probability._tune_process.cache_clear()  # the next map scans for real
     monkeypatch.setattr(probability, "open", no_proc, raising=False)
     assert probability._loaded_openblas() == []
+
+
+@pytest.mark.skipif(not Path("/proc/self/maps").exists(),
+                    reason="reads Linux's memory maps")
+def test_loaded_openblas_reads_a_mapped_file_name_that_is_not_utf8(tmp_path):
+    # Read as text, such a name in the maps raised UnicodeDecodeError, and
+    # with it the first Monte Carlo run of the process.
+    expected = probability._loaded_openblas()
+    path = os.path.join(os.fsencode(tmp_path), b"map\xe9.bin")
+    with open(path, "wb") as f:
+        f.write(bytes(mmap.PAGESIZE))
+    with open(path, "rb") as f, \
+            mmap.mmap(f.fileno(), 0, access=mmap.ACCESS_READ):
+        assert path in Path("/proc/self/maps").read_bytes()
+        assert probability._loaded_openblas() == expected
+
+
+def test_a_process_setup_that_raised_runs_again(monkeypatch):
+    # The cache keeps a setup only once it has returned: after the first
+    # scan raised, the next map scans again, and later maps do not.
+    scans = []
+    loaded_openblas = probability._loaded_openblas
+
+    def scan_failing_once():
+        scans.append(None)
+        if len(scans) == 1:
+            raise RuntimeError("scan failed")
+        return loaded_openblas()
+
+    monkeypatch.setattr(probability, "_loaded_openblas", scan_failing_once)
+    probability._tune_process.cache_clear()
+    args = (np.array([1.0, 0.0]), 0.5, NoiseModel(SPHERE, 1.0, 2), 1.0, 64)
+    with pytest.raises(RuntimeError, match="scan failed"):
+        estimate(*args, seed=1)
+    estimate(*args, seed=1)
+    assert len(scans) == 2
+    estimate(*args, seed=1)
+    assert len(scans) == 2
+    assert probability._tune_process.cache_info().currsize == 1
 
 
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
@@ -1060,7 +1113,7 @@ def test_single_thread_blas_without_openblas(monkeypatch):
 def test_chunk_blocks_reuse_freed_pages():
     # Returning each chunk's freed temporaries to the kernel cost these four
     # rotated 16 384-row chunks about 2650 page faults, against 0 with
-    # _reuse_freed_memory's settings.  Counted in a fresh process: in this
+    # _tune_process's malloc settings.  Counted in a fresh process: in this
     # one, earlier tests' allocations have already raised glibc's dynamic
     # thresholds, and the faults would not show.
     code = textwrap.dedent("""\
