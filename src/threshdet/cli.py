@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from pathlib import Path
@@ -14,8 +15,9 @@ from . import (detection, experiments, linalg, noise, output, probability,
 from .noise import NoiseModel
 
 DEFAULT_SEED = 12345
-# A statistical --check rejects its claim beyond Z standard errors.
+# A statistical --check rejects beyond Z standard errors, or a tail < TAIL.
 Z = 5.0
+TAIL = math.erfc(Z / math.sqrt(2.0)) / 2.0
 
 # argparse keywords of every flag.  A subcommand takes the flags listed next
 # to its handler in _COMMANDS plus _COMMON_FLAGS; its --config file is parsed
@@ -140,19 +142,43 @@ def _require_detections(*stats: probability.DetectionStats) -> None:
         raise ValueError("no detections to check")
 
 
-def _stderr(p: float, n: int, low=0.0) -> float:
-    """Standard error of a mean of ``n`` draws of ``low`` or 1 with mean p."""
-    return float(np.sqrt((p - low) * (1.0 - p) / n))
+def _stderr(p: float, n: int) -> float:
+    """Standard error of a frequency of ``n`` draws with mean p."""
+    return float(np.sqrt(p * (1.0 - p) / n))
 
 
-def _check_mean(name: str, observed, expected, n: int, low=0.0) -> None:
-    """Two-sided test that ``observed``, a frequency (``low`` 0) or +-1 mean
-    (``low`` -1) of ``n`` draws, has mean ``expected``, clipped to [low, 1]
-    as alpha is unit only to 1e-10.  A ``_stderr`` of 0 demands equality."""
-    expected = min(max(expected, low), 1.0)
-    se = _stderr(expected, n, low)
-    _require(abs(observed - expected) <= Z * se, f"{name} = {observed:.4g}, "
-             f"expected {expected:.4g} +- {Z:g} x {se:.3g}")
+def _check_mean(name: str, observed, expected, n: int) -> None:
+    """Two-sided test that ``observed``, a frequency of ``n`` draws, has mean
+    ``expected``, clipped to [0, 1] as alpha is unit only to 1e-10.  A side
+    of under 5 expected counts tests its count's Poisson upper tail, which
+    bounds the binomial's (its lower tail, over e^-5, cannot reject)."""
+    expected = min(max(expected, 0.0), 1.0)
+    k, se = round(observed * n), _stderr(expected, n)
+    sides = [(c, lam) for c, lam in ((k, expected * n),
+                                     (n - k, (1.0 - expected) * n)) if lam < 5]
+    for c, lam in sides:
+        lo, w = probability._poisson_weights(lam)
+        tail = w[max(c - lo, 0):].sum() / w.sum()
+        _require(tail >= TAIL, f"{name} = {observed:.4g}, expected "
+                 f"{expected:.4g}: P(Poisson({lam:.3g}) >= {c}) = {tail:.3g}")
+    _require(sides or abs(observed - expected) <= Z * se, f"{name} = "
+             f"{observed:.4g}, expected {expected:.4g} +- {Z:g} x {se:.3g}")
+
+
+def _compare(name: str, run, exact) -> None:
+    """Test a run's ``DetectionStats`` against its exact record: every cell
+    of a law (all cells finite; see ``probability.exact_hists``), none and
+    multiple included, as a frequency of the run's trials, and where the
+    run detects, each single detection as a frequency of its detections."""
+    if np.isfinite(exact.hist).all():
+        cells = ["Pinf", "P0", *(f"P{n}" for n in range(1, run.hist.size - 1))]
+        for cell, h, p in zip(cells, run.hist.tolist(), exact.hist.tolist()):
+            _check_mean(f"{name} {cell}", h / run.trials, p, run.trials)
+    else:
+        _require_detections(run)
+    if run.n_detected:
+        for n, (p_hat, p) in enumerate(zip(run.p_hat, exact.p_hat), 1):
+            _check_mean(f"{name} p{n}", p_hat, p, run.n_detected)
 
 
 def _check_chsh(result, bound: float, above: bool = True) -> None:
@@ -218,11 +244,8 @@ def _cmd_born(args) -> None:
           s=args.s, sigma=args.sigma, gamma=args.gamma,
           n_detected=stats.n_detected)
     if args.check:
-        _require_detections(stats)
-        exact = probability.record(alpha, args.s, model, args.gamma,
-                                   probability.exact_hists)
-        for n, (p_hat, p) in enumerate(zip(stats.p_hat, exact.p_hat), 1):
-            _check_mean(f"component {n}: p_hat", p_hat, p, stats.n_detected)
+        _compare("born", stats, probability.record(
+            alpha, args.s, model, args.gamma, probability.exact_hists))
 
 
 def _cmd_tomography(args) -> None:
@@ -248,8 +271,7 @@ def _cmd_tomography(args) -> None:
         exact = tomography.pauli_records(alpha, args.s, model, args.gamma,
                                          probability.exact_hists)
         for p, st in inferred.stats.items():
-            _check_mean(f"E[{p}]", st.mean, exact[p].mean, st.n_detected,
-                        low=-1.0)
+            _compare(p, st, exact[p])
 
 
 def _cmd_magic_square(args) -> None:
@@ -285,8 +307,11 @@ def _cmd_chsh_joint(args) -> None:
         # First against the exact value, so that a wrong S_D exits 2 even
         # where too few trials resolve the claim.
         if args.noise == noise.GAUSSIAN:
-            _check_s_d(result, experiments.chsh_joint_records(
-                args.noise, probability.exact_hists))
+            exact = experiments.chsh_joint_records(args.noise,
+                                                   probability.exact_hists)
+            for name, st in result.stats.items():
+                _compare(name, st, exact.stats[name])
+            _check_s_d(result, exact)
         # Clearing the Tsirelson value by Z standard errors clears 2 too.
         _check_chsh(result, experiments.TSIRELSON_BOUND
                     if args.noise == noise.SPHERE else 2.0)
@@ -367,8 +392,7 @@ def _cmd_oracle(args) -> None:
     _emit(args, {"single_detection_probs": rows}, s=args.s, sigma=args.sigma,
           gamma=args.gamma)
     if args.check:
-        for n, (P, p) in enumerate(zip(mc_stats.P_hat, exact.counts), 1):
-            _check_mean(f"component {n}: Monte Carlo P", P, p, args.mc_trials)
+        _compare("oracle", mc_stats, exact)
 
 
 # Tags of the codes that are not a detection, as replay prints them.

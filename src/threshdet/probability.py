@@ -484,7 +484,8 @@ def exact_hists(tallies, gamma: float) -> list[np.ndarray]:
     measurement of singleton groups: ``detection_probs`` of U†alpha under
     Gaussian noise, as U†w is again i.i.d. Gaussian, and, as bounded noise
     has no exact law yet, the Born values |U†alpha|² that the model is
-    claimed to give, as single detections.  Other tallies raise NoExactLaw."""
+    claimed to give, as single detections, and NaN in the two cells it does
+    not know, so it is no law.  Other tallies raise NoExactLaw."""
     hists = []
     for ensembles, (m, *more) in _checked_tallies(tallies, gamma):
         if more or len(ensembles) > 1 or not m.singletons:
@@ -494,5 +495,5 @@ def exact_hists(tallies, gamma: float) -> list[np.ndarray]:
         beta = np.asarray(alpha) @ np.conj(m.unitary)
         hists.append(detection_probs(beta, s, model.sigma, gamma)
                      if model.kind == noise.GAUSSIAN
-                     else np.r_[0.0, 0.0, np.abs(beta) ** 2])
+                     else np.r_[np.nan, np.nan, np.abs(beta) ** 2])
     return hists

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import threshdet
-from threshdet import cli, probability
+from threshdet import cli, detection, probability
 from threshdet.cli import (DEFAULT_SEED, CheckFailure, _check_chsh,
                            _check_mean, _check_s_d, build_parser, main,
                            parse_alpha)
@@ -148,17 +148,32 @@ def test_few_agreeing_detections_keep_a_standard_error():
         with pytest.raises(ValueError, match="too few trials"):
             _check_chsh(result, bound)
     # A frequency of 1 in 3 detections is consistent with p = 0.5; an exact
-    # claim (p = 0 or a mean of +-1) demands equality.
+    # claim (p = 0 or 1, as a +1 outcome of a mean of +-1) demands equality.
     _check_mean("p", 1.0, 0.5, 3)
-    _check_mean("E", 1.0, 1.0, 3, low=-1.0)
+    _check_mean("p", 1.0, 1.0, 3)
     with pytest.raises(CheckFailure):
         _check_mean("p", 1e-9, 0.0, 1 << 30)
     with pytest.raises(CheckFailure):
-        _check_mean("E", 1.0 - 1e-9, 1.0, 1 << 30, low=-1.0)
+        _check_mean("p", 1.0 - 5e-10, 1.0, 1 << 30)
     # An expected value rounded just past an end still demands that end.
-    _check_mean("E", -1.0, -1.0 - 1e-12, 3, low=-1.0)
+    _check_mean("p", 0.0, -5e-13, 3)
     with pytest.raises(CheckFailure):
         _check_mean("p", 1.0 - 1e-9, 1.0 + 1e-12, 1 << 30)
+
+
+def test_a_count_of_under_5_expected_is_tested_by_its_poisson_tail():
+    # One count expected in 2^20 draws, on either side of the frequency:
+    # for X ~ Poisson(1), P(X >= 9) = 1.1e-6 and P(X >= 10) = 1.1e-7
+    # straddle TAIL, the normal upper tail at Z, so 9 counts pass and 10
+    # fail.  A z-test failed from 7 counts, 5 standard errors out.
+    from scipy import stats
+    assert stats.poisson.sf(8, 1.0) > cli.TAIL > stats.poisson.sf(9, 1.0)
+    n = 1 << 20
+    for observed, expected in ((9 / n, 1 / n), (1 - 9 / n, 1 - 1 / n)):
+        _check_mean("p", observed, expected, n)
+    for observed, expected in ((10 / n, 1 / n), (1 - 10 / n, 1 - 1 / n)):
+        with pytest.raises(CheckFailure, match=r"P\(Poisson\(1\) >= 10\)"):
+            _check_mean("p", observed, expected, n)
 
 
 @pytest.mark.parametrize("alpha", ["0.707106781187,0.707106781187",
@@ -228,11 +243,12 @@ def test_exact_records_give_the_oracle_under_gaussian_noise_and_born_otherwise()
                       NoiseModel(GAUSSIAN, 1.0, 2), 1.0, exact_hists)["Z"]
     assert z.mean == pytest.approx(0.125685, abs=5e-7)
     # Bounded noise has no exact law yet: its single detections are the
-    # Born values |alpha|^2, and there are no others.
+    # Born values |alpha|^2, and its none and multiple cells are unknown.
     sphere = probability.record(alpha, S_BOUNDED, NoiseModel(SPHERE, 1.0, 4),
                                 1.0, exact_hists)
     assert np.array_equal(sphere.counts, np.abs(alpha) ** 2)
-    assert sphere.no_detection == sphere.multiple_detections == 0.0
+    assert np.isnan(sphere.no_detection) and np.isnan(
+        sphere.multiple_detections)
     assert sphere.p_hat == pytest.approx(np.abs(alpha) ** 2, abs=1e-15)
 
 
@@ -297,6 +313,53 @@ def test_check_fails_when_one_exact_cell_is_off(name, monkeypatch, capsys):
     assert run(argv) == 2
     assert calls
     assert "check failed" in capsys.readouterr().err
+
+
+# Runs whose exact record is a Gaussian law, at an input where 28% of the
+# trials detect more than one component.
+MULTIPLE_RUNS = {
+    "born": ["born", "--noise", "gaussian", "--trials", TRIALS],
+    "Z": ["tomography", "--noise", "gaussian", "--trials", TRIALS],
+    "oracle": ["oracle", "--mc-trials", TRIALS],
+}
+
+
+@pytest.mark.parametrize("name", MULTIPLE_RUNS)
+def test_check_fails_when_multiple_detections_are_filed_as_none(name,
+                                                               monkeypatch,
+                                                               capsys):
+    # Every single detection stays as it was, so only the law's none and
+    # multiple cells can see the fault: 0 of the ~18 000 multiple
+    # detections expected at 2^16 trials.
+    argv = [*MULTIPLE_RUNS[name], "--alpha", "0.6,0.8", "--s", "1",
+            "--gamma", "1", "--check"]
+    assert run(argv) == 0
+    codes_from_crossings = detection._codes_from_crossings
+
+    def none_for_multiple(cross):
+        codes = codes_from_crossings(cross)
+        codes[codes == detection.MULTIPLE_DETECTIONS] = detection.NO_DETECTION
+        return codes
+
+    try:
+        with monkeypatch.context() as patch:
+            patch.setattr(detection, "_codes_from_crossings",
+                          none_for_multiple)
+            detection._code_table.cache_clear()
+            assert run(argv) == 2
+    finally:
+        detection._code_table.cache_clear()
+    assert f"check failed: {name} Pinf = 0, expected 0.2779" in \
+        capsys.readouterr().err
+
+
+@pytest.mark.parametrize("seed", ["112", "164"])
+def test_oracle_check_of_a_cell_with_under_one_count_expected(seed, capsys):
+    # P_2 = 3.3e-8 expects 0.035 of 2^20 counts.  These seeds draw one,
+    # 5.2 normal standard errors out, but with a Poisson tail of 0.034:
+    # a z-test exited 2 on them.
+    assert run(["oracle", "--alpha", "1,0", "--s", "1", "--gamma", "4.15",
+                "--mc-trials", str(1 << 20), "--seed", seed, "--check"]) == 0
 
 
 def test_oracle_prints_the_exact_record_it_checks(tmp_path, monkeypatch):
